@@ -84,8 +84,9 @@ from .trajectory import (
     QUADRATURE,
     TraceUnderflowError,
     count_filter_step,
+    draw_noise,
     filter_record,
-    innovations,
+    propagate,
     quad_filter_step,
     simulate_record,
     zakai_log_norm_increment,

@@ -23,7 +23,6 @@ from .trajectory import (
     JumpRateError,
     TraceUnderflowError,
     filter_record,
-    innovations,
     simulate_record,
 )
 
@@ -82,15 +81,14 @@ def cmd_master(args, cfg: RunConfig) -> int:
 
 
 def cmd_simulate(args, cfg: RunConfig) -> int:
-    record, states = simulate_record(
+    record, states, innov = simulate_record(
         cfg.model, cfg.beta, cfg.rho0, cfg.measurement, cfg.grid, args.seed
     )
-    innov = innovations(record, states, cfg.model, cfg.beta)
     qio.write_record_csv(_out_path(args, cfg, "record"), record)
     qio.write_states_csv(
         _out_path(args, cfg, "states"),
         cfg.grid.times(),
-        [s.rho for s in states],
+        states,
         cfg.observables,
         innovations=innov.cumulative(),
     )
@@ -107,12 +105,11 @@ def cmd_filter(args, cfg: RunConfig) -> int:
             "measurement",
             f"record kind {record.kind!r} does not match configured kind {cfg.measurement!r}",
         )
-    states = filter_record(cfg.model, cfg.beta, cfg.rho0, record)
-    innov = innovations(record, states, cfg.model, cfg.beta)
+    states, innov = filter_record(cfg.model, cfg.beta, cfg.rho0, record)
     qio.write_states_csv(
         _out_path(args, cfg, "states"),
         record.grid.times(),
-        [s.rho for s in states],
+        states,
         cfg.observables,
         innovations=innov.cumulative(),
     )

@@ -1,10 +1,11 @@
 """Monte Carlo harness: batches of independent filtering trajectories.
 
 All trajectories of an ensemble are propagated together as a stacked
-(N, d, d) array through the same step primitives used for single
-trajectories; trajectory i draws its noise from a seed mixed out of
-(master_seed, i), so it is bit-reproducible in isolation.  Aggregation
-happens in fixed trajectory order after stepping.
+(N, d, d) array through the same filter loop (`trajectory.propagate`) that
+runs single trajectories; trajectory i draws its noise from a seed mixed
+out of (master_seed, i), so it is bit-reproducible in isolation.
+Aggregates are taken on the fly at the checkpoints, in fixed trajectory
+order; no per-step state stack is kept.
 """
 
 from __future__ import annotations
@@ -16,16 +17,7 @@ import numpy as np
 from .linalg import trace_distance, validate_density
 from .master import TimeGrid, integrate_master
 from .model import CoherentInput, HPModel
-from .trajectory import (
-    COUNTING,
-    QUADRATURE,
-    _draw_noise,
-    _intensity,
-    _record_increment,
-    _step_operators,
-    count_step_arrays,
-    quad_step_arrays,
-)
+from .trajectory import KINDS, draw_noise, propagate
 
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
@@ -55,7 +47,7 @@ class EnsembleConfig:
     def __post_init__(self):
         if self.n_traj < 1:
             raise ValueError("n_traj must be >= 1")
-        if self.kind not in (QUADRATURE, COUNTING):
+        if self.kind not in KINDS:
             raise ValueError(f"unknown measurement kind {self.kind!r}")
         validate_density(self.rho0)
 
@@ -102,17 +94,14 @@ def _checkpoint_indices(steps: int, n_checkpoints: int) -> np.ndarray:
 
 def run_ensemble(cfg: EnsembleConfig) -> EnsembleReport:
     """Propagate N trajectories and aggregate against the master equation."""
-    seeds = [mix_seed(cfg.master_seed, i) for i in range(cfg.n_traj)]
-    noise = np.stack(
-        [_draw_noise(np.random.default_rng(s), cfg.kind, cfg.grid) for s in seeds]
-    )
-
     grid = cfg.grid
-    dt = grid.dt
     n = cfg.n_traj
-    rho = np.broadcast_to(
-        np.asarray(cfg.rho0, dtype=complex), (n,) + cfg.rho0.shape
-    ).copy()
+    noise = np.stack(
+        [draw_noise(np.random.default_rng(mix_seed(cfg.master_seed, i)), cfg.kind, grid)
+         for i in range(n)],
+        axis=1,
+    )
+    rho0 = np.broadcast_to(np.asarray(cfg.rho0, dtype=complex), (n,) + cfg.rho0.shape).copy()
     innov_cum = np.zeros(n)
 
     master = integrate_master(cfg.model, cfg.beta, cfg.rho0, grid)
@@ -123,32 +112,24 @@ def run_ensemble(cfg: EnsembleConfig) -> EnsembleReport:
     obs_stderrs = {name: [] for name in cfg.observables}
     innov_means, innov_stderrs = [], []
 
-    def collect(step_index: int):
-        t = grid.t0 + step_index * dt
-        times.append(t)
+    steps = propagate(
+        cfg.model, cfg.beta, rho0, cfg.kind, grid, noise=noise, record_bias=cfg.record_bias
+    )
+    for k, (rho, dy, intensity) in enumerate(steps, start=1):
+        innov_cum += dy - intensity * grid.dt
+        if k not in checkpoints:
+            continue
+        times.append(grid.t0 + k * grid.dt)
         mean_rho = rho.sum(axis=0) / n
         mean_states.append(mean_rho)
         mean_purities.append(float(np.mean(np.einsum("nij,nji->n", rho, rho).real)))
-        distances.append(trace_distance(mean_rho, master.states[step_index]))
+        distances.append(trace_distance(mean_rho, master.states[k]))
         for name, op in cfg.observables.items():
             vals = np.einsum("nij,ji->n", rho, op).real
             obs_means[name].append(float(vals.mean()))
             obs_stderrs[name].append(float(vals.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0)
         innov_means.append(float(innov_cum.mean()))
         innov_stderrs.append(float(innov_cum.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0)
-
-    for k in range(grid.steps):
-        t = grid.t0 + k * dt
-        lb, hb = _step_operators(cfg.model, cfg.beta, t)
-        intensity = _intensity(cfg.kind, rho, lb)
-        dy = _record_increment(cfg.kind, noise[:, k], intensity, dt) + cfg.record_bias * dt
-        innov_cum += dy - intensity * dt
-        if cfg.kind == QUADRATURE:
-            rho, _ = quad_step_arrays(rho, dy, lb, hb, dt)
-        else:
-            rho, _ = count_step_arrays(rho, dy, lb, hb, dt)
-        if (k + 1) in checkpoints:
-            collect(k + 1)
 
     return EnsembleReport(
         config=cfg,

@@ -11,7 +11,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import purity
 from .master import TimeGrid
 from .trajectory import COUNTING, MeasurementRecord
 
@@ -20,25 +19,30 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _write_rows(path, header: list, columns: list) -> None:
+    """One CSV row per index of the equal-length `columns`."""
+    lines = [",".join(header)] + [",".join(map(_fmt, row)) for row in zip(*columns)]
+    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+
+
+def _trace(x: np.ndarray) -> np.ndarray:
+    return np.trace(x, axis1=-2, axis2=-1).real
+
+
 def write_states_csv(path, times, rhos, observables: dict, innovations=None) -> None:
     """Columns: t, tr(rho O_i) per observable, trace, purity[, innovations].
 
-    innovations, when given, is the cumulative innovations path aligned
-    with the times (length len(times)).
+    rhos is the state path, shape (len(times), d, d); innovations, when
+    given, is the cumulative innovations path aligned with the times.
     """
-    names = list(observables)
-    header = ["t"] + names + ["trace", "purity"]
+    rhos = np.asarray(rhos)
+    header = ["t", *observables, "trace", "purity"]
+    columns = [times, *(_trace(rhos @ op) for op in observables.values())]
+    columns += [_trace(rhos), _trace(rhos @ rhos)]
     if innovations is not None:
         header.append("innovations")
-    lines = [",".join(header)]
-    for k, (t, rho) in enumerate(zip(times, rhos)):
-        row = [_fmt(t)]
-        row += [_fmt(np.trace(rho @ observables[n]).real) for n in names]
-        row += [_fmt(np.trace(rho).real), _fmt(purity(rho))]
-        if innovations is not None:
-            row.append(_fmt(innovations[k]))
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+        columns.append(innovations)
+    _write_rows(path, header, columns)
 
 
 def write_record_csv(path, record: MeasurementRecord) -> None:
@@ -65,30 +69,20 @@ def read_record_csv(path) -> MeasurementRecord:
 
 def write_ensemble_outputs(summary_path, series_path, report) -> None:
     Path(summary_path).write_text(json.dumps(report.summary_dict(), indent=2) + "\n")
-    names = list(report.observable_means)
-    header = ["t"]
-    for n in names:
+    header, columns = ["t"], [report.checkpoint_times]
+    for n in report.observable_means:
         header += [f"mean_{n}", f"stderr_{n}"]
+        columns += [report.observable_means[n], report.observable_stderrs[n]]
     header += ["innovations_mean", "innovations_stderr", "trace_distance_to_master", "mean_purity"]
-    lines = [",".join(header)]
-    for i, t in enumerate(report.checkpoint_times):
-        row = [_fmt(t)]
-        for n in names:
-            row += [_fmt(report.observable_means[n][i]), _fmt(report.observable_stderrs[n][i])]
-        row += [
-            _fmt(report.innovations_mean[i]),
-            _fmt(report.innovations_stderr[i]),
-            _fmt(report.trace_distances_to_master[i]),
-            _fmt(report.mean_purity[i]),
-        ]
-        lines.append(",".join(row))
-    Path(series_path).write_text("\n".join(lines) + "\n", newline="\n")
+    columns += [
+        report.innovations_mean,
+        report.innovations_stderr,
+        report.trace_distances_to_master,
+        report.mean_purity,
+    ]
+    _write_rows(series_path, header, columns)
 
 
 def write_classical_csv(path, times, columns: dict) -> None:
     """Columns: t plus the given name -> array mapping, in insertion order."""
-    names = list(columns)
-    lines = [",".join(["t"] + names)]
-    for i, t in enumerate(times):
-        lines.append(",".join([_fmt(t)] + [_fmt(columns[n][i]) for n in names]))
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+    _write_rows(path, ["t", *columns], [times, *columns.values()])

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MAX_DIM = 64
-
 # Tolerances for density-matrix and projection validation.
 HERM_TOL = 1e-10
 TRACE_TOL = 1e-10

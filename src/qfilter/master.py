@@ -45,11 +45,13 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class MasterTrajectory:
+    """RK4 solution on the grid: states of shape (steps+1, d, d)."""
+
     grid: TimeGrid
-    states: list
+    states: np.ndarray
 
     def expectations(self, observable: np.ndarray) -> np.ndarray:
-        return np.array([np.trace(rho @ observable) for rho in self.states])
+        return np.trace(self.states @ observable, axis1=-2, axis2=-1)
 
 
 class StepSizeError(RuntimeError):
@@ -61,7 +63,8 @@ def integrate_master(
 ) -> MasterTrajectory:
     """RK4 integration with beta sampled at the substage times."""
     rho = validate_density(rho0).astype(complex)
-    states = [rho.copy()]
+    states = np.empty((grid.steps + 1,) + rho.shape, dtype=complex)
+    states[0] = rho
     dt = grid.dt
     for k in range(grid.steps):
         t = grid.t0 + k * dt
@@ -75,7 +78,7 @@ def integrate_master(
             raise StepSizeError(
                 f"trace drift {drift:.3e} at step {k}: dt={dt} too large for this generator"
             )
-        states.append(rho.copy())
+        states[k + 1] = rho
     return MasterTrajectory(grid=grid, states=states)
 
 

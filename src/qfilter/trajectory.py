@@ -1,8 +1,14 @@
 """Stochastic master equations for quadrature and photon-counting records.
 
 Filters are propagated in density-matrix (Schroedinger) form.  The step
-primitives accept states of shape (d, d) or batched (..., d, d); every
-step ends with a Hermitian projection and trace renormalization.
+kernels accept states of shape (d, d) or batched (..., d, d); every step
+ends with a Hermitian projection and trace renormalization.
+
+`propagate` is the one filter loop: it replays a stored record or draws
+the record from pre-drawn noise, on one state or a stack of N, and yields
+each step's state, increment and pre-step intensity.  `simulate_record`
+and `filter_record` collect it into arrays: states of shape (steps+1, d, d)
+and the innovations path.  The ensemble harness aggregates it on the fly.
 
 The unnormalized (Zakai) companion is stored in factorized form as a
 normalized matrix plus an accumulated log-normalization, with the
@@ -144,20 +150,56 @@ def _step_operators(model: HPModel, beta: CoherentInput, t: float):
     return ops.Lbeta, ops.Hbeta_total
 
 
+def _kernel(kind: str):
+    if kind == QUADRATURE:
+        return quad_step_arrays
+    if kind == COUNTING:
+        return count_step_arrays
+    raise ValueError(f"unknown measurement kind {kind!r}")
+
+
+def _filter_step(state: FilterState, dy, model: HPModel, beta: CoherentInput, dt: float, kind: str):
+    """One kernel step on a FilterState; returns (new state, pre-step intensity)."""
+    lb, hb = _step_operators(model, beta, state.t)
+    rho, intensity = _kernel(kind)(state.rho, dy, lb, hb, dt)
+    return FilterState(rho=rho, t=state.t + dt, log_norm=state.log_norm), float(intensity)
+
+
 def quad_filter_step(
     state: FilterState, dy: float, model: HPModel, beta: CoherentInput, dt: float
 ) -> FilterState:
-    lb, hb = _step_operators(model, beta, state.t)
-    rho, _ = quad_step_arrays(state.rho, dy, lb, hb, dt)
-    return FilterState(rho=rho, t=state.t + dt, log_norm=state.log_norm)
+    return _filter_step(state, dy, model, beta, dt, QUADRATURE)[0]
 
 
 def count_filter_step(
     state: FilterState, dy: float, model: HPModel, beta: CoherentInput, dt: float
 ) -> FilterState:
-    lb, hb = _step_operators(model, beta, state.t)
-    rho, _ = count_step_arrays(state.rho, dy, lb, hb, dt)
-    return FilterState(rho=rho, t=state.t + dt, log_norm=state.log_norm)
+    return _filter_step(state, dy, model, beta, dt, COUNTING)[0]
+
+
+def _zakai_log_factor(kind: str, intensity: float, b: complex, dy: float, dt: float, beta_min: float) -> float:
+    """log of the per-step Zakai normalization factor, given the pre-step intensity.
+
+    Quadrature: d sigma(1) = sigma(tildeL + tildeL†)(dY - (b + b*) dt), so the
+    factor on the normalized state is 1 + (m - b - b*)(dY - (b + b*) dt).
+    Counting: d sigma(1) = sigma(L^b† L^b - |b|^2)/|b|^2 (dY - |b|^2 dt), valid
+    only for |b| >= beta_min.
+    """
+    if kind == QUADRATURE:
+        c = 2.0 * b.real
+        factor = 1.0 + (intensity - c) * (dy - c * dt)
+    elif kind == COUNTING:
+        if abs(b) < beta_min:
+            raise ValueError(
+                f"counting-mode Zakai propagation requires |beta| >= {beta_min}"
+            )
+        a = abs(b) ** 2
+        factor = 1.0 + (intensity - a) / a * (dy - a * dt)
+    else:
+        raise ValueError(f"unknown measurement kind {kind!r}")
+    if factor <= TRACE_UNDERFLOW:
+        raise TraceUnderflowError(f"Zakai normalization factor {factor} underflowed")
+    return float(np.log(factor))
 
 
 def zakai_log_norm_increment(
@@ -169,33 +211,10 @@ def zakai_log_norm_increment(
     kind: str,
     beta_min: float = COUNTING_BETA_MIN,
 ) -> float:
-    """log of the per-step Zakai normalization factor.
-
-    Quadrature: d sigma(1) = sigma(tildeL + tildeL†)(dY - (b + b*) dt), so the
-    factor on the normalized state is 1 + (m - b - b*)(dY - (b + b*) dt).
-    Counting: d sigma(1) = sigma(L^b† L^b - |b|^2)/|b|^2 (dY - |b|^2 dt), valid
-    only for |b| >= beta_min.
-    """
-    b = beta.value(state.t)
-    lb, hb = _step_operators(model, beta, state.t)
-    if kind == QUADRATURE:
-        gain = lb @ state.rho + state.rho @ dagger(lb)
-        m = float(_btrace(gain).real)
-        c = 2.0 * b.real
-        factor = 1.0 + (m - c) * (dy - c * dt)
-    elif kind == COUNTING:
-        if abs(b) < beta_min:
-            raise ValueError(
-                f"counting-mode Zakai propagation requires |beta| >= {beta_min}"
-            )
-        rate = float(_btrace(lb @ state.rho @ dagger(lb)).real)
-        a = abs(b) ** 2
-        factor = 1.0 + (rate - a) / a * (dy - a * dt)
-    else:
-        raise ValueError(f"unknown measurement kind {kind!r}")
-    if factor <= TRACE_UNDERFLOW:
-        raise TraceUnderflowError(f"Zakai normalization factor {factor} underflowed")
-    return float(np.log(factor))
+    """log of the per-step Zakai normalization factor at `state`."""
+    lb, _ = _step_operators(model, beta, state.t)
+    intensity = float(_intensity(kind, state.rho, lb))
+    return _zakai_log_factor(kind, intensity, beta.value(state.t), dy, dt, beta_min)
 
 
 def zakai_step(
@@ -211,17 +230,15 @@ def zakai_step(
 
     The matrix part coincides with the normalized filter step, so the
     Kallianpur-Striebel relation pi = sigma / sigma(1) holds exactly at
-    every step; the likelihood lives entirely in log_norm.
+    every step; the likelihood lives entirely in log_norm, whose increment
+    is taken from the kernel's pre-step intensity.
     """
-    dlog = zakai_log_norm_increment(state, dy, model, beta, dt, kind, beta_min)
-    if kind == QUADRATURE:
-        stepped = quad_filter_step(state, dy, model, beta, dt)
-    else:
-        stepped = count_filter_step(state, dy, model, beta, dt)
+    stepped, intensity = _filter_step(state, dy, model, beta, dt, kind)
+    dlog = _zakai_log_factor(kind, intensity, beta.value(state.t), dy, dt, beta_min)
     return replace(stepped, log_norm=state.log_norm + dlog)
 
 
-def _draw_noise(rng: np.random.Generator, kind: str, grid: TimeGrid) -> np.ndarray:
+def draw_noise(rng: np.random.Generator, kind: str, grid: TimeGrid) -> np.ndarray:
     """Pre-drawn per-step randomness: Gaussian dI for quadrature, uniforms for counting."""
     if kind == QUADRATURE:
         return rng.standard_normal(grid.steps) * np.sqrt(grid.dt)
@@ -251,6 +268,64 @@ def _intensity(kind: str, rho: np.ndarray, lb: np.ndarray):
     return _btrace(lb @ rho @ dagger(lb)).real
 
 
+def propagate(
+    model: HPModel,
+    beta: CoherentInput,
+    rho0: np.ndarray,
+    kind: str,
+    grid: TimeGrid,
+    *,
+    increments=None,
+    noise=None,
+    record_bias: float = 0.0,
+):
+    """The filter loop: yield (rho after step k, dY_k, intensity before step k).
+
+    rho0 has shape (d, d) or (N, d, d).  Exactly one of `increments` (a
+    stored record, replayed) and `noise` (pre-drawn per-step randomness,
+    from which dY is drawn with the pre-step intensity) is given; either has
+    the step index on its first axis.  `record_bias` dt is added to every
+    drawn dY (negative controls only).  (L^beta, H^beta) are rebuilt only
+    when beta(t) changes.  A numerical failure names its step and time.
+    """
+    if (increments is None) == (noise is None):
+        raise ValueError("give exactly one of increments and noise")
+    step = _kernel(kind)
+    rho = np.asarray(rho0, dtype=complex)
+    dt = grid.dt
+    b_prev = None
+    for k in range(grid.steps):
+        t = grid.t0 + k * dt
+        try:
+            b = beta.value(t)
+            if b != b_prev:
+                lb, hb = _step_operators(model, beta, t)
+                b_prev = b
+            if increments is None:
+                dy = _record_increment(kind, noise[k], _intensity(kind, rho, lb), dt)
+                dy = dy + record_bias * dt
+            else:
+                dy = increments[k]
+            rho, intensity = step(rho, dy, lb, hb, dt)
+        except (TraceUnderflowError, JumpRateError) as exc:
+            raise type(exc)(f"step {k}, t={t:g}: {exc}") from exc
+        yield rho, dy, intensity
+
+
+def _filter_path(steps, rho0: np.ndarray, grid: TimeGrid):
+    """Collect a single-trajectory run into (states, dY, innovations) arrays."""
+    rho0 = np.asarray(rho0, dtype=complex)
+    states = np.empty((grid.steps + 1,) + rho0.shape, dtype=complex)
+    states[0] = rho0
+    dys = np.empty(grid.steps)
+    innov = np.empty(grid.steps)
+    for k, (rho, dy, intensity) in enumerate(steps):
+        states[k + 1] = rho
+        dys[k] = dy
+        innov[k] = dy - intensity * grid.dt
+    return states, dys, InnovationsPath(grid=grid, increments=innov)
+
+
 def simulate_record(
     model: HPModel,
     beta: CoherentInput,
@@ -259,31 +334,17 @@ def simulate_record(
     grid: TimeGrid,
     seed: int,
 ):
-    """Generate a measurement record and the co-evolved filter states.
+    """Generate a measurement record and the co-evolved filter path.
 
-    Deterministic given (seed, grid, model); the filter states are the
-    conditional states of the very record being generated.
+    Returns (record, states, innovations) with states of shape
+    (steps+1, d, d).  Deterministic given (seed, grid, model); the filter
+    states are the conditional states of the very record being generated.
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown measurement kind {kind!r}")
-    rng = np.random.default_rng(seed)
-    noise = _draw_noise(rng, kind, grid)
-    rho = np.asarray(rho0, dtype=complex)
-    dt = grid.dt
-    states = [FilterState(rho=rho, t=grid.t0)]
-    increments = np.empty(grid.steps)
-    for k in range(grid.steps):
-        t = grid.t0 + k * dt
-        lb, hb = _step_operators(model, beta, t)
-        dy = _record_increment(kind, noise[k], _intensity(kind, rho, lb), dt)
-        if kind == QUADRATURE:
-            rho, _ = quad_step_arrays(rho, dy, lb, hb, dt)
-        else:
-            rho, _ = count_step_arrays(rho, dy, lb, hb, dt)
-        increments[k] = dy
-        states.append(FilterState(rho=rho, t=t + dt))
-    record = MeasurementRecord(kind=kind, grid=grid, increments=increments)
-    return record, states
+    noise = draw_noise(np.random.default_rng(seed), kind, grid)
+    states, dys, innov = _filter_path(
+        propagate(model, beta, rho0, kind, grid, noise=noise), rho0, grid
+    )
+    return MeasurementRecord(kind=kind, grid=grid, increments=dys), states, innov
 
 
 def filter_record(
@@ -291,35 +352,10 @@ def filter_record(
 ):
     """Replay the filter against a stored record.
 
-    Uses the same stepping as simulate_record, so replaying a simulated
-    record reproduces the co-evolved states exactly.
+    Returns (states, innovations) with states of shape (steps+1, d, d).
+    Uses the same loop as simulate_record, so replaying a simulated record
+    reproduces the co-evolved states exactly.
     """
-    rho = np.asarray(rho0, dtype=complex)
-    grid = record.grid
-    dt = grid.dt
-    states = [FilterState(rho=rho, t=grid.t0)]
-    for k in range(grid.steps):
-        t = grid.t0 + k * dt
-        lb, hb = _step_operators(model, beta, t)
-        if record.kind == QUADRATURE:
-            rho, _ = quad_step_arrays(rho, record.increments[k], lb, hb, dt)
-        else:
-            rho, _ = count_step_arrays(rho, record.increments[k], lb, hb, dt)
-        states.append(FilterState(rho=rho, t=t + dt))
-    return states
-
-
-def innovations(
-    record: MeasurementRecord, states, model: HPModel, beta: CoherentInput
-) -> InnovationsPath:
-    """dI_k = dY_k - intensity(state before step k) dt."""
-    grid = record.grid
-    if len(states) != grid.steps + 1:
-        raise ValueError("states are not aligned with the record")
-    dt = grid.dt
-    incs = np.empty(grid.steps)
-    for k in range(grid.steps):
-        t = grid.t0 + k * dt
-        lb, _ = _step_operators(model, beta, t)
-        incs[k] = record.increments[k] - float(_intensity(record.kind, states[k].rho, lb)) * dt
-    return InnovationsPath(grid=grid, increments=incs)
+    steps = propagate(model, beta, rho0, record.kind, record.grid, increments=record.increments)
+    states, _, innov = _filter_path(steps, rho0, record.grid)
+    return states, innov

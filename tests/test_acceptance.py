@@ -146,7 +146,7 @@ def test_criterion_3_kallianpur_striebel_consistency():
     grid = TimeGrid(dt=1e-3, steps=10_000)
     worst = 0.0
     for kind in (QUADRATURE, COUNTING):
-        record, _ = simulate_record(model, beta, EXCITED, kind, grid, seed=101)
+        record, _, _ = simulate_record(model, beta, EXCITED, kind, grid, seed=101)
         direct = FilterState(rho=EXCITED, t=0.0)
         unnorm = FilterState(rho=EXCITED, t=0.0)
         step = quad_filter_step if kind == QUADRATURE else count_filter_step
@@ -443,8 +443,8 @@ def test_criterion_10_no_jump_conditioning_oracle():
     dt = 1e-4
     grid = TimeGrid(dt=dt, steps=int(round(3.0 / dt)))
     record = MeasurementRecord(kind=COUNTING, grid=grid, increments=np.zeros(grid.steps))
-    states = filter_record(model, CoherentInput.vacuum(), HALF_MIXED, record)
-    pe = np.array([s.rho[0, 0].real for s in states])
+    states, _ = filter_record(model, CoherentInput.vacuum(), HALF_MIXED, record)
+    pe = states[:, 0, 0].real
     t = grid.times()
     p0 = 0.5
     exact = p0 * np.exp(-gamma * t) / (p0 * np.exp(-gamma * t) + 1.0 - p0)

@@ -79,10 +79,10 @@ def test_trajectory_reproducible_in_isolation():
     rep = run_ensemble(cfg)
     rhos = []
     for i in range(3):
-        _, states = simulate_record(
+        _, states, _ = simulate_record(
             cfg.model, cfg.beta, cfg.rho0, cfg.kind, grid, seed=mix_seed(cfg.master_seed, i)
         )
-        rhos.append(states[-1].rho)
+        rhos.append(states[-1])
     mean_final = sum(rhos) / 3
     assert np.allclose(rep.mean_states[-1], mean_final, atol=1e-12)
 

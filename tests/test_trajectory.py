@@ -21,7 +21,6 @@ from qfilter.trajectory import (
     count_filter_step,
     count_step_arrays,
     filter_record,
-    innovations,
     quad_filter_step,
     quad_step_arrays,
     simulate_record,
@@ -113,20 +112,20 @@ def test_simulate_is_deterministic_and_replayable():
     beta = CoherentInput.constant(0.4)
     grid = TimeGrid(dt=1e-3, steps=500)
     for kind in (QUADRATURE, COUNTING):
-        rec1, states1 = simulate_record(model, beta, EXCITED, kind, grid, seed=9)
-        rec2, _ = simulate_record(model, beta, EXCITED, kind, grid, seed=9)
+        rec1, states1, _ = simulate_record(model, beta, EXCITED, kind, grid, seed=9)
+        rec2, _, _ = simulate_record(model, beta, EXCITED, kind, grid, seed=9)
         assert np.array_equal(rec1.increments, rec2.increments)
-        replayed = filter_record(model, beta, EXCITED, rec1)
+        replayed, _ = filter_record(model, beta, EXCITED, rec1)
         for a, b in zip(states1, replayed):
-            assert max_norm(a.rho - b.rho) == 0
+            assert max_norm(a - b) == 0
 
 
 def test_different_seeds_give_different_records():
     model = decay_model()
     beta = CoherentInput.constant(0.4)
     grid = TimeGrid(dt=1e-3, steps=100)
-    rec1, _ = simulate_record(model, beta, EXCITED, QUADRATURE, grid, seed=1)
-    rec2, _ = simulate_record(model, beta, EXCITED, QUADRATURE, grid, seed=2)
+    rec1, _, _ = simulate_record(model, beta, EXCITED, QUADRATURE, grid, seed=1)
+    rec2, _, _ = simulate_record(model, beta, EXCITED, QUADRATURE, grid, seed=2)
     assert not np.array_equal(rec1.increments, rec2.increments)
 
 
@@ -134,14 +133,11 @@ def test_innovations_alignment_and_content():
     model = decay_model()
     beta = CoherentInput.constant(0.4)
     grid = TimeGrid(dt=1e-3, steps=200)
-    rec, states = simulate_record(model, beta, EXCITED, QUADRATURE, grid, seed=3)
-    path = innovations(rec, states, model, beta)
+    rec, states, path = simulate_record(model, beta, EXCITED, QUADRATURE, grid, seed=3)
     assert path.increments.shape == (200,)
     cum = path.cumulative()
     assert cum[0] == 0.0
     assert cum[-1] == pytest.approx(path.increments.sum())
-    with pytest.raises(ValueError):
-        innovations(rec, states[:-1], model, beta)
 
 
 def test_zakai_step_kallianpur_striebel_exact():
@@ -151,7 +147,7 @@ def test_zakai_step_kallianpur_striebel_exact():
     beta = CoherentInput.constant(0.5)
     grid = TimeGrid(dt=1e-3, steps=300)
     for kind in (QUADRATURE, COUNTING):
-        rec, _ = simulate_record(model, beta, EXCITED, kind, grid, seed=4)
+        rec, _, _ = simulate_record(model, beta, EXCITED, kind, grid, seed=4)
         direct = FilterState(rho=EXCITED, t=0.0)
         factorized = FilterState(rho=EXCITED, t=0.0)
         for dy in rec.increments:
@@ -175,7 +171,7 @@ def test_zakai_log_norm_matches_naive_euler_zakai():
     model = decay_model()
     beta = CoherentInput.constant(0.5)
     grid = TimeGrid(dt=1e-3, steps=1000)
-    rec, _ = simulate_record(model, beta, EXCITED, QUADRATURE, grid, seed=5)
+    rec, _, _ = simulate_record(model, beta, EXCITED, QUADRATURE, grid, seed=5)
     tl, tk = girsanov_coefficients(model, beta, 0.0, "quadrature")
 
     sigma = EXCITED.astype(complex)
