@@ -20,6 +20,10 @@ from .linalg import (
     is_unitary,
 )
 
+# Relative slack, in units of sample_dt, by which a time counts as on a
+# sample boundary: far above the rounding of t / sample_dt, far below dt.
+SAMPLE_BOUNDARY_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class HPModel:
@@ -52,7 +56,8 @@ class CoherentInput:
     """Coherent-state amplitude beta(t).
 
     kind is one of "constant", "samples" (piecewise constant on a uniform
-    grid, left endpoints) or "sinusoid" (a * exp(i omega t) + c).
+    grid, left endpoints) or "sinusoid" (a * exp(i omega t) + c).  A time
+    within rounding of a sample boundary j * sample_dt takes sample j.
     """
 
     kind: str
@@ -94,7 +99,8 @@ class CoherentInput:
         if self.kind == "sinusoid":
             return self.amplitude * np.exp(1j * self.frequency * t) + self.offset
         if self.kind == "samples":
-            idx = int(np.floor((t - self.t0) / self.sample_dt))
+            x = (t - self.t0) / self.sample_dt
+            idx = int(np.floor(x + SAMPLE_BOUNDARY_TOL * max(1.0, abs(x))))
             idx = min(max(idx, 0), len(self.samples) - 1)
             return self.samples[idx]
         raise ValueError(f"unknown coherent input kind {self.kind!r}")

@@ -65,6 +65,18 @@ def test_coherent_input_kinds():
         CoherentInput.piecewise(t0=0.0, sample_dt=0.0, samples=[1.0])
 
 
+@pytest.mark.parametrize("sample_dt, steps_per_sample", [(0.1, 100), (0.05, 50)])
+def test_piecewise_input_on_grid_boundaries(sample_dt, steps_per_sample):
+    # Grid time t0 + k dt on the boundary j sample_dt selects sample j, even
+    # where (t - t0) / sample_dt rounds just below j (k = 300, 600 at 0.1;
+    # k = 150, 300, 600 at 0.05).
+    dt = 1e-3
+    pw = CoherentInput.piecewise(t0=0.0, sample_dt=sample_dt, samples=range(20))
+    got = [pw.value(0.0 + k * dt).real for k in range(1000)]
+    want = [k // steps_per_sample for k in range(1000)]
+    assert got == want
+
+
 def test_modulated_coupling_and_hamiltonian_vacuum_reduction():
     rng = np.random.default_rng(8)
     model = random_model(rng, 3)
