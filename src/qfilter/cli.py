@@ -80,18 +80,19 @@ def cmd_master(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _write_filter_path(args, cfg: RunConfig, states, innov) -> None:
+    qio.write_states_csv(
+        _out_path(args, cfg, "states"), innov.grid.times(), states, cfg.observables,
+        innovations=innov.cumulative(),
+    )
+
+
 def cmd_simulate(args, cfg: RunConfig) -> int:
     record, states, innov = simulate_record(
         cfg.model, cfg.beta, cfg.rho0, cfg.measurement, cfg.grid, args.seed
     )
     qio.write_record_csv(_out_path(args, cfg, "record"), record)
-    qio.write_states_csv(
-        _out_path(args, cfg, "states"),
-        cfg.grid.times(),
-        states,
-        cfg.observables,
-        innovations=innov.cumulative(),
-    )
+    _write_filter_path(args, cfg, states, innov)
     return EXIT_OK
 
 
@@ -106,13 +107,7 @@ def cmd_filter(args, cfg: RunConfig) -> int:
             f"record kind {record.kind!r} does not match configured kind {cfg.measurement!r}",
         )
     states, innov = filter_record(cfg.model, cfg.beta, cfg.rho0, record)
-    qio.write_states_csv(
-        _out_path(args, cfg, "states"),
-        record.grid.times(),
-        states,
-        cfg.observables,
-        innovations=innov.cumulative(),
-    )
+    _write_filter_path(args, cfg, states, innov)
     return EXIT_OK
 
 

@@ -45,8 +45,6 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class MasterTrajectory:
-    """RK4 solution on the grid: states of shape (steps+1, d, d)."""
-
     grid: TimeGrid
     states: np.ndarray
 

@@ -20,10 +20,6 @@ from .linalg import (
     is_unitary,
 )
 
-# Relative slack, in units of sample_dt, by which a time counts as on a
-# sample boundary: far above the rounding of t / sample_dt, far below dt.
-SAMPLE_BOUNDARY_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class HPModel:
@@ -99,8 +95,9 @@ class CoherentInput:
         if self.kind == "sinusoid":
             return self.amplitude * np.exp(1j * self.frequency * t) + self.offset
         if self.kind == "samples":
+            # Within 1e-9 sample intervals of a boundary (float rounding) is on it.
             x = (t - self.t0) / self.sample_dt
-            idx = int(np.floor(x + SAMPLE_BOUNDARY_TOL * max(1.0, abs(x))))
+            idx = int(np.floor(x + 1e-9 * max(1.0, abs(x))))
             idx = min(max(idx, 0), len(self.samples) - 1)
             return self.samples[idx]
         raise ValueError(f"unknown coherent input kind {self.kind!r}")

@@ -2,13 +2,10 @@
 
 Filters are propagated in density-matrix (Schroedinger) form.  The step
 kernels accept states of shape (d, d) or batched (..., d, d); every step
-ends with a Hermitian projection and trace renormalization.
-
-`propagate` is the one filter loop: it replays a stored record or draws
-the record from pre-drawn noise, on one state or a stack of N, and yields
-each step's state, increment and pre-step intensity.  `simulate_record`
-and `filter_record` collect it into arrays: states of shape (steps+1, d, d)
-and the innovations path.  The ensemble harness aggregates it on the fly.
+ends with a Hermitian projection and trace renormalization.  `propagate`
+is the one filter loop; `simulate_record` and `filter_record` collect it
+into arrays (states of shape (steps+1, d, d) and the innovations path),
+and the ensemble harness aggregates it on the fly.
 
 The unnormalized (Zakai) companion is stored in factorized form as a
 normalized matrix plus an accumulated log-normalization, with the
@@ -177,7 +174,7 @@ def count_filter_step(
     return _filter_step(state, dy, model, beta, dt, COUNTING)[0]
 
 
-def _zakai_log_factor(kind: str, intensity: float, b: complex, dy: float, dt: float, beta_min: float) -> float:
+def _zakai_log_factor(kind: str, intensity: float, b: complex, dy, dt: float, beta_min: float):
     """log of the per-step Zakai normalization factor, given the pre-step intensity.
 
     Quadrature: d sigma(1) = sigma(tildeL + tildeL†)(dY - (b + b*) dt), so the
@@ -245,22 +242,6 @@ def draw_noise(rng: np.random.Generator, kind: str, grid: TimeGrid) -> np.ndarra
     return rng.random(grid.steps)
 
 
-def _record_increment(kind: str, noise, intensity, dt: float):
-    """Observation increment from pre-drawn noise and the filter's intensity.
-
-    Quadrature: dY = dI + m dt with dI ~ N(0, dt); counting: dY ~ Bernoulli(r dt).
-    Vectorized over a leading batch axis.
-    """
-    if kind == QUADRATURE:
-        return noise + intensity * dt
-    prob = intensity * dt
-    if np.any(prob > MAX_JUMP_PROBABILITY):
-        raise JumpRateError(
-            f"jump probability {np.max(prob):.3g} exceeds bound {MAX_JUMP_PROBABILITY}"
-        )
-    return (noise < prob).astype(float)
-
-
 def _intensity(kind: str, rho: np.ndarray, lb: np.ndarray):
     """Predictable compensator rate: m for quadrature, r for counting."""
     if kind == QUADRATURE:
@@ -281,15 +262,12 @@ def propagate(
 ):
     """The filter loop: yield (rho after step k, dY_k, intensity before step k).
 
-    rho0 has shape (d, d) or (N, d, d).  Exactly one of `increments` (a
-    stored record, replayed) and `noise` (pre-drawn per-step randomness,
-    from which dY is drawn with the pre-step intensity) is given; either has
-    the step index on its first axis.  `record_bias` dt is added to every
-    drawn dY (negative controls only).  (L^beta, H^beta) are rebuilt only
-    when beta(t) changes.  A numerical failure names its step and time.
+    rho0 has shape (d, d) or (N, d, d).  Replays `increments` when given,
+    else draws dY from `noise` (pre-drawn, step index first) and the
+    pre-step intensity, plus `record_bias` dt (negative controls only).
+    (L^beta, H^beta) are rebuilt only when beta(t) changes.  A numerical
+    failure names its step and time.
     """
-    if (increments is None) == (noise is None):
-        raise ValueError("give exactly one of increments and noise")
     step = _kernel(kind)
     rho = np.asarray(rho0, dtype=complex)
     dt = grid.dt
@@ -301,11 +279,17 @@ def propagate(
             if b != b_prev:
                 lb, hb = _step_operators(model, beta, t)
                 b_prev = b
-            if increments is None:
-                dy = _record_increment(kind, noise[k], _intensity(kind, rho, lb), dt)
-                dy = dy + record_bias * dt
-            else:
+            if increments is not None:
                 dy = increments[k]
+            elif kind == QUADRATURE:  # dY = dI + m dt, dI ~ N(0, dt)
+                dy = noise[k] + _intensity(kind, rho, lb) * dt + record_bias * dt
+            else:  # dY ~ Bernoulli(r dt)
+                prob = _intensity(kind, rho, lb) * dt
+                if np.any(prob > MAX_JUMP_PROBABILITY):
+                    raise JumpRateError(
+                        f"jump probability {np.max(prob):.3g} exceeds bound {MAX_JUMP_PROBABILITY}"
+                    )
+                dy = (noise[k] < prob).astype(float) + record_bias * dt
             rho, intensity = step(rho, dy, lb, hb, dt)
         except (TraceUnderflowError, JumpRateError) as exc:
             raise type(exc)(f"step {k}, t={t:g}: {exc}") from exc
@@ -313,7 +297,7 @@ def propagate(
 
 
 def _filter_path(steps, rho0: np.ndarray, grid: TimeGrid):
-    """Collect a single-trajectory run into (states, dY, innovations) arrays."""
+    """(states, dY, innovations) arrays of a single-trajectory run."""
     rho0 = np.asarray(rho0, dtype=complex)
     states = np.empty((grid.steps + 1,) + rho0.shape, dtype=complex)
     states[0] = rho0

@@ -90,6 +90,22 @@ def test_numerical_failure_exit_code(tmp_path):
     assert main(["master", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
 
 
+def test_numerical_failure_names_the_step(tmp_path, capsys):
+    # r dt = 2000 * 1e-3 exceeds the jump-probability bound on the first step.
+    cfg = write_config(
+        tmp_path,
+        model={
+            "dim": 2,
+            "S": matrix_to_json(np.eye(2)),
+            "L": matrix_to_json(np.sqrt(2000.0) * np.array([[0, 0], [1, 0]])),
+            "H": matrix_to_json(np.zeros((2, 2))),
+        },
+        measurement="counting",
+    )
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
+    assert "step 0, t=0: jump probability" in capsys.readouterr().err
+
+
 def test_ensemble_command(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "ens"

@@ -13,7 +13,7 @@ from qfilter.config import (
     parse_matrix,
 )
 from qfilter.io import read_record_csv, write_record_csv, write_states_csv
-from qfilter.linalg import SIGMA_Z, max_norm
+from qfilter.linalg import SIGMA_Z, max_norm, purity, random_density, random_hermitian
 from qfilter.master import TimeGrid
 from qfilter.trajectory import COUNTING, MeasurementRecord, QUADRATURE
 
@@ -148,3 +148,20 @@ def test_states_csv_layout(tmp_path):
     first = lines[1].split(",")
     assert float(first[1]) == 0.0  # sigma_z of the maximally mixed state
     assert float(first[3]) == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8])
+def test_states_csv_matches_per_row_reference(tmp_path, dim):
+    # The columns are computed on the whole state array; each value must be
+    # bit-identical to the per-state np.trace form, so outputs stay stable.
+    rng = np.random.default_rng(dim)
+    rhos = np.stack([random_density(rng, dim) for _ in range(20)])
+    obs = {"a": random_hermitian(rng, dim), "b": random_hermitian(rng, dim)}
+    times = TimeGrid(dt=0.1, steps=19).times()
+    path = tmp_path / "states.csv"
+    write_states_csv(path, times, rhos, obs)
+    want = ["t,a,b,trace,purity"]
+    for t, rho in zip(times, rhos):
+        row = [t, *(np.trace(rho @ o).real for o in obs.values()), np.trace(rho).real, purity(rho)]
+        want.append(",".join(format(float(x), ".17g") for x in row))
+    assert path.read_text() == "\n".join(want) + "\n"

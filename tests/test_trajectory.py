@@ -205,6 +205,17 @@ def test_jump_probability_bound_enforced():
         simulate_record(model, beta, EXCITED, COUNTING, grid, seed=0)
 
 
+def test_failures_name_step_and_time():
+    model = decay_model(2000.0)
+    grid = TimeGrid(dt=1e-3, steps=10)
+    with pytest.raises(JumpRateError, match="step 0, t=0: jump probability"):
+        simulate_record(model, CoherentInput.vacuum(), EXCITED, COUNTING, grid, seed=0)
+    record = MeasurementRecord(kind=QUADRATURE, grid=grid, increments=np.zeros(10))
+    nan_state = np.full((2, 2), np.nan, dtype=complex)
+    with pytest.raises(TraceUnderflowError, match="step 0, t=0: state trace underflow"):
+        filter_record(decay_model(), CoherentInput.vacuum(), nan_state, record)
+
+
 def test_trace_underflow_detected():
     model = decay_model()
     beta = CoherentInput.vacuum()
