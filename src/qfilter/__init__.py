@@ -19,6 +19,7 @@ from .classical import (
     particle_step,
     posterior,
     riccati_steady_state,
+    run_benchmark,
     simulate_pair,
     systematic_resample,
 )
@@ -63,7 +64,6 @@ from .master import (
 from .model import (
     CoherentInput,
     HPModel,
-    ModulatedOperators,
     adjoint_generator,
     evans_hudson,
     heisenberg_generator,
@@ -76,21 +76,17 @@ from .model import (
 from .qprob import MeasurementAlgebra, bayes_conditional, conditional_expectation, in_commutant
 from .trajectory import (
     COUNTING,
-    FilterState,
     InnovationsPath,
     JumpRateError,
     KINDS,
     MeasurementRecord,
     QUADRATURE,
     TraceUnderflowError,
-    count_filter_step,
     draw_noise,
     filter_record,
     propagate,
-    quad_filter_step,
     simulate_record,
-    zakai_log_norm_increment,
-    zakai_step,
+    zakai_filter,
 )
 
 __version__ = "0.1.0"

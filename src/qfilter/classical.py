@@ -173,3 +173,45 @@ def classical_innovations(dys: np.ndarray, posterior_h_means: np.ndarray, dt: fl
     if dys.shape != means.shape:
         raise ValueError("record and posterior means are misaligned")
     return dys - means * dt
+
+
+def run_benchmark(
+    grid, seed: int, *, preset: str, a: float, c: float, sigma: float,
+    particles: int, x0: float, prior_std: float,
+) -> dict:
+    """Particle filter (and, for the linear preset, Kalman-Bucy) on one simulated path.
+
+    The path and record come from `seed`, the particles from seed + 1.
+    `a` is the linear preset's drift rate; the other presets ignore it.
+    Returns the classical.csv columns over grid.times(): x_true, pf_mean,
+    pf_var, cumulative innovations, and kalman_mean, kalman_var for the
+    linear preset only.
+    """
+    linear = preset == "linear"
+    model = linear_model(a=a, sigma=sigma, c=c) if linear else PRESETS[preset](sigma=sigma, c=c)
+    xs, dys = simulate_pair(model, x0, grid, seed)
+    rng = np.random.default_rng(seed + 1)
+    ensemble = init_ensemble(rng, particles, mean=x0, std=prior_std)
+    kalman = KalmanState(mean=x0, covariance=prior_std**2)
+    pf = np.empty((grid.steps + 1, 2))  # posterior mean, variance
+    kb = np.empty((grid.steps + 1, 2))
+    h_means = np.empty(grid.steps)
+
+    def moments(e):
+        m = posterior(e, lambda x: x)
+        return m, posterior(e, lambda x: x**2) - m**2
+
+    pf[0] = moments(ensemble)
+    kb[0] = kalman.mean, kalman.covariance
+    for k in range(grid.steps):
+        h_means[k] = posterior(ensemble, model.observation)
+        ensemble = particle_step(ensemble, dys[k], model, grid.dt, rng)
+        pf[k + 1] = moments(ensemble)
+        if linear:
+            kalman = kalman_bucy_step(kalman, dys[k], a, c, sigma, grid.dt)
+            kb[k + 1] = kalman.mean, kalman.covariance
+    innov = np.concatenate([[0.0], np.cumsum(classical_innovations(dys, h_means, grid.dt))])
+    columns = {"x_true": xs, "pf_mean": pf[:, 0], "pf_var": pf[:, 1], "innovations": innov}
+    if linear:
+        columns["kalman_mean"], columns["kalman_var"] = kb[:, 0], kb[:, 1]
+    return columns

@@ -11,8 +11,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import classical as cl
 from . import io as qio
 from . import verify as qverify
@@ -130,52 +128,10 @@ def cmd_ensemble(args, cfg: RunConfig) -> int:
 
 
 def cmd_classical(args, cfg: RunConfig) -> int:
-    spec = cfg.classical
-    if spec is None:
+    if cfg.classical is None:
         raise ConfigError("classical", "config has no 'classical' section")
-    preset = spec.get("preset", "linear")
-    a = float(spec.get("a", -1.0))
-    c = float(spec.get("c", 1.0))
-    sigma = float(spec.get("sigma", 1.0))
-    n = int(spec.get("particles", 1000))
-    x0 = float(spec.get("x0", 0.0))
-    prior_std = float(spec.get("prior_std", 1.0))
-    if n < 1:
-        raise ConfigError("classical.particles", "must be >= 1")
-
-    model = cl.linear_model(a=a, sigma=sigma, c=c) if preset == "linear" else cl.PRESETS[preset](sigma=sigma, c=c)
-    grid = cfg.grid
-    xs, dys = cl.simulate_pair(model, x0, grid, args.seed)
-
-    rng = np.random.default_rng(args.seed + 1)
-    ensemble = cl.init_ensemble(rng, n, mean=x0, std=prior_std)
-    pf_mean = [cl.posterior(ensemble, lambda x: x)]
-    pf_var = [cl.posterior(ensemble, lambda x: x**2) - pf_mean[0] ** 2]
-    h_means = np.empty(grid.steps)
-    kalman = cl.KalmanState(mean=x0, covariance=prior_std**2)
-    kb_mean, kb_var = [kalman.mean], [kalman.covariance]
-    for k in range(grid.steps):
-        h_means[k] = cl.posterior(ensemble, model.observation)
-        ensemble = cl.particle_step(ensemble, dys[k], model, grid.dt, rng)
-        m = cl.posterior(ensemble, lambda x: x)
-        pf_mean.append(m)
-        pf_var.append(cl.posterior(ensemble, lambda x: x**2) - m**2)
-        if preset == "linear":
-            kalman = cl.kalman_bucy_step(kalman, dys[k], a, c, sigma, grid.dt)
-        kb_mean.append(kalman.mean)
-        kb_var.append(kalman.covariance)
-    innov = np.concatenate([[0.0], np.cumsum(cl.classical_innovations(dys, h_means, grid.dt))])
-
-    columns = {
-        "x_true": xs,
-        "pf_mean": np.array(pf_mean),
-        "pf_var": np.array(pf_var),
-        "innovations": innov,
-    }
-    if preset == "linear":
-        columns["kalman_mean"] = np.array(kb_mean)
-        columns["kalman_var"] = np.array(kb_var)
-    qio.write_classical_csv(_out_path(args, cfg, "classical"), grid.times(), columns)
+    columns = cl.run_benchmark(cfg.grid, args.seed, **cfg.classical)
+    qio.write_classical_csv(_out_path(args, cfg, "classical"), cfg.grid.times(), columns)
     return EXIT_OK
 
 

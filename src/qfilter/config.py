@@ -7,11 +7,13 @@ flat row-major arrays of [re, im] pairs of length dim^2.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .classical import PRESETS as CLASSICAL_PRESETS
 from .linalg import PAULI_BY_NAME, is_hermitian, is_unitary, validate_density
 from .master import TimeGrid
 from .model import CoherentInput, HPModel
@@ -42,6 +44,14 @@ def parse_complex(value, path: str) -> complex:
     ):
         return complex(value[0], value[1])
     raise ConfigError(path, f"expected [re, im], got {value!r}")
+
+
+def parse_real(value, path: str) -> float:
+    # abs(x) <= max is False for nan, inf and ints too large for a float.
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and abs(value) <= sys.float_info.max):
+        raise ConfigError(path, f"expected a finite number, got {value!r}")
+    return float(value)
 
 
 def parse_matrix(value, dim: int, path: str) -> np.ndarray:
@@ -152,6 +162,37 @@ def parse_grid(data, path: str = "grid") -> TimeGrid:
     return TimeGrid.from_duration(dt=dt, duration=duration)
 
 
+CLASSICAL_DEFAULTS = {
+    "preset": "linear",
+    "a": -1.0,
+    "c": 1.0,
+    "sigma": 1.0,
+    "particles": 1000,
+    "x0": 0.0,
+    "prior_std": 1.0,
+}
+
+
+def parse_classical(data, path: str = "classical") -> dict:
+    """The keyword arguments of classical.run_benchmark, defaults filled in."""
+    if not isinstance(data, dict):
+        raise ConfigError(path, "expected an object")
+    for key in data:
+        if key not in CLASSICAL_DEFAULTS:
+            raise ConfigError(f"{path}.{key}", f"unknown key; options: {sorted(CLASSICAL_DEFAULTS)}")
+    spec = {**CLASSICAL_DEFAULTS, **data}
+    if not isinstance(spec["preset"], str) or spec["preset"] not in CLASSICAL_PRESETS:
+        raise ConfigError(
+            f"{path}.preset",
+            f"unknown preset {spec['preset']!r}; options: {sorted(CLASSICAL_PRESETS)}",
+        )
+    for key in ("a", "c", "sigma", "x0", "prior_std"):
+        spec[key] = parse_real(spec[key], f"{path}.{key}")
+    if type(spec["particles"]) is not int or spec["particles"] < 1:
+        raise ConfigError(f"{path}.particles", f"expected an integer >= 1, got {spec['particles']!r}")
+    return spec
+
+
 DEFAULT_OUTPUTS = {
     "record": "record.csv",
     "states": "states.csv",
@@ -207,11 +248,7 @@ def parse_config_dict(data: dict) -> RunConfig:
         outputs[key] = str(value)
     classical = data.get("classical")
     if classical is not None:
-        if not isinstance(classical, dict):
-            raise ConfigError("classical", "expected an object")
-        preset = classical.get("preset", "linear")
-        if preset not in ("linear", "bistable-double-well"):
-            raise ConfigError("classical.preset", f"unknown preset {preset!r}")
+        classical = parse_classical(classical)
     return RunConfig(
         model=model,
         beta=beta,

@@ -59,10 +59,6 @@ def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b + b @ a
 
 
-def trace(a: np.ndarray) -> complex:
-    return np.einsum("...ii->...", a)
-
-
 def expectation(rho: np.ndarray, x: np.ndarray) -> complex:
     """tr(rho X)."""
     check_dims(rho, x)

@@ -85,8 +85,7 @@ def liouvillian_matrix(model: HPModel, beta_value: complex) -> np.ndarray:
 
     vec(A rho B) = (B^T kron A) vec(rho).
     """
-    ops = modulated_operators(model, CoherentInput.constant(beta_value), 0.0)
-    lb, hb = ops.Lbeta, ops.Hbeta_total
+    lb, hb = modulated_operators(model, CoherentInput.constant(beta_value), 0.0)
     d = model.dim
     eye = np.eye(d, dtype=complex)
     ldl = dagger(lb) @ lb

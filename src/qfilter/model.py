@@ -103,14 +103,6 @@ class CoherentInput:
         raise ValueError(f"unknown coherent input kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class ModulatedOperators:
-    """Effective coupling and total Hamiltonian at a fixed time."""
-
-    Lbeta: np.ndarray
-    Hbeta_total: np.ndarray
-
-
 def modulated_coupling(model: HPModel, beta: CoherentInput, t: float) -> np.ndarray:
     """L^beta(t) = S beta(t) + L."""
     return model.S * beta.value(t) + model.L
@@ -128,11 +120,9 @@ def modulated_hamiltonian(model: HPModel, beta: CoherentInput, t: float) -> np.n
     return model.H + cross / 2j
 
 
-def modulated_operators(model: HPModel, beta: CoherentInput, t: float) -> ModulatedOperators:
-    return ModulatedOperators(
-        Lbeta=modulated_coupling(model, beta, t),
-        Hbeta_total=modulated_hamiltonian(model, beta, t),
-    )
+def modulated_operators(model: HPModel, beta: CoherentInput, t: float):
+    """(L^beta(t), H^beta(t)): the effective coupling and total Hamiltonian."""
+    return modulated_coupling(model, beta, t), modulated_hamiltonian(model, beta, t)
 
 
 def evans_hudson(model: HPModel, index: tuple, x: np.ndarray) -> np.ndarray:
@@ -186,5 +176,5 @@ def adjoint_generator(model: HPModel, beta: CoherentInput, t: float, rho: np.nda
 
     L'rho = -i[H^beta, rho] + L^beta rho L^beta† - (1/2){L^beta† L^beta, rho}.
     """
-    ops = modulated_operators(model, beta, t)
-    return lindblad_adjoint(ops.Lbeta, ops.Hbeta_total, np.asarray(rho, dtype=complex))
+    lb, hb = modulated_operators(model, beta, t)
+    return lindblad_adjoint(lb, hb, np.asarray(rho, dtype=complex))

@@ -3,20 +3,21 @@
 Filters are propagated in density-matrix (Schroedinger) form.  The step
 kernels accept states of shape (d, d) or batched (..., d, d); every step
 ends with a Hermitian projection and trace renormalization.  `propagate`
-is the one filter loop; `simulate_record` and `filter_record` collect it
-into arrays (states of shape (steps+1, d, d) and the innovations path),
-and the ensemble harness aggregates it on the fly.
+is the one filter loop; `simulate_record`, `filter_record` and
+`zakai_filter` collect it into arrays (states of shape (steps+1, d, d),
+the innovations path, the Zakai log-normalization), and the ensemble
+harness aggregates it on the fly.
 
-The unnormalized (Zakai) companion is stored in factorized form as a
-normalized matrix plus an accumulated log-normalization, with the
-log-normalization increment taken from the Zakai trace SDE.  This keeps
-the Kallianpur-Striebel relation exact at the discrete level and avoids
-likelihood overflow on long records.
+The unnormalized (Zakai) state is kept in factorized form: the normalized
+filter state plus an accumulated log-normalization, whose per-step
+increment comes from the Zakai trace SDE and the kernel's pre-step
+intensity.  This keeps the Kallianpur-Striebel relation exact at the
+discrete level and avoids likelihood overflow on long records.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,15 +63,6 @@ class MeasurementRecord:
         if self.kind == COUNTING and not np.all((inc == 0.0) | (inc == 1.0)):
             raise ValueError("counting increments must be exactly 0 or 1")
         object.__setattr__(self, "increments", inc)
-
-
-@dataclass(frozen=True)
-class FilterState:
-    """Normalized conditional state plus accumulated Zakai log-normalization."""
-
-    rho: np.ndarray
-    t: float
-    log_norm: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -142,97 +134,12 @@ def count_step_arrays(rho: np.ndarray, dy, lb: np.ndarray, hb: np.ndarray, dt: f
     return _hermitize_normalize(rho_new), rate
 
 
-def _step_operators(model: HPModel, beta: CoherentInput, t: float):
-    ops = modulated_operators(model, beta, t)
-    return ops.Lbeta, ops.Hbeta_total
-
-
 def _kernel(kind: str):
     if kind == QUADRATURE:
         return quad_step_arrays
     if kind == COUNTING:
         return count_step_arrays
     raise ValueError(f"unknown measurement kind {kind!r}")
-
-
-def _filter_step(state: FilterState, dy, model: HPModel, beta: CoherentInput, dt: float, kind: str):
-    """One kernel step on a FilterState; returns (new state, pre-step intensity)."""
-    lb, hb = _step_operators(model, beta, state.t)
-    rho, intensity = _kernel(kind)(state.rho, dy, lb, hb, dt)
-    return FilterState(rho=rho, t=state.t + dt, log_norm=state.log_norm), float(intensity)
-
-
-def quad_filter_step(
-    state: FilterState, dy: float, model: HPModel, beta: CoherentInput, dt: float
-) -> FilterState:
-    return _filter_step(state, dy, model, beta, dt, QUADRATURE)[0]
-
-
-def count_filter_step(
-    state: FilterState, dy: float, model: HPModel, beta: CoherentInput, dt: float
-) -> FilterState:
-    return _filter_step(state, dy, model, beta, dt, COUNTING)[0]
-
-
-def _zakai_log_factor(kind: str, intensity: float, b: complex, dy, dt: float, beta_min: float):
-    """log of the per-step Zakai normalization factor, given the pre-step intensity.
-
-    Quadrature: d sigma(1) = sigma(tildeL + tildeL†)(dY - (b + b*) dt), so the
-    factor on the normalized state is 1 + (m - b - b*)(dY - (b + b*) dt).
-    Counting: d sigma(1) = sigma(L^b† L^b - |b|^2)/|b|^2 (dY - |b|^2 dt), valid
-    only for |b| >= beta_min.
-    """
-    if kind == QUADRATURE:
-        c = 2.0 * b.real
-        factor = 1.0 + (intensity - c) * (dy - c * dt)
-    elif kind == COUNTING:
-        if abs(b) < beta_min:
-            raise ValueError(
-                f"counting-mode Zakai propagation requires |beta| >= {beta_min}"
-            )
-        a = abs(b) ** 2
-        factor = 1.0 + (intensity - a) / a * (dy - a * dt)
-    else:
-        raise ValueError(f"unknown measurement kind {kind!r}")
-    if factor <= TRACE_UNDERFLOW:
-        raise TraceUnderflowError(f"Zakai normalization factor {factor} underflowed")
-    return float(np.log(factor))
-
-
-def zakai_log_norm_increment(
-    state: FilterState,
-    dy: float,
-    model: HPModel,
-    beta: CoherentInput,
-    dt: float,
-    kind: str,
-    beta_min: float = COUNTING_BETA_MIN,
-) -> float:
-    """log of the per-step Zakai normalization factor at `state`."""
-    lb, _ = _step_operators(model, beta, state.t)
-    intensity = float(_intensity(kind, state.rho, lb))
-    return _zakai_log_factor(kind, intensity, beta.value(state.t), dy, dt, beta_min)
-
-
-def zakai_step(
-    state: FilterState,
-    dy: float,
-    model: HPModel,
-    beta: CoherentInput,
-    dt: float,
-    kind: str,
-    beta_min: float = COUNTING_BETA_MIN,
-) -> FilterState:
-    """Propagate the unnormalized state in factorized (matrix, log_norm) form.
-
-    The matrix part coincides with the normalized filter step, so the
-    Kallianpur-Striebel relation pi = sigma / sigma(1) holds exactly at
-    every step; the likelihood lives entirely in log_norm, whose increment
-    is taken from the kernel's pre-step intensity.
-    """
-    stepped, intensity = _filter_step(state, dy, model, beta, dt, kind)
-    dlog = _zakai_log_factor(kind, intensity, beta.value(state.t), dy, dt, beta_min)
-    return replace(stepped, log_norm=state.log_norm + dlog)
 
 
 def draw_noise(rng: np.random.Generator, kind: str, grid: TimeGrid) -> np.ndarray:
@@ -277,7 +184,7 @@ def propagate(
         try:
             b = beta.value(t)
             if b != b_prev:
-                lb, hb = _step_operators(model, beta, t)
+                lb, hb = modulated_operators(model, beta, t)
                 b_prev = b
             if increments is not None:
                 dy = increments[k]
@@ -297,17 +204,17 @@ def propagate(
 
 
 def _filter_path(steps, rho0: np.ndarray, grid: TimeGrid):
-    """(states, dY, innovations) arrays of a single-trajectory run."""
+    """(states, dY, pre-step intensities) arrays of a single-trajectory run."""
     rho0 = np.asarray(rho0, dtype=complex)
     states = np.empty((grid.steps + 1,) + rho0.shape, dtype=complex)
     states[0] = rho0
     dys = np.empty(grid.steps)
-    innov = np.empty(grid.steps)
+    intensities = np.empty(grid.steps)
     for k, (rho, dy, intensity) in enumerate(steps):
         states[k + 1] = rho
         dys[k] = dy
-        innov[k] = dy - intensity * grid.dt
-    return states, dys, InnovationsPath(grid=grid, increments=innov)
+        intensities[k] = intensity
+    return states, dys, intensities
 
 
 def simulate_record(
@@ -325,10 +232,16 @@ def simulate_record(
     states are the conditional states of the very record being generated.
     """
     noise = draw_noise(np.random.default_rng(seed), kind, grid)
-    states, dys, innov = _filter_path(
+    states, dys, intensities = _filter_path(
         propagate(model, beta, rho0, kind, grid, noise=noise), rho0, grid
     )
+    innov = InnovationsPath(grid=grid, increments=dys - intensities * grid.dt)
     return MeasurementRecord(kind=kind, grid=grid, increments=dys), states, innov
+
+
+def _replay(model: HPModel, beta: CoherentInput, rho0: np.ndarray, record: MeasurementRecord):
+    steps = propagate(model, beta, rho0, record.kind, record.grid, increments=record.increments)
+    return _filter_path(steps, rho0, record.grid)
 
 
 def filter_record(
@@ -340,6 +253,45 @@ def filter_record(
     Uses the same loop as simulate_record, so replaying a simulated record
     reproduces the co-evolved states exactly.
     """
-    steps = propagate(model, beta, rho0, record.kind, record.grid, increments=record.increments)
-    states, _, innov = _filter_path(steps, rho0, record.grid)
-    return states, innov
+    states, dys, intensities = _replay(model, beta, rho0, record)
+    return states, InnovationsPath(grid=record.grid, increments=dys - intensities * record.grid.dt)
+
+
+def zakai_filter(
+    model: HPModel, beta: CoherentInput, rho0: np.ndarray, record: MeasurementRecord
+):
+    """Replay the unnormalized (Zakai) filter in factorized form.
+
+    Returns (states, log_norm): states, shape (steps+1, d, d), are the
+    normalized states of `filter_record`, so the Kallianpur-Striebel
+    relation pi = sigma / sigma(1) holds exactly at every step; log_norm,
+    shape (steps+1,), is log sigma(1) with log_norm[0] = 0.  Step k's
+    factor, from the Zakai trace SDE at beta = beta(t0 + k dt) and the
+    pre-step intensity, is
+
+        quadrature: 1 + (m - b - b*)(dY - (b + b*) dt),
+        counting:   1 + (r - |b|^2) / |b|^2 (dY - |b|^2 dt),
+
+    the counting form valid only for |beta| >= COUNTING_BETA_MIN on the grid.
+    """
+    grid = record.grid
+    b = np.array([beta.value(grid.t0 + k * grid.dt) for k in range(grid.steps)])
+    # hypot rounds as abs() of a Python complex does; np.abs of a complex array need not.
+    abs_b = np.hypot(b.real, b.imag)
+    if record.kind == COUNTING and np.min(abs_b) < COUNTING_BETA_MIN:
+        raise ValueError(f"counting-mode Zakai propagation requires |beta| >= {COUNTING_BETA_MIN}")
+    states, dys, intensities = _replay(model, beta, rho0, record)
+    if record.kind == QUADRATURE:
+        c = 2.0 * b.real
+        factor = 1.0 + (intensities - c) * (dys - c * grid.dt)
+    else:
+        a = abs_b**2
+        factor = 1.0 + (intensities - a) / a * (dys - a * grid.dt)
+    underflow = np.flatnonzero(factor <= TRACE_UNDERFLOW)
+    if underflow.size:
+        k = underflow[0]
+        raise TraceUnderflowError(
+            f"step {k}, t={grid.t0 + k * grid.dt:g}: "
+            f"Zakai normalization factor {factor[k]:.3g} underflowed"
+        )
+    return states, np.concatenate([[0.0], np.cumsum(np.log(factor))])

@@ -42,16 +42,13 @@ from qfilter.model import (
 )
 from qfilter.trajectory import (
     COUNTING,
-    FilterState,
     MeasurementRecord,
     QUADRATURE,
-    count_filter_step,
     count_step_arrays,
     filter_record,
-    quad_filter_step,
     quad_step_arrays,
     simulate_record,
-    zakai_step,
+    zakai_filter,
 )
 from qfilter.verify import ito_suite, qprob_suite, random_beta, random_model
 
@@ -147,13 +144,10 @@ def test_criterion_3_kallianpur_striebel_consistency():
     worst = 0.0
     for kind in (QUADRATURE, COUNTING):
         record, _, _ = simulate_record(model, beta, EXCITED, kind, grid, seed=101)
-        direct = FilterState(rho=EXCITED, t=0.0)
-        unnorm = FilterState(rho=EXCITED, t=0.0)
-        step = quad_filter_step if kind == QUADRATURE else count_filter_step
-        for dy in record.increments:
-            direct = step(direct, dy, model, beta, grid.dt)
-            unnorm = zakai_step(unnorm, dy, model, beta, grid.dt, kind)
-            worst = max(worst, trace_distance(direct.rho, unnorm.rho))
+        direct, _ = filter_record(model, beta, EXCITED, record)
+        unnorm, _ = zakai_filter(model, beta, EXCITED, record)
+        for a, b in zip(direct, unnorm):
+            worst = max(worst, trace_distance(a, b))
     check(
         "criterion-3 Kallianpur-Striebel consistency",
         worst <= 1e-6,

@@ -12,9 +12,11 @@ from qfilter.classical import (
     particle_step,
     posterior,
     riccati_steady_state,
+    run_benchmark,
     simulate_pair,
     systematic_resample,
 )
+from qfilter.config import CLASSICAL_DEFAULTS
 from qfilter.master import TimeGrid
 
 
@@ -111,3 +113,19 @@ def test_particle_step_rejects_bad_dt():
     e = init_ensemble(rng, 10, 0.0, 1.0)
     with pytest.raises(ValueError):
         particle_step(e, 0.0, linear_model(), 0.0, rng)
+
+
+@pytest.mark.parametrize("preset", ["linear", "bistable-double-well"])
+def test_run_benchmark_columns(preset):
+    grid = TimeGrid(dt=1e-2, steps=30)
+    spec = {**CLASSICAL_DEFAULTS, "preset": preset, "particles": 50}
+    columns = run_benchmark(grid, 4, **spec)
+    expected = ["x_true", "pf_mean", "pf_var", "innovations"]
+    if preset == "linear":
+        expected += ["kalman_mean", "kalman_var"]
+    assert list(columns) == expected
+    for values in columns.values():
+        assert values.shape == (grid.steps + 1,) and np.all(np.isfinite(values))
+    assert columns["x_true"][0] == spec["x0"] and columns["innovations"][0] == 0.0
+    again = run_benchmark(grid, 4, **spec)
+    assert all(np.array_equal(columns[k], again[k]) for k in columns)

@@ -127,6 +127,14 @@ def test_classical_command(tmp_path):
     assert len(lines) == 302
 
 
+def test_classical_bad_value_fails_validation_naming_the_key(tmp_path, capsys):
+    cfg = write_config(tmp_path, classical={"preset": "linear", "a": None})
+    out = tmp_path / "cls"
+    assert main(["classical", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+    assert "classical.a: expected a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_classical_requires_section(tmp_path):
     cfg = write_config(tmp_path)
     assert main(["classical", "--config", str(cfg), "--out", str(tmp_path / "x")]) == EXIT_VALIDATION

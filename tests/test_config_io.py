@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qfilter.config import (
+    CLASSICAL_DEFAULTS,
     ConfigError,
     matrix_to_json,
     parse_beta,
@@ -97,6 +98,39 @@ def test_error_messages_name_key_paths():
     data = base_config()
     data["output"] = {"unknown_key": "x.csv"}
     with pytest.raises(ConfigError, match="output.unknown_key"):
+        parse_config_dict(data)
+
+
+def test_classical_section_defaults():
+    data = base_config()
+    data["classical"] = {"preset": "bistable-double-well", "sigma": 0.5}
+    assert parse_config_dict(data).classical == {
+        **CLASSICAL_DEFAULTS, "preset": "bistable-double-well", "sigma": 0.5,
+    }
+    assert parse_config_dict(base_config()).classical is None
+
+
+@pytest.mark.parametrize(
+    "section, match",
+    [
+        ({"a": None}, r"^classical\.a: expected a finite number"),
+        ({"a": [1, 2]}, r"^classical\.a: expected a finite number"),
+        ({"sigma": "1"}, r"^classical\.sigma: expected a finite number"),
+        ({"x0": float("inf")}, r"^classical\.x0: expected a finite number"),
+        ({"prior_std": 10**400}, r"^classical\.prior_std: expected a finite number"),
+        ({"particles": "abc"}, r"^classical\.particles: expected an integer >= 1"),
+        ({"particles": 2.7}, r"^classical\.particles: expected an integer >= 1"),
+        ({"particles": 0}, r"^classical\.particles: expected an integer >= 1"),
+        ({"partciles": 10}, r"^classical\.partciles: unknown key"),
+        ({"preset": "triple-well"}, r"^classical\.preset: unknown preset"),
+        ({"preset": ["linear"]}, r"^classical\.preset: unknown preset"),
+        ([], r"^classical: expected an object"),
+    ],
+)
+def test_classical_section_errors_name_the_key(section, match):
+    data = base_config()
+    data["classical"] = section
+    with pytest.raises(ConfigError, match=match):
         parse_config_dict(data)
 
 

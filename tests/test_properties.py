@@ -8,14 +8,23 @@ so that every run checks the same models.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qfilter.ensemble import mix_seed
 from qfilter.linalg import random_density
 from qfilter.master import TimeGrid
 from qfilter.model import CoherentInput, HPModel
-from qfilter.trajectory import KINDS, draw_noise, filter_record, propagate, simulate_record
+from qfilter.trajectory import (
+    COUNTING,
+    COUNTING_BETA_MIN,
+    KINDS,
+    draw_noise,
+    filter_record,
+    propagate,
+    simulate_record,
+    zakai_filter,
+)
 from qfilter.verify import random_model
 
 DT = 1e-3
@@ -69,3 +78,35 @@ def test_batched_row_equals_standalone_trajectory_bit_for_bit(case):
     for i, s in enumerate(seeds):
         _, states, _ = simulate_record(model, beta, rho0, kind, GRID, s)
         assert batched[:, i].tobytes() == states[1:].tobytes()
+
+
+def zakai_log_norm_reference(model, beta, rho0, record):
+    """The log Zakai factors accumulated step by step in Python scalars."""
+    dt, total, path = record.grid.dt, 0.0, [0.0]
+    steps = propagate(model, beta, rho0, record.kind, record.grid, increments=record.increments)
+    for k, (_, dy, intensity) in enumerate(steps):
+        b = complex(beta.value(record.grid.t0 + k * dt))
+        if record.kind == COUNTING:
+            a = abs(b) ** 2
+            factor = 1.0 + (float(intensity) - a) / a * (dy - a * dt)
+        else:
+            c = 2.0 * b.real
+            factor = 1.0 + (float(intensity) - c) * (dy - c * dt)
+        total += float(np.log(factor))
+        path.append(total)
+    return np.array(path)
+
+
+@exact
+@given(cases)
+def test_zakai_filter_equals_filter_states_and_scalar_log_norm_bit_for_bit(case):
+    seed, dim, kind, beta_kind = case
+    model, beta, rho0 = random_case(seed, dim, beta_kind)
+    if kind == COUNTING:
+        assume(min(abs(beta.value(t)) for t in GRID.times()) >= COUNTING_BETA_MIN)
+    record, _, _ = simulate_record(model, beta, rho0, kind, GRID, seed)
+    states, _ = filter_record(model, beta, rho0, record)
+    zakai_states, log_norm = zakai_filter(model, beta, rho0, record)
+    assert zakai_states.tobytes() == states.tobytes()
+    assert np.all(np.isfinite(log_norm))
+    assert log_norm.tobytes() == zakai_log_norm_reference(model, beta, rho0, record).tobytes()

@@ -13,19 +13,15 @@ from qfilter.master import TimeGrid
 from qfilter.model import CoherentInput, HPModel, lindblad_adjoint, modulated_operators
 from qfilter.trajectory import (
     COUNTING,
-    FilterState,
     JumpRateError,
     MeasurementRecord,
     QUADRATURE,
     TraceUnderflowError,
-    count_filter_step,
     count_step_arrays,
     filter_record,
-    quad_filter_step,
     quad_step_arrays,
     simulate_record,
-    zakai_log_norm_increment,
-    zakai_step,
+    zakai_filter,
 )
 
 EXCITED = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -40,8 +36,7 @@ def decay_model(gamma=1.0):
 
 
 def step_ops(model, beta, t=0.0):
-    ops = modulated_operators(model, beta, t)
-    return ops.Lbeta, ops.Hbeta_total
+    return modulated_operators(model, beta, t)
 
 
 def test_record_validation():
@@ -140,7 +135,7 @@ def test_innovations_alignment_and_content():
     assert cum[-1] == pytest.approx(path.increments.sum())
 
 
-def test_zakai_step_kallianpur_striebel_exact():
+def test_zakai_filter_kallianpur_striebel_exact():
     # The factorized unnormalized state must renormalize to the filter state
     # exactly, step by step, for both measurement kinds.
     model = decay_model()
@@ -148,17 +143,13 @@ def test_zakai_step_kallianpur_striebel_exact():
     grid = TimeGrid(dt=1e-3, steps=300)
     for kind in (QUADRATURE, COUNTING):
         rec, _, _ = simulate_record(model, beta, EXCITED, kind, grid, seed=4)
-        direct = FilterState(rho=EXCITED, t=0.0)
-        factorized = FilterState(rho=EXCITED, t=0.0)
-        for dy in rec.increments:
-            if kind == QUADRATURE:
-                direct = quad_filter_step(direct, dy, model, beta, grid.dt)
-            else:
-                direct = count_filter_step(direct, dy, model, beta, grid.dt)
-            factorized = zakai_step(factorized, dy, model, beta, grid.dt, kind)
-            assert trace_distance(direct.rho, factorized.rho) == 0.0
-        assert np.isfinite(factorized.log_norm)
-        assert factorized.log_norm != 0.0
+        direct, _ = filter_record(model, beta, EXCITED, rec)
+        factorized, log_norm = zakai_filter(model, beta, EXCITED, rec)
+        for a, b in zip(direct, factorized):
+            assert trace_distance(a, b) == 0.0
+        assert log_norm.shape == (grid.steps + 1,) and log_norm[0] == 0.0
+        assert np.all(np.isfinite(log_norm))
+        assert log_norm[-1] != 0.0
 
 
 def test_zakai_log_norm_matches_naive_euler_zakai():
@@ -175,25 +166,37 @@ def test_zakai_log_norm_matches_naive_euler_zakai():
     tl, tk = girsanov_coefficients(model, beta, 0.0, "quadrature")
 
     sigma = EXCITED.astype(complex)
-    state = FilterState(rho=EXCITED, t=0.0)
     for dy in rec.increments:
         sigma = (
             sigma
             + (tk @ sigma + sigma @ dagger(tk) + tl @ sigma @ dagger(tl)) * grid.dt
             + (tl @ sigma + sigma @ dagger(tl)) * dy
         )
-        state = zakai_step(state, dy, model, beta, grid.dt, QUADRATURE)
+    states, log_norm = zakai_filter(model, beta, EXCITED, rec)
     log_naive = float(np.log(np.trace(sigma).real))
-    assert log_naive == pytest.approx(state.log_norm, abs=0.05)
+    assert log_naive == pytest.approx(log_norm[-1], abs=0.05)
     # And the renormalized naive matrix tracks the filter state to O(dt).
-    assert trace_distance(sigma / np.trace(sigma), state.rho) < 0.05
+    assert trace_distance(sigma / np.trace(sigma), states[-1]) < 0.05
 
 
 def test_counting_zakai_requires_nonvanishing_beta():
-    model = decay_model()
-    state = FilterState(rho=EXCITED, t=0.0)
+    grid = TimeGrid(dt=1e-3, steps=10)
+    record = MeasurementRecord(kind=COUNTING, grid=grid, increments=np.zeros(10))
     with pytest.raises(ValueError):
-        zakai_log_norm_increment(state, 0.0, model, CoherentInput.vacuum(), 1e-3, COUNTING)
+        zakai_filter(decay_model(), CoherentInput.vacuum(), EXCITED, record)
+
+
+def test_zakai_underflow_names_step_and_time():
+    # From |+>, m - (b + b*) = <sigma_x> = 1, so a record increment of -10
+    # drives the quadrature Zakai factor 1 + (m - b - b*)(dY - (b + b*) dt)
+    # below zero while the normalized step stays well defined.
+    plus = 0.5 * np.ones((2, 2), dtype=complex)
+    grid = TimeGrid(dt=1e-3, steps=5)
+    record = MeasurementRecord(
+        kind=QUADRATURE, grid=grid, increments=np.array([0.0, 0.0, -10.0, 0.0, 0.0])
+    )
+    with pytest.raises(TraceUnderflowError, match=r"^step 2, t=0\.002: Zakai normalization factor"):
+        zakai_filter(decay_model(), CoherentInput.constant(0.5), plus, record)
 
 
 def test_jump_probability_bound_enforced():
