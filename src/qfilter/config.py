@@ -74,7 +74,7 @@ def parse_beta(data, path: str = "beta") -> CoherentInput:
     if kind == "sinusoid":
         return CoherentInput.sinusoid(
             amplitude=parse_complex(_require(data, "amplitude", path), f"{path}.amplitude"),
-            frequency=float(_require(data, "frequency", path)),
+            frequency=parse_real(_require(data, "frequency", path), f"{path}.frequency"),
             offset=parse_complex(data.get("offset", 0.0), f"{path}.offset"),
         )
     if kind == "samples":
@@ -82,8 +82,8 @@ def parse_beta(data, path: str = "beta") -> CoherentInput:
         if not isinstance(values, list) or not values:
             raise ConfigError(f"{path}.values", "expected a nonempty list")
         return CoherentInput.piecewise(
-            t0=float(data.get("t0", 0.0)),
-            sample_dt=float(_require(data, "dt", path)),
+            t0=parse_real(data.get("t0", 0.0), f"{path}.t0"),
+            sample_dt=parse_real(_require(data, "dt", path), f"{path}.dt"),
             samples=[parse_complex(v, f"{path}.values[{i}]") for i, v in enumerate(values)],
         )
     raise ConfigError(f"{path}.kind", f"unknown coherent input kind {kind!r}")
@@ -155,8 +155,8 @@ def parse_observables(data, dim: int, path: str = "observables") -> dict:
 def parse_grid(data, path: str = "grid") -> TimeGrid:
     if not isinstance(data, dict):
         raise ConfigError(path, "expected an object")
-    dt = float(_require(data, "dt", path))
-    duration = float(_require(data, "T", path))
+    dt = parse_real(_require(data, "dt", path), f"{path}.dt")
+    duration = parse_real(_require(data, "T", path), f"{path}.T")
     if dt <= 0 or duration <= 0:
         raise ConfigError(path, "dt and T must be positive")
     return TimeGrid.from_duration(dt=dt, duration=duration)

@@ -96,11 +96,11 @@ def run_ensemble(cfg: EnsembleConfig) -> EnsembleReport:
     """Propagate N trajectories and aggregate against the master equation."""
     grid = cfg.grid
     n = cfg.n_traj
-    noise = np.stack(
-        [draw_noise(np.random.default_rng(mix_seed(cfg.master_seed, i)), cfg.kind, grid)
-         for i in range(n)],
-        axis=1,
-    )
+    # Filled column by column: a list of N draws and their stack would hold the
+    # noise twice, and would leave the heap fragmented for the next run.
+    noise = np.empty((grid.steps, n))
+    for i in range(n):
+        noise[:, i] = draw_noise(np.random.default_rng(mix_seed(cfg.master_seed, i)), cfg.kind, grid)
     rho0 = np.broadcast_to(np.asarray(cfg.rho0, dtype=complex), (n,) + cfg.rho0.shape).copy()
     innov_cum = np.zeros(n)
 

@@ -3,6 +3,16 @@
 Classical RK4 on d(rho)/dt = L'^{beta(t)}(rho), plus the steady state of a
 time-independent generator via the null space of its vectorized form.
 Serves as the ensemble-average oracle for the stochastic filters.
+
+Linear maps of d x d matrices act here, and in the filter loop, in
+Liouville space (Havel, J. Math. Phys. 44, 534 (2003)).  A state is
+flattened row-major, vec_r(rho) = rho.reshape(d*d), which is Havel's
+column-stacking vec(rho^T), so vec_r(A rho B) = (A kron B^T) vec_r(rho).
+A map acts on the right of a row vector: vec_r(F(rho)) = vec_r(rho) @ M,
+row ab of M being vec_r(F(E_ab)) for the matrix unit E_ab.  Since
+L^beta = L + beta S and H^beta is affine in (beta, beta*), every map
+built from them is M(beta) = M0 + beta M1 + beta* M2 + |beta|^2 M3; the
+four pieces are built once per run (`affine_superoperator`).
 """
 
 from __future__ import annotations
@@ -12,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import dagger, validate_density
-from .model import CoherentInput, HPModel, adjoint_generator, modulated_operators
+from .model import CoherentInput, HPModel, lindblad_adjoint, modulated_operators
 
 TRACE_DRIFT_LIMIT = 1e-6
 
@@ -56,43 +66,111 @@ class StepSizeError(RuntimeError):
     """Trace drift indicates the RK4 step is too large for the generator."""
 
 
+@dataclass(frozen=True)
+class AffineSuperoperator:
+    """Row-form maps M(beta) = M0 + beta M1 + beta* M2 + |beta|^2 M3.
+
+    pieces has shape (4, d*d, n*d*d): n maps side by side, row-form as in
+    the module docstring.
+    """
+
+    pieces: np.ndarray
+
+    def at(self, b: complex) -> np.ndarray:
+        b = complex(b)
+        p0, p1, p2, p3 = self.pieces
+        out = p1 * b  # in place from here on: at d = 8 each temporary is 128 kB
+        out += p0
+        term = p2 * b.conjugate()
+        out += term
+        out += np.multiply(p3, b.real**2 + b.imag**2, out=term)
+        return out
+
+
+def affine_superoperator(model: HPModel, maps) -> AffineSuperoperator:
+    """The pieces of the row-form maps `maps(L^beta, H^beta, units)`.
+
+    `maps` returns a tuple of arrays, each one map applied to the stack of
+    the d*d matrix units.  The maps are evaluated at beta = 0, 1, -1, i
+    and the four pieces solved for, so each map keeps its one definition.
+    """
+    d = model.dim
+    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+
+    def evaluate(b):
+        lb, hb = modulated_operators(model, CoherentInput.constant(b), 0.0)
+        return np.concatenate([m.reshape(d * d, d * d) for m in maps(lb, hb, units)], axis=1)
+
+    f0, f_plus, f_minus, f_i = (evaluate(b) for b in (0.0, 1.0, -1.0, 1j))
+    p3 = 0.5 * (f_plus + f_minus) - f0
+    even = 0.5 * (f_plus - f_minus)  # M1 + M2
+    odd = -1j * (f_i - f0 - p3)  # M1 - M2
+    return AffineSuperoperator(np.stack([f0, 0.5 * (even + odd), 0.5 * (even - odd), p3]))
+
+
+def drift_superoperator(model: HPModel) -> AffineSuperoperator:
+    """The generator L'^beta in row form."""
+    return affine_superoperator(model, lambda lb, hb, units: (lindblad_adjoint(lb, hb, units),))
+
+
+def _rk4_polynomial(a: np.ndarray) -> np.ndarray:
+    """sum_{k=0}^4 a^k / k!, one RK4 step of a constant linear generator."""
+    eye = np.eye(a.shape[0], dtype=complex)
+    out = eye + a / 4
+    for k in (3, 2, 1):
+        out = eye + (a @ out) / k
+    return out
+
+
 def integrate_master(
     model: HPModel, beta: CoherentInput, rho0: np.ndarray, grid: TimeGrid
 ) -> MasterTrajectory:
-    """RK4 integration with beta sampled at the substage times."""
+    """RK4 integration with beta sampled at the substage times.
+
+    The state steps as a row vector through the row-form generator.  A
+    step whose three stage values of beta agree is one product with the
+    RK4 polynomial of that generator (exactly RK4), kept while beta is
+    unchanged; otherwise the pieces are combined at the stage times.
+    """
     rho = validate_density(rho0).astype(complex)
-    states = np.empty((grid.steps + 1,) + rho.shape, dtype=complex)
-    states[0] = rho
+    d = rho.shape[0]
+    generator = drift_superoperator(model)
+    states = np.empty((grid.steps + 1, d * d), dtype=complex)
+    states[0] = v = rho.reshape(d * d)
     dt = grid.dt
+    b_poly = poly = None
     for k in range(grid.steps):
         t = grid.t0 + k * dt
-        k1 = adjoint_generator(model, beta, t, rho)
-        k2 = adjoint_generator(model, beta, t + 0.5 * dt, rho + 0.5 * dt * k1)
-        k3 = adjoint_generator(model, beta, t + 0.5 * dt, rho + 0.5 * dt * k2)
-        k4 = adjoint_generator(model, beta, t + dt, rho + dt * k3)
-        rho = rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        drift = abs(np.trace(rho) - 1.0)
-        if drift > TRACE_DRIFT_LIMIT:
+        b1, b2, b3 = beta.value(t), beta.value(t + 0.5 * dt), beta.value(t + dt)
+        if b1 == b2 == b3:
+            if b1 != b_poly:
+                b_poly, poly = b1, _rk4_polynomial(dt * generator.at(b1))
+            v = v @ poly
+        else:
+            a1, a2, a3 = generator.at(b1), generator.at(b2), generator.at(b3)
+            k1 = v @ a1
+            k2 = (v + 0.5 * dt * k1) @ a2
+            k3 = (v + 0.5 * dt * k2) @ a2
+            k4 = (v + dt * k3) @ a3
+            v = v + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        drift = abs(v[:: d + 1].sum() - 1.0)
+        if not drift <= TRACE_DRIFT_LIMIT:  # a non-finite trace counts as drift
             raise StepSizeError(
                 f"trace drift {drift:.3e} at step {k}: dt={dt} too large for this generator"
             )
-        states[k + 1] = rho
-    return MasterTrajectory(grid=grid, states=states)
+        states[k + 1] = v
+    return MasterTrajectory(grid=grid, states=states.reshape(grid.steps + 1, d, d))
 
 
 def liouvillian_matrix(model: HPModel, beta_value: complex) -> np.ndarray:
     """Vectorized (column-stacking) generator for a constant-amplitude input.
 
-    vec(A rho B) = (B^T kron A) vec(rho).
+    vec(A rho B) = (B^T kron A) vec(rho): the row form of the generator,
+    transposed and with both indices moved from row- to column-stacking.
     """
-    lb, hb = modulated_operators(model, CoherentInput.constant(beta_value), 0.0)
     d = model.dim
-    eye = np.eye(d, dtype=complex)
-    ldl = dagger(lb) @ lb
-    out = -1j * (np.kron(eye, hb) - np.kron(hb.T, eye))
-    out += np.kron(lb.conj(), lb)
-    out -= 0.5 * (np.kron(eye, ldl) + np.kron(ldl.T, eye))
-    return out
+    row = drift_superoperator(model).at(beta_value)
+    return row.reshape(d, d, d, d).transpose(3, 2, 1, 0).reshape(d * d, d * d)
 
 
 class DegenerateSteadyStateError(RuntimeError):

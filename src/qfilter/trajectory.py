@@ -1,12 +1,21 @@
 """Stochastic master equations for quadrature and photon-counting records.
 
-Filters are propagated in density-matrix (Schroedinger) form.  The step
-kernels accept states of shape (d, d) or batched (..., d, d); every step
-ends with a Hermitian projection and trace renormalization.  `propagate`
+Filters are propagated in density-matrix (Schroedinger) form.  `propagate`
 is the one filter loop; `simulate_record`, `filter_record` and
 `zakai_filter` collect it into arrays (states of shape (steps+1, d, d),
 the innovations path, the Zakai log-normalization), and the ensemble
 harness aggregates it on the fly.
+
+The loop steps in Liouville space (conventions in `master`): each state
+is a row vector vec_r(rho) of d^2 entries, and the linear work of a step
+is one product with a (d^2, 2 d^2) matrix, [drift | gain] for quadrature
+and [no-jump drift | jump] for counting, whose right half traces to the
+pre-step intensity.  Its four affine pieces in beta are built once per
+run, and combined when beta(t) changes.  The product is taken per row,
+(N, 1, d^2) @ (d^2, 2 d^2), so that trajectory i of a batch is bit for
+bit the trajectory run alone.  `quad_step_arrays` and `count_step_arrays`
+are the reference Euler kernels the loop is tested against.  Every step
+ends with a Hermitian projection and trace renormalization.
 
 The unnormalized (Zakai) state is kept in factorized form: the normalized
 filter state plus an accumulated log-normalization, whose per-step
@@ -17,13 +26,14 @@ discrete level and avoids likelihood overflow on long records.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import dagger
-from .master import TimeGrid
-from .model import CoherentInput, HPModel, lindblad_adjoint, modulated_operators
+from .master import TimeGrid, affine_superoperator
+from .model import CoherentInput, HPModel, lindblad_adjoint
 
 JUMP_RATE_FLOOR = 1e-12
 TRACE_UNDERFLOW = 1e-12
@@ -134,12 +144,52 @@ def count_step_arrays(rho: np.ndarray, dy, lb: np.ndarray, hb: np.ndarray, dt: f
     return _hermitize_normalize(rho_new), rate
 
 
-def _kernel(kind: str):
-    if kind == QUADRATURE:
-        return quad_step_arrays
-    if kind == COUNTING:
-        return count_step_arrays
-    raise ValueError(f"unknown measurement kind {kind!r}")
+def _quadrature_maps(lb: np.ndarray, hb: np.ndarray, rho: np.ndarray):
+    """[drift | gain]: L'rho and L^b rho + rho L^b†."""
+    return lindblad_adjoint(lb, hb, rho), lb @ rho + rho @ dagger(lb)
+
+
+def _counting_maps(lb: np.ndarray, hb: np.ndarray, rho: np.ndarray):
+    """[no-jump drift | jump]: L'rho - L^b rho L^b† and L^b rho L^b†."""
+    jump = lb @ rho @ dagger(lb)
+    return lindblad_adjoint(lb, hb, rho) - jump, jump
+
+
+def _right_trace(out: np.ndarray) -> np.ndarray:
+    """Real trace of the right half of (B, 1, 2 d^2) rows, shape (B, 1, 1)."""
+    d2 = out.shape[-1] // 2
+    return out[..., d2 :: math.isqrt(d2) + 1].real.sum(axis=-1, keepdims=True)
+
+
+def _quadrature_finish(v, out, m, dy, sup, dt):
+    """rho + L'rho dt + (L^b rho + rho L^b† - m rho)(dY - m dt), in rows."""
+    d2 = v.shape[-1]
+    return v + out[..., :d2] * dt + (out[..., d2:] - m * v) * (dy - m * dt)
+
+
+def _counting_finish(v, out, r, dy, sup, dt):
+    """No-jump drift step of each row; a row with dY = 1 first jumps.
+
+    Only the rows that jumped pass through `sup` a second time.
+    """
+    d2 = v.shape[-1]
+    new = v + (out[..., :d2] + r * v) * dt
+    jumped = np.flatnonzero(dy != 0.0)
+    if jumped.size:
+        rate = r[jumped]
+        if np.any(rate < JUMP_RATE_FLOOR):
+            raise JumpRateError("detection event in a state with vanishing jump rate")
+        post = out[jumped, :, d2:] / rate
+        post_out = post @ sup
+        new[jumped] = post + (post_out[..., :d2] + _right_trace(post_out) * post) * dt
+    return new
+
+
+# kind -> (the maps side by side in the step superoperator, the rest of the step)
+_STEPS = {
+    QUADRATURE: (_quadrature_maps, _quadrature_finish),
+    COUNTING: (_counting_maps, _counting_finish),
+}
 
 
 def draw_noise(rng: np.random.Generator, kind: str, grid: TimeGrid) -> np.ndarray:
@@ -147,13 +197,6 @@ def draw_noise(rng: np.random.Generator, kind: str, grid: TimeGrid) -> np.ndarra
     if kind == QUADRATURE:
         return rng.standard_normal(grid.steps) * np.sqrt(grid.dt)
     return rng.random(grid.steps)
-
-
-def _intensity(kind: str, rho: np.ndarray, lb: np.ndarray):
-    """Predictable compensator rate: m for quadrature, r for counting."""
-    if kind == QUADRATURE:
-        return _btrace(lb @ rho + rho @ dagger(lb)).real
-    return _btrace(lb @ rho @ dagger(lb)).real
 
 
 def propagate(
@@ -172,11 +215,15 @@ def propagate(
     rho0 has shape (d, d) or (N, d, d).  Replays `increments` when given,
     else draws dY from `noise` (pre-drawn, step index first) and the
     pre-step intensity, plus `record_bias` dt (negative controls only).
-    (L^beta, H^beta) are rebuilt only when beta(t) changes.  A numerical
-    failure names its step and time.
+    The step superoperator is recombined only when beta(t) changes.  A
+    numerical failure names its step and time.
     """
-    step = _kernel(kind)
+    if kind not in _STEPS:
+        raise ValueError(f"unknown measurement kind {kind!r}")
+    maps, finish = _STEPS[kind]
+    step_map = affine_superoperator(model, maps)
     rho = np.asarray(rho0, dtype=complex)
+    shape = rho.shape
     dt = grid.dt
     b_prev = None
     for k in range(grid.steps):
@@ -184,20 +231,25 @@ def propagate(
         try:
             b = beta.value(t)
             if b != b_prev:
-                lb, hb = modulated_operators(model, beta, t)
+                sup = step_map.at(b)
                 b_prev = b
+            v = rho.reshape(-1, 1, shape[-1] ** 2)
+            out = v @ sup
+            pre = _right_trace(out)
+            intensity = pre.reshape(shape[:-2])
             if increments is not None:
                 dy = increments[k]
             elif kind == QUADRATURE:  # dY = dI + m dt, dI ~ N(0, dt)
-                dy = noise[k] + _intensity(kind, rho, lb) * dt + record_bias * dt
+                dy = noise[k] + intensity * dt + record_bias * dt
             else:  # dY ~ Bernoulli(r dt)
-                prob = _intensity(kind, rho, lb) * dt
+                prob = intensity * dt
                 if np.any(prob > MAX_JUMP_PROBABILITY):
                     raise JumpRateError(
                         f"jump probability {np.max(prob):.3g} exceeds bound {MAX_JUMP_PROBABILITY}"
                     )
                 dy = (noise[k] < prob).astype(float) + record_bias * dt
-            rho, intensity = step(rho, dy, lb, hb, dt)
+            new = finish(v, out, pre, np.reshape(dy, (-1, 1, 1)), sup, dt)
+            rho = _hermitize_normalize(new.reshape(shape))
         except (TraceUnderflowError, JumpRateError) as exc:
             raise type(exc)(f"step {k}, t={t:g}: {exc}") from exc
         yield rho, dy, intensity

@@ -135,6 +135,14 @@ def test_classical_bad_value_fails_validation_naming_the_key(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_null_grid_step_fails_validation_naming_the_key(tmp_path, capsys):
+    cfg = write_config(tmp_path, grid={"dt": None, "T": 0.3})
+    out = tmp_path / "m"
+    assert main(["master", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+    assert "grid.dt: expected a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_classical_requires_section(tmp_path):
     cfg = write_config(tmp_path)
     assert main(["classical", "--config", str(cfg), "--out", str(tmp_path / "x")]) == EXIT_VALIDATION

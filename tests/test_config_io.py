@@ -134,6 +134,24 @@ def test_classical_section_errors_name_the_key(section, match):
         parse_config_dict(data)
 
 
+REAL_KEYS = [
+    ("grid", {"dt": 1e-3, "T": 0.5}, "dt"),
+    ("grid", {"dt": 1e-3, "T": 0.5}, "T"),
+    ("beta", {"kind": "sinusoid", "amplitude": [0.5, 0], "frequency": 1.0}, "frequency"),
+    ("beta", {"kind": "samples", "dt": 0.1, "values": [[0.5, 0]]}, "dt"),
+    ("beta", {"kind": "samples", "dt": 0.1, "values": [[0.5, 0]], "t0": 0.0}, "t0"),
+]
+
+
+@pytest.mark.parametrize("section, body, key", REAL_KEYS)
+@pytest.mark.parametrize("bad", [None, "0.1", True, [0.1]])
+def test_real_valued_keys_reject_non_numbers_naming_the_key(section, body, key, bad):
+    data = base_config()
+    data[section] = {**body, key: bad}
+    with pytest.raises(ConfigError, match=rf"^{section}\.{key}: expected a finite number"):
+        parse_config_dict(data)
+
+
 def test_parse_config_file_errors(tmp_path):
     missing = tmp_path / "none.json"
     with pytest.raises(ConfigError, match="does not exist"):

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from qfilter.linalg import SIGMA_MINUS, max_norm, trace_distance
+from qfilter.linalg import (
+    SIGMA_MINUS,
+    max_norm,
+    random_density,
+    random_hermitian,
+    random_matrix,
+    random_unitary,
+    trace_distance,
+)
 from qfilter.master import (
     DegenerateSteadyStateError,
     StepSizeError,
@@ -66,6 +74,55 @@ def test_step_size_error():
     grid = TimeGrid(dt=0.5, steps=10)
     with pytest.raises(StepSizeError):
         integrate_master(model, CoherentInput.vacuum(), EXCITED, grid)
+
+
+def test_step_size_error_names_its_step():
+    # Each step multiplies the excited population by about 4e6, so within a
+    # few steps the trace loses every digit to rounding; which step that is
+    # depends on the rounding of the BLAS kernels.
+    grid = TimeGrid(dt=0.5, steps=10)
+    with pytest.raises(StepSizeError, match=r"^trace drift \S+ at step [1-9]: dt=0.5 too large"):
+        integrate_master(decay_model(200.0), CoherentInput.vacuum(), EXCITED, grid)
+
+
+def test_non_finite_trace_counts_as_drift():
+    # The first step overflows, so the trace is nan rather than far from 1.
+    grid = TimeGrid(dt=1.0, steps=10)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(StepSizeError, match=r"^trace drift (nan|inf) at step 0"):
+            integrate_master(decay_model(1e80), CoherentInput.vacuum(), EXCITED, grid)
+
+
+def rk4_reference(model, beta, rho0, grid):
+    """Classical RK4 on adjoint_generator, one matrix stage at a time."""
+    rho, dt, states = rho0.astype(complex), grid.dt, [rho0]
+    for k in range(grid.steps):
+        t = grid.t0 + k * dt
+        k1 = adjoint_generator(model, beta, t, rho)
+        k2 = adjoint_generator(model, beta, t + 0.5 * dt, rho + 0.5 * dt * k1)
+        k3 = adjoint_generator(model, beta, t + 0.5 * dt, rho + 0.5 * dt * k2)
+        k4 = adjoint_generator(model, beta, t + dt, rho + dt * k3)
+        rho = rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        states.append(rho)
+    return np.array(states)
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize(
+    "beta",
+    [CoherentInput.constant(0.6 - 0.3j), CoherentInput.sinusoid(0.4 + 0.2j, 2 * np.pi, 0.3)],
+    ids=["constant", "sinusoid"],
+)
+def test_integrate_master_matches_matrix_form_rk4(dim, beta):
+    rng = np.random.default_rng(31 + dim)
+    model = HPModel(
+        S=random_unitary(rng, dim), L=random_matrix(rng, dim), H=random_hermitian(rng, dim)
+    )
+    rho0 = random_density(rng, dim)
+    grid = TimeGrid(dt=2e-3, steps=300, t0=0.1)
+    states = integrate_master(model, beta, rho0, grid).states
+    assert states.shape == (grid.steps + 1, dim, dim)
+    assert max_norm(states - rk4_reference(model, beta, rho0, grid)) <= 1e-12
 
 
 def test_liouvillian_matches_generator_action():

@@ -1,27 +1,31 @@
-"""Bit-exactness of the filter loop over random (S, L, H) models.
+"""Bit-exactness and accuracy of the filter loop over random (S, L, H) models.
 
-Each example draws a model with d in {2, 3, 4}, a constant or sinusoid
-beta, a measurement kind and a seed.  L is scaled, as the benchmark's
-random models are, so that (||L||_2 + max|beta|)^2 dt, a bound on the
+Each example draws a model with d in {2, 3, 4} (also 8 against the
+reference kernels), a constant or sinusoid beta, a measurement kind and a
+seed.  L is scaled, as the benchmark's random models are, so that (||L||_2 + max|beta|)^2 dt, a bound on the
 per-step jump probability, stays within 0.05.  Examples are derandomized
 so that every run checks the same models.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qfilter.ensemble import mix_seed
-from qfilter.linalg import random_density
+from qfilter.linalg import max_norm, random_density
 from qfilter.master import TimeGrid
-from qfilter.model import CoherentInput, HPModel
+from qfilter.model import CoherentInput, HPModel, modulated_operators
 from qfilter.trajectory import (
     COUNTING,
     COUNTING_BETA_MIN,
     KINDS,
+    QUADRATURE,
+    count_step_arrays,
     draw_noise,
     filter_record,
     propagate,
+    quad_step_arrays,
     simulate_record,
     zakai_filter,
 )
@@ -30,14 +34,20 @@ from qfilter.verify import random_model
 DT = 1e-3
 JUMP_PROBABILITY_BUDGET = 0.05
 GRID = TimeGrid(dt=DT, steps=40)
-N_TRAJ = 3
+BATCH_SIZES = (1, 3, 257)
+REFERENCE_TOL = 1e-12
 
-cases = st.tuples(
-    st.integers(0, 2**32 - 1),
-    st.sampled_from([2, 3, 4]),
-    st.sampled_from(KINDS),
-    st.sampled_from(["constant", "sinusoid"]),
-)
+
+def case_tuples(dims):
+    return st.tuples(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(dims),
+        st.sampled_from(KINDS),
+        st.sampled_from(["constant", "sinusoid"]),
+    )
+
+
+cases = case_tuples([2, 3, 4])
 exact = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
 
@@ -66,18 +76,58 @@ def test_replay_reproduces_simulated_states_bit_for_bit(case):
     assert replayed_innov.increments.tobytes() == innov.increments.tobytes()
 
 
+def batched_run(master_seed, model, beta, rho0, kind, n_traj):
+    """States and dY of rows 0..n_traj-1 propagated as one batch, and their seeds."""
+    dim = rho0.shape[0]
+    seeds = [mix_seed(master_seed, i) for i in range(n_traj)]
+    noise = np.stack([draw_noise(np.random.default_rng(s), kind, GRID) for s in seeds], axis=1)
+    stack = np.broadcast_to(rho0, (n_traj, dim, dim)).copy()
+    steps = list(propagate(model, beta, stack, kind, GRID, noise=noise))
+    return np.stack([rho for rho, _, _ in steps]), np.stack([dy for _, dy, _ in steps]), seeds
+
+
 @exact
-@given(cases)
-def test_batched_row_equals_standalone_trajectory_bit_for_bit(case):
+@given(cases, st.sampled_from(BATCH_SIZES))
+def test_batched_row_equals_standalone_trajectory_bit_for_bit(case, n_traj):
     master_seed, dim, kind, beta_kind = case
     model, beta, rho0 = random_case(master_seed, dim, beta_kind)
-    seeds = [mix_seed(master_seed, i) for i in range(N_TRAJ)]
-    noise = np.stack([draw_noise(np.random.default_rng(s), kind, GRID) for s in seeds], axis=1)
-    stack = np.broadcast_to(rho0, (N_TRAJ, dim, dim)).copy()
-    batched = np.stack([rho for rho, _, _ in propagate(model, beta, stack, kind, GRID, noise=noise)])
+    batched, _, seeds = batched_run(master_seed, model, beta, rho0, kind, n_traj)
     for i, s in enumerate(seeds):
         _, states, _ = simulate_record(model, beta, rho0, kind, GRID, s)
         assert batched[:, i].tobytes() == states[1:].tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 8])
+def test_rows_that_jump_alone_in_a_batch_equal_standalone_bit_for_bit(dim):
+    # Only the rows that jumped take the second product; check they, and
+    # the rows beside them that did not, are each the standalone trajectory.
+    model, beta, rho0 = random_case(11, dim, "sinusoid")
+    batched, dys, seeds = batched_run(11, model, beta, rho0, COUNTING, 257)
+    jumps = dys.sum(axis=1)
+    assert np.any((jumps > 0) & (jumps < len(seeds)))
+    for i, s in enumerate(seeds):
+        _, states, _ = simulate_record(model, beta, rho0, COUNTING, GRID, s)
+        assert batched[:, i].tobytes() == states[1:].tobytes()
+
+
+@exact
+@given(case_tuples([2, 3, 4, 8]))
+def test_propagate_matches_reference_kernels(case):
+    seed, dim, kind, beta_kind = case
+    model, beta, rho0 = random_case(seed, dim, beta_kind)
+    rng = np.random.default_rng(seed)
+    if kind == QUADRATURE:
+        increments, step = rng.standard_normal(GRID.steps) * np.sqrt(DT), quad_step_arrays
+    else:  # more jumps than the model would give, so the jump branch is exercised
+        increments, step = (rng.random(GRID.steps) < 0.2).astype(float), count_step_arrays
+    ref = rho0
+    for k, (rho, _, intensity) in enumerate(
+        propagate(model, beta, rho0, kind, GRID, increments=increments)
+    ):
+        lb, hb = modulated_operators(model, beta, GRID.t0 + k * DT)
+        ref, ref_intensity = step(ref, increments[k], lb, hb, DT)
+        assert max_norm(rho - ref) <= REFERENCE_TOL
+        assert abs(intensity - ref_intensity) <= REFERENCE_TOL
 
 
 def zakai_log_norm_reference(model, beta, rho0, record):
