@@ -9,15 +9,12 @@ filtering on scalar benchmarks.
 
 from .classical import (
     ClassicalModel,
-    KalmanState,
-    ParticleEnsemble,
     bistable_double_well,
     classical_innovations,
-    init_ensemble,
     kalman_bucy_step,
     linear_model,
+    normalized_weights,
     particle_step,
-    posterior,
     riccati_steady_state,
     run_benchmark,
     simulate_pair,

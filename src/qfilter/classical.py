@@ -8,6 +8,9 @@ Scalar state-observation SDE pair
 a bootstrap particle filter with Kallianpur-Striebel log-weights and
 systematic resampling, and a scalar Kalman-Bucy oracle for the
 linear-Gaussian case.  Observation noise is normalized to unity.
+
+The filter states are plain values: (N,) arrays of particle positions
+and log-weights, and a Kalman-Bucy (mean, covariance) pair.
 """
 
 from __future__ import annotations
@@ -68,97 +71,81 @@ def simulate_pair(cm: ClassicalModel, x0: float, grid, seed: int):
     return xs, dys
 
 
-@dataclass(frozen=True)
-class ParticleEnsemble:
-    positions: np.ndarray
-    log_weights: np.ndarray
-    t: float
-
-    def __post_init__(self):
-        if len(self.positions) < 1 or len(self.positions) != len(self.log_weights):
-            raise ValueError("positions and log_weights must be nonempty and aligned")
-        if not np.isfinite(np.max(self.log_weights)):
-            raise ValueError("all particle weights vanished")
-
-    @property
-    def n(self) -> int:
-        return len(self.positions)
-
-    def normalized_weights(self) -> np.ndarray:
-        w = np.exp(self.log_weights - np.max(self.log_weights))
-        return w / w.sum()
-
-    def effective_sample_size(self) -> float:
-        w = self.normalized_weights()
-        return 1.0 / float(np.sum(w**2))
+# Systematic resampling fires when the effective sample size drops below
+# this fraction of the particle count.
+RESAMPLE_THRESHOLD = 0.5
 
 
-def init_ensemble(rng: np.random.Generator, n: int, mean: float, std: float) -> ParticleEnsemble:
-    positions = mean + std * rng.standard_normal(n)
-    return ParticleEnsemble(positions=positions, log_weights=np.zeros(n), t=0.0)
+def _check_aligned(positions: np.ndarray, weights: np.ndarray) -> None:
+    if len(positions) < 1 or len(positions) != len(weights):
+        raise ValueError("positions and weights must be nonempty and aligned")
 
 
-def systematic_resample(e: ParticleEnsemble, rng: np.random.Generator) -> ParticleEnsemble:
-    w = e.normalized_weights()
-    n = e.n
+def normalized_weights(log_weights: np.ndarray) -> np.ndarray:
+    """exp(log_weights) scaled to unit sum; raises when all weights vanish."""
+    top = np.max(log_weights)
+    if not np.isfinite(top):
+        raise ValueError("all particle weights vanished")
+    w = np.exp(log_weights - top)
+    return w / w.sum()
+
+
+def systematic_resample(
+    positions: np.ndarray, weights: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Resampled positions, one uniform draw; the new weights are uniform."""
+    _check_aligned(positions, weights)
+    n = len(positions)
     u = (rng.random() + np.arange(n)) / n
-    idx = np.searchsorted(np.cumsum(w), u)
+    idx = np.searchsorted(np.cumsum(weights), u)
     idx = np.minimum(idx, n - 1)
-    return ParticleEnsemble(positions=e.positions[idx], log_weights=np.zeros(n), t=e.t)
+    return positions[idx]
 
 
 def particle_step(
-    e: ParticleEnsemble,
+    positions: np.ndarray,
+    log_weights: np.ndarray,
     dy: float,
     cm: ClassicalModel,
     dt: float,
     rng: np.random.Generator,
-    resample_threshold: float = 0.5,
-) -> ParticleEnsemble:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Propagate-then-reweight realization of the unnormalized filter.
 
     Log-weights gain the discrete Kallianpur-Striebel factor
     h(x) dY - (1/2) h(x)^2 dt; systematic resampling fires when the
-    effective sample size drops below resample_threshold * N.
+    effective sample size drops below RESAMPLE_THRESHOLD * N.  Returns
+    (positions, log_weights, normalized weights) after the step.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    x = e.positions
-    moved = x + cm.drift(x) * dt + cm.diffusion(x) * (rng.standard_normal(e.n) * np.sqrt(dt))
+    _check_aligned(positions, log_weights)
+    n = len(positions)
+    noise = rng.standard_normal(n) * np.sqrt(dt)
+    moved = positions + cm.drift(positions) * dt + cm.diffusion(positions) * noise
     h = cm.observation(moved)
-    log_w = e.log_weights + h * dy - 0.5 * h**2 * dt
-    out = ParticleEnsemble(positions=moved, log_weights=log_w, t=e.t + dt)
-    if out.effective_sample_size() < resample_threshold * out.n:
-        out = systematic_resample(out, rng)
-    return out
-
-
-def posterior(e: ParticleEnsemble, f) -> float:
-    """Weight-normalized posterior mean of f over the particles."""
-    return float(np.sum(e.normalized_weights() * f(e.positions)))
-
-
-@dataclass(frozen=True)
-class KalmanState:
-    mean: float
-    covariance: float
-
-    def __post_init__(self):
-        if self.covariance < -1e-10:
-            raise ValueError("covariance must be nonnegative")
+    log_w = log_weights + h * dy - 0.5 * h**2 * dt
+    w = normalized_weights(log_w)
+    if 1.0 / float(np.sum(w**2)) < RESAMPLE_THRESHOLD * n:
+        moved = systematic_resample(moved, w, rng)
+        log_w = np.zeros(n)
+        w = normalized_weights(log_w)
+    return moved, log_w, w
 
 
 def kalman_bucy_step(
-    k: KalmanState, dy: float, a: float, c: float, sigma: float, dt: float
-) -> KalmanState:
-    """Euler step of the scalar Kalman-Bucy filter.
+    mean: float, cov: float, dy: float, a: float, c: float, sigma: float, dt: float
+) -> tuple[float, float]:
+    """Euler step of the scalar Kalman-Bucy filter; returns (mean, cov).
 
     mean += a mean dt + P c (dY - c mean dt);  P += (2aP + sigma^2 - c^2 P^2) dt.
+    `mean` and `dy` may be arrays of independent filters sharing P.
     """
-    p = k.covariance
-    mean = k.mean + a * k.mean * dt + p * c * (dy - c * k.mean * dt)
-    cov = p + (2 * a * p + sigma**2 - c**2 * p**2) * dt
-    return KalmanState(mean=mean, covariance=cov)
+    new_mean = mean + a * mean * dt + cov * c * (dy - c * mean * dt)
+    new_cov = cov + (2 * a * cov + sigma**2 - c**2 * cov**2) * dt
+    if new_cov < -1e-10:
+        raise ValueError(f"covariance {new_cov} went negative")
+    return new_mean, new_cov
 
 
 def riccati_steady_state(a: float, c: float, sigma: float) -> float:
@@ -191,25 +178,29 @@ def run_benchmark(
     model = linear_model(a=a, sigma=sigma, c=c) if linear else PRESETS[preset](sigma=sigma, c=c)
     xs, dys = simulate_pair(model, x0, grid, seed)
     rng = np.random.default_rng(seed + 1)
-    ensemble = init_ensemble(rng, particles, mean=x0, std=prior_std)
-    kalman = KalmanState(mean=x0, covariance=prior_std**2)
+    positions = x0 + prior_std * rng.standard_normal(particles)
+    log_weights = np.zeros(particles)
+    weights = normalized_weights(log_weights)
+    mean, cov = x0, prior_std**2
     pf = np.empty((grid.steps + 1, 2))  # posterior mean, variance
     kb = np.empty((grid.steps + 1, 2))
     h_means = np.empty(grid.steps)
 
-    def moments(e):
-        m = posterior(e, lambda x: x)
-        return m, posterior(e, lambda x: x**2) - m**2
+    def moments(x, w):
+        m = float(np.sum(w * x))
+        return m, float(np.sum(w * x**2)) - m**2
 
-    pf[0] = moments(ensemble)
-    kb[0] = kalman.mean, kalman.covariance
+    pf[0] = moments(positions, weights)
+    kb[0] = mean, cov
     for k in range(grid.steps):
-        h_means[k] = posterior(ensemble, model.observation)
-        ensemble = particle_step(ensemble, dys[k], model, grid.dt, rng)
-        pf[k + 1] = moments(ensemble)
+        h_means[k] = float(np.sum(weights * model.observation(positions)))
+        positions, log_weights, weights = particle_step(
+            positions, log_weights, dys[k], model, grid.dt, rng
+        )
+        pf[k + 1] = moments(positions, weights)
         if linear:
-            kalman = kalman_bucy_step(kalman, dys[k], a, c, sigma, grid.dt)
-            kb[k + 1] = kalman.mean, kalman.covariance
+            mean, cov = kalman_bucy_step(mean, cov, dys[k], a, c, sigma, grid.dt)
+            kb[k + 1] = mean, cov
     innov = np.concatenate([[0.0], np.cumsum(classical_innovations(dys, h_means, grid.dt))])
     columns = {"x_true": xs, "pf_mean": pf[:, 0], "pf_var": pf[:, 1], "innovations": innov}
     if linear:

@@ -165,10 +165,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return dispatch(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (ValueError,) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (TraceUnderflowError, JumpRateError, StepSizeError, ZeroDivisionError) as exc:

@@ -81,9 +81,12 @@ def parse_beta(data, path: str = "beta") -> CoherentInput:
         values = _require(data, "values", path)
         if not isinstance(values, list) or not values:
             raise ConfigError(f"{path}.values", "expected a nonempty list")
+        sample_dt = parse_real(_require(data, "dt", path), f"{path}.dt")
+        if sample_dt <= 0:
+            raise ConfigError(f"{path}.dt", f"expected a positive number, got {sample_dt!r}")
         return CoherentInput.piecewise(
             t0=parse_real(data.get("t0", 0.0), f"{path}.t0"),
-            sample_dt=parse_real(_require(data, "dt", path), f"{path}.dt"),
+            sample_dt=sample_dt,
             samples=[parse_complex(v, f"{path}.values[{i}]") for i, v in enumerate(values)],
         )
     raise ConfigError(f"{path}.kind", f"unknown coherent input kind {kind!r}")
@@ -159,7 +162,10 @@ def parse_grid(data, path: str = "grid") -> TimeGrid:
     duration = parse_real(_require(data, "T", path), f"{path}.T")
     if dt <= 0 or duration <= 0:
         raise ConfigError(path, "dt and T must be positive")
-    return TimeGrid.from_duration(dt=dt, duration=duration)
+    try:
+        return TimeGrid.from_duration(dt=dt, duration=duration)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(path, f"T/dt = {duration / dt:g}: {exc}") from exc
 
 
 CLASSICAL_DEFAULTS = {

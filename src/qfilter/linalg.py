@@ -82,7 +82,7 @@ def is_unitary(a: np.ndarray, tol: float = PROJ_TOL) -> bool:
     return max_norm(dagger(a) @ a - np.eye(d)) <= tol
 
 
-def validate_density(rho: np.ndarray, eig_floor: float = EIG_FLOOR) -> np.ndarray:
+def validate_density(rho: np.ndarray) -> np.ndarray:
     """Check Hermiticity, unit trace and positivity of a density matrix.
 
     Returns the matrix unchanged on success, raises ValueError otherwise.
@@ -93,7 +93,7 @@ def validate_density(rho: np.ndarray, eig_floor: float = EIG_FLOOR) -> np.ndarra
     if abs(np.trace(rho) - 1.0) > TRACE_TOL:
         raise ValueError(f"density matrix trace {np.trace(rho)} is not 1")
     evals = np.linalg.eigvalsh(0.5 * (rho + dagger(rho)))
-    if evals.min() < eig_floor:
+    if evals.min() < EIG_FLOOR:
         raise ValueError(f"density matrix has eigenvalue {evals.min()} below floor")
     return rho
 

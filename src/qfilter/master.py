@@ -25,6 +25,7 @@ from .linalg import dagger, validate_density
 from .model import CoherentInput, HPModel, lindblad_adjoint, modulated_operators
 
 TRACE_DRIFT_LIMIT = 1e-6
+GAP_TOL = 1e-8  # steady_state: a second singular value this small is degenerate
 
 
 @dataclass(frozen=True)
@@ -42,8 +43,8 @@ class TimeGrid:
             raise ValueError("steps must be >= 1")
 
     @classmethod
-    def from_duration(cls, dt: float, duration: float, t0: float = 0.0) -> "TimeGrid":
-        return cls(dt=dt, steps=int(round(duration / dt)), t0=t0)
+    def from_duration(cls, dt: float, duration: float) -> "TimeGrid":
+        return cls(dt=dt, steps=int(round(duration / dt)))
 
     @property
     def duration(self) -> float:
@@ -177,11 +178,11 @@ class DegenerateSteadyStateError(RuntimeError):
     """The generator's null space is not one-dimensional."""
 
 
-def steady_state(model: HPModel, beta_value: complex, gap_tol: float = 1e-8) -> np.ndarray:
+def steady_state(model: HPModel, beta_value: complex) -> np.ndarray:
     """Unique stationary density matrix of the constant-beta generator."""
     mat = liouvillian_matrix(model, beta_value)
     _, svals, vh = np.linalg.svd(mat)
-    if len(svals) > 1 and svals[-2] <= gap_tol:
+    if len(svals) > 1 and svals[-2] <= GAP_TOL:
         raise DegenerateSteadyStateError(
             f"null space is degenerate (second singular value {svals[-2]:.3e})"
         )

@@ -134,17 +134,17 @@ def ito_suite(seed: int = 0, dims=(2, 3, 4), instances: int = 100):
     """Ito-table, generator, Lindblad-form, duality and Zakai-coefficient checks."""
     rng = np.random.default_rng(seed)
     res = {
-        "table": 0.0,
-        "assoc": 0.0,
-        "generator": 0.0,
-        "lindblad": 0.0,
-        "duality": 0.0,
-        "zakai-quad-gain": 0.0,
-        "zakai-quad-drift": 0.0,
-        "zakai-quad-rearranged": 0.0,
-        "zakai-count-rearranged": 0.0,
-        "tilde-k": 0.0,
-        "nondem": 0.0,
+        "ito/table-identities": 0.0,
+        "ito/associativity": 0.0,
+        "ito/coherent-generator": 0.0,
+        "model/lindblad-identity": 0.0,
+        "model/generator-duality": 0.0,
+        "ito/zakai-quadrature-gain": 0.0,
+        "ito/zakai-quadrature-drift": 0.0,
+        "ito/zakai-quadrature-rearranged": 0.0,
+        "ito/zakai-counting-rearranged": 0.0,
+        "ito/girsanov-tilde-k": 0.0,
+        "ito/non-demolition": 0.0,
     }
 
     # Fixed spot identities of the Ito table at dim 2.
@@ -163,7 +163,10 @@ def ito_suite(seed: int = 0, dims=(2, 3, 4), instances: int = 100):
         ito.ito_product(db, dt_poly),
     ]
     for p in spots:
-        res["table"] = max(res["table"], max(max_norm(p.coeff(s)) for s in ("dt", "dB", "dBdag", "dLambda")))
+        res["ito/table-identities"] = max(
+            res["ito/table-identities"],
+            max(max_norm(p.coeff(s)) for s in ("dt", "dB", "dBdag", "dLambda")),
+        )
 
     for _ in range(instances):
         dim = int(rng.choice(dims))
@@ -181,43 +184,45 @@ def ito_suite(seed: int = 0, dims=(2, 3, 4), instances: int = 100):
         p, q, r = rand_poly(), rand_poly(), rand_poly()
         left = ito.ito_product(ito.ito_product(p, q), r)
         right = ito.ito_product(p, ito.ito_product(q, r))
-        res["assoc"] = max(
-            res["assoc"],
+        res["ito/associativity"] = max(
+            res["ito/associativity"],
             max(max_norm(left.coeff(s) - right.coeff(s)) for s in ("dt", "dB", "dBdag", "dLambda")),
         )
 
-        res["generator"] = max(res["generator"], ito.verify_generator(model, beta, x))
+        res["ito/coherent-generator"] = max(
+            res["ito/coherent-generator"], ito.verify_generator(model, beta, x)
+        )
 
         lb = modulated_coupling(model, beta, 0.0)
         hb = modulated_hamiltonian(model, beta, 0.0)
-        res["lindblad"] = max(
-            res["lindblad"],
+        res["model/lindblad-identity"] = max(
+            res["model/lindblad-identity"],
             max_norm(heisenberg_generator(model, beta, 0.0, x) - lindblad_heisenberg(lb, hb, x)),
         )
 
         lhs = np.trace(rho @ heisenberg_generator(model, beta, 0.0, x))
         rhs = np.trace(adjoint_generator(model, beta, 0.0, rho) @ x)
-        res["duality"] = max(res["duality"], abs(lhs - rhs))
+        res["model/generator-duality"] = max(res["model/generator-duality"], abs(lhs - rhs))
 
         tilde_l, tilde_k = ito.girsanov_coefficients(model, beta, 0.0, "quadrature")
         gain, drift = ito.zakai_expansion(model, beta, 0.0, x, "quadrature")
-        res["zakai-quad-gain"] = max(
-            res["zakai-quad-gain"], max_norm(gain - (x @ tilde_l + dagger(tilde_l) @ x))
+        res["ito/zakai-quadrature-gain"] = max(
+            res["ito/zakai-quadrature-gain"], max_norm(gain - (x @ tilde_l + dagger(tilde_l) @ x))
         )
-        res["zakai-quad-drift"] = max(
-            res["zakai-quad-drift"],
+        res["ito/zakai-quadrature-drift"] = max(
+            res["ito/zakai-quadrature-drift"],
             max_norm(drift - (dagger(tilde_l) @ x @ tilde_l + x @ tilde_k + dagger(tilde_k) @ x)),
         )
         c = b + np.conj(b)
-        res["zakai-quad-rearranged"] = max(
-            res["zakai-quad-rearranged"],
+        res["ito/zakai-quadrature-rearranged"] = max(
+            res["ito/zakai-quadrature-rearranged"],
             max_norm(drift + c * gain - heisenberg_generator(model, beta, 0.0, x)),
         )
 
         if abs(b) > 0.1:
             cgain, cdrift = ito.zakai_expansion(model, beta, 0.0, x, "counting")
-            res["zakai-count-rearranged"] = max(
-                res["zakai-count-rearranged"],
+            res["ito/zakai-counting-rearranged"] = max(
+                res["ito/zakai-counting-rearranged"],
                 max_norm(
                     cdrift + abs(b) ** 2 * cgain - heisenberg_generator(model, beta, 0.0, x)
                 ),
@@ -229,24 +234,11 @@ def ito_suite(seed: int = 0, dims=(2, 3, 4), instances: int = 100):
             - 1j * model.H
             - tilde_l * b
         )
-        res["tilde-k"] = max(res["tilde-k"], max_norm(tilde_k - cross))
+        res["ito/girsanov-tilde-k"] = max(res["ito/girsanov-tilde-k"], max_norm(tilde_k - cross))
 
-        res["nondem"] = max(res["nondem"], ito.nondemolition_residual(x))
+        res["ito/non-demolition"] = max(res["ito/non-demolition"], ito.nondemolition_residual(x))
 
-    names = {
-        "table": "ito/table-identities",
-        "assoc": "ito/associativity",
-        "generator": "ito/coherent-generator",
-        "lindblad": "model/lindblad-identity",
-        "duality": "model/generator-duality",
-        "zakai-quad-gain": "ito/zakai-quadrature-gain",
-        "zakai-quad-drift": "ito/zakai-quadrature-drift",
-        "zakai-quad-rearranged": "ito/zakai-quadrature-rearranged",
-        "zakai-count-rearranged": "ito/zakai-counting-rearranged",
-        "tilde-k": "ito/girsanov-tilde-k",
-        "nondem": "ito/non-demolition",
-    }
-    return [CheckResult(names[k], v, REPORT_TOL) for k, v in res.items()]
+    return [CheckResult(name, v, REPORT_TOL) for name, v in res.items()]
 
 
 def full_suite(seed: int = 0, dims_check: bool = False):

@@ -11,13 +11,10 @@ from scipy import stats
 
 from conftest import record_acceptance
 from qfilter.classical import (
-    KalmanState,
     classical_innovations,
-    init_ensemble,
     kalman_bucy_step,
     linear_model,
     particle_step,
-    posterior,
     riccati_steady_state,
     simulate_pair,
 )
@@ -387,22 +384,22 @@ def test_criterion_9_classical_suite():
     # Particle filter vs Kalman-Bucy posterior mean at 10^4 particles.
     xs, dys = simulate_pair(model, 0.0, grid, seed=108)
     rng = np.random.default_rng(109)
-    ensemble = init_ensemble(rng, 10_000, mean=0.0, std=1.0)
-    kalman = KalmanState(mean=0.0, covariance=1.0)
+    positions, log_w = rng.standard_normal(10_000), np.zeros(10_000)
+    mean, p = 0.0, 1.0
     diffs = []
     for k in range(grid.steps):
-        ensemble = particle_step(ensemble, dys[k], model, grid.dt, rng)
-        kalman = kalman_bucy_step(kalman, dys[k], a, c, sigma, grid.dt)
-        diffs.append(posterior(ensemble, lambda x: x) - kalman.mean)
+        positions, log_w, w = particle_step(positions, log_w, dys[k], model, grid.dt, rng)
+        mean, p = kalman_bucy_step(mean, p, dys[k], a, c, sigma, grid.dt)
+        diffs.append(float(np.sum(w * positions)) - mean)
     rmse = float(np.sqrt(np.mean(np.array(diffs) ** 2)))
     p_inf = riccati_steady_state(a, c, sigma)
     rmse_bound = 3.0 * np.sqrt(p_inf / 10_000)
 
     # Riccati steady state from long-time covariance integration.
-    k2 = KalmanState(mean=0.0, covariance=1.0)
+    m2, p2 = 0.0, 1.0
     for _ in range(20_000):
-        k2 = kalman_bucy_step(k2, 0.0, a, c, sigma, 1e-3)
-    riccati_err = abs(k2.covariance - p_inf)
+        m2, p2 = kalman_bucy_step(m2, p2, 0.0, a, c, sigma, 1e-3)
+    riccati_err = abs(p2 - p_inf)
 
     # Classical innovations martingale over an ensemble of Kalman filters.
     n = 2000
@@ -415,9 +412,7 @@ def test_criterion_9_classical_suite():
     for k in range(grid.steps):
         dy = c * x * grid.dt + gen.standard_normal(n) * np.sqrt(grid.dt)
         innov += classical_innovations(dy, c * mean, grid.dt)
-        state = KalmanState(mean=mean, covariance=p)
-        state = kalman_bucy_step(state, dy, a, c, sigma, grid.dt)
-        mean, p = state.mean, state.covariance
+        mean, p = kalman_bucy_step(mean, p, dy, a, c, sigma, grid.dt)
         x = x + a * x * grid.dt + sigma * gen.standard_normal(n) * np.sqrt(grid.dt)
         if (k + 1) % (grid.steps // 50) == 0:
             z_worst = max(z_worst, abs(innov.mean()) / (innov.std(ddof=1) / np.sqrt(n)))

@@ -2,15 +2,12 @@ import numpy as np
 import pytest
 
 from qfilter.classical import (
-    KalmanState,
-    ParticleEnsemble,
     bistable_double_well,
     classical_innovations,
-    init_ensemble,
     kalman_bucy_step,
     linear_model,
+    normalized_weights,
     particle_step,
-    posterior,
     riccati_steady_state,
     run_benchmark,
     simulate_pair,
@@ -41,14 +38,21 @@ def test_ou_marginal_statistics():
 
 def test_particle_ensemble_invariants():
     rng = np.random.default_rng(50)
-    e = init_ensemble(rng, 100, mean=0.0, std=1.0)
-    assert e.effective_sample_size() == pytest.approx(100.0)
-    w = e.normalized_weights()
+    w = normalized_weights(np.zeros(100))
+    assert 1.0 / np.sum(w**2) == pytest.approx(100.0)
     assert w.sum() == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        ParticleEnsemble(positions=np.zeros(3), log_weights=np.zeros(2), t=0.0)
-    with pytest.raises(ValueError):
-        ParticleEnsemble(positions=np.zeros(2), log_weights=np.array([-np.inf, -np.inf]), t=0.0)
+    model = linear_model()
+    with pytest.raises(ValueError, match="aligned"):
+        particle_step(np.zeros(3), np.zeros(2), 0.0, model, 0.1, rng)
+    with pytest.raises(ValueError, match="aligned"):
+        particle_step(np.zeros(0), np.zeros(0), 0.0, model, 0.1, rng)
+    with pytest.raises(ValueError, match="aligned"):
+        systematic_resample(np.zeros(3), np.full(2, 0.5), rng)
+    vanished = np.array([-np.inf, -np.inf])
+    with pytest.raises(ValueError, match="vanished"):
+        normalized_weights(vanished)
+    with pytest.raises(ValueError, match="vanished"):
+        particle_step(np.zeros(2), vanished, 0.0, model, 0.1, rng)
 
 
 def test_systematic_resample_counts_within_floor_ceil():
@@ -59,11 +63,9 @@ def test_systematic_resample_counts_within_floor_ceil():
     positions = np.arange(n, dtype=float)
     raw = rng.random(n) + 0.05
     w = raw / raw.sum()
-    e = ParticleEnsemble(positions=positions, log_weights=np.log(w), t=0.0)
     for _ in range(5):
-        r = systematic_resample(e, rng)
-        assert np.all(r.log_weights == 0.0)
-        counts = np.bincount(r.positions.astype(int), minlength=n)
+        r = systematic_resample(positions, w, rng)
+        counts = np.bincount(r.astype(int), minlength=n)
         assert np.all(counts >= np.floor(n * w))
         assert np.all(counts <= np.ceil(n * w))
 
@@ -74,13 +76,13 @@ def test_particle_filter_tracks_kalman():
     model = linear_model(a=a, sigma=sigma, c=c)
     xs, dys = simulate_pair(model, 0.0, grid, seed=7)
     rng = np.random.default_rng(8)
-    e = init_ensemble(rng, 2000, mean=0.0, std=1.0)
-    k = KalmanState(mean=0.0, covariance=1.0)
+    x, log_w = rng.standard_normal(2000), np.zeros(2000)
+    mean, cov = 0.0, 1.0
     diffs = []
     for i in range(grid.steps):
-        e = particle_step(e, dys[i], model, grid.dt, rng)
-        k = kalman_bucy_step(k, dys[i], a, c, sigma, grid.dt)
-        diffs.append(posterior(e, lambda x: x) - k.mean)
+        x, log_w, w = particle_step(x, log_w, dys[i], model, grid.dt, rng)
+        mean, cov = kalman_bucy_step(mean, cov, dys[i], a, c, sigma, grid.dt)
+        diffs.append(np.sum(w * x) - mean)
     assert np.sqrt(np.mean(np.array(diffs) ** 2)) < 0.1
 
 
@@ -88,10 +90,17 @@ def test_kalman_covariance_converges_to_riccati_fixed_point():
     a, c, sigma = -0.5, 2.0, 1.5
     p_inf = riccati_steady_state(a, c, sigma)
     assert 2 * a * p_inf + sigma**2 - c**2 * p_inf**2 == pytest.approx(0.0, abs=1e-12)
-    k = KalmanState(mean=0.0, covariance=3.0)
+    mean, cov = 0.0, 3.0
     for _ in range(40000):
-        k = kalman_bucy_step(k, 0.0, a, c, sigma, 1e-3)
-    assert k.covariance == pytest.approx(p_inf, abs=1e-9)
+        mean, cov = kalman_bucy_step(mean, cov, 0.0, a, c, sigma, 1e-3)
+    assert cov == pytest.approx(p_inf, abs=1e-9)
+
+
+def test_kalman_bucy_step_rejects_negative_covariance():
+    # P' = P - c^2 P^2 dt at a = sigma = 0: dt = 1 lands on 0, dt = 2 overshoots to -1.
+    assert kalman_bucy_step(0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0) == (0.0, 0.0)
+    with pytest.raises(ValueError, match="covariance"):
+        kalman_bucy_step(0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 2.0)
 
 
 def test_double_well_drift_sign():
@@ -110,9 +119,8 @@ def test_classical_innovations_validation():
 
 def test_particle_step_rejects_bad_dt():
     rng = np.random.default_rng(52)
-    e = init_ensemble(rng, 10, 0.0, 1.0)
     with pytest.raises(ValueError):
-        particle_step(e, 0.0, linear_model(), 0.0, rng)
+        particle_step(rng.standard_normal(10), np.zeros(10), 0.0, linear_model(), 0.0, rng)
 
 
 @pytest.mark.parametrize("preset", ["linear", "bistable-double-well"])

@@ -143,6 +143,14 @@ def test_null_grid_step_fails_validation_naming_the_key(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_grid_without_steps_fails_validation_naming_the_key(tmp_path, capsys):
+    cfg = write_config(tmp_path, grid={"dt": 1.0, "T": 0.4})
+    out = tmp_path / "m"
+    assert main(["master", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+    assert "error: grid: T/dt = 0.4: steps must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_classical_requires_section(tmp_path):
     cfg = write_config(tmp_path)
     assert main(["classical", "--config", str(cfg), "--out", str(tmp_path / "x")]) == EXIT_VALIDATION

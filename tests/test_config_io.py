@@ -152,6 +152,23 @@ def test_real_valued_keys_reject_non_numbers_naming_the_key(section, body, key, 
         parse_config_dict(data)
 
 
+@pytest.mark.parametrize(
+    "section, body, match",
+    [
+        ("grid", {"dt": 1.0, "T": 0.4}, r"^grid: T/dt = 0\.4: steps must be >= 1"),
+        ("grid", {"dt": 0.3, "T": 0.1}, r"^grid: T/dt = 0\.333333: steps must be >= 1"),
+        ("grid", {"dt": 1e-10, "T": 1e308}, r"^grid: T/dt = inf"),
+        ("beta", {"kind": "samples", "dt": -0.1, "values": [[0.5, 0]]}, r"^beta\.dt: expected a positive"),
+        ("beta", {"kind": "samples", "dt": 0.0, "values": [[0.5, 0]]}, r"^beta\.dt: expected a positive"),
+    ],
+)
+def test_out_of_range_values_name_the_key(section, body, match):
+    data = base_config()
+    data[section] = body
+    with pytest.raises(ConfigError, match=match):
+        parse_config_dict(data)
+
+
 def test_parse_config_file_errors(tmp_path):
     missing = tmp_path / "none.json"
     with pytest.raises(ConfigError, match="does not exist"):
