@@ -36,8 +36,8 @@ from .ito import (
 )
 from .linalg import (
     DimensionMismatchError,
+    NumericalError,
     SpectralDecomposition,
-    anticommutator,
     commutator,
     dagger,
     expectation,
@@ -51,11 +51,9 @@ from .linalg import (
 )
 from .master import (
     DegenerateSteadyStateError,
-    MasterTrajectory,
     StepSizeError,
     TimeGrid,
     integrate_master,
-    liouvillian_matrix,
     steady_state,
 )
 from .model import (
@@ -73,7 +71,6 @@ from .model import (
 from .qprob import MeasurementAlgebra, bayes_conditional, conditional_expectation, in_commutant
 from .trajectory import (
     COUNTING,
-    InnovationsPath,
     JumpRateError,
     KINDS,
     MeasurementRecord,

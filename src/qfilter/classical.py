@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import NumericalError
+
 
 @dataclass(frozen=True)
 class ClassicalModel:
@@ -85,7 +87,7 @@ def normalized_weights(log_weights: np.ndarray) -> np.ndarray:
     """exp(log_weights) scaled to unit sum; raises when all weights vanish."""
     top = np.max(log_weights)
     if not np.isfinite(top):
-        raise ValueError("all particle weights vanished")
+        raise NumericalError("all particle weights vanished")
     w = np.exp(log_weights - top)
     return w / w.sum()
 
@@ -144,7 +146,7 @@ def kalman_bucy_step(
     new_mean = mean + a * mean * dt + cov * c * (dy - c * mean * dt)
     new_cov = cov + (2 * a * cov + sigma**2 - c**2 * cov**2) * dt
     if new_cov < -1e-10:
-        raise ValueError(f"covariance {new_cov} went negative")
+        raise NumericalError(f"covariance {new_cov} went negative")
     return new_mean, new_cov
 
 

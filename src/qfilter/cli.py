@@ -11,18 +11,16 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import classical as cl
 from . import io as qio
 from . import verify as qverify
 from .config import ConfigError, RunConfig, parse_config
 from .ensemble import EnsembleConfig, run_ensemble
-from .master import StepSizeError, integrate_master
-from .trajectory import (
-    JumpRateError,
-    TraceUnderflowError,
-    filter_record,
-    simulate_record,
-)
+from .linalg import NumericalError
+from .master import integrate_master
+from .trajectory import filter_record, simulate_record
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -73,15 +71,15 @@ def _out_path(args, cfg: RunConfig, key: str) -> Path:
 
 
 def cmd_master(args, cfg: RunConfig) -> int:
-    traj = integrate_master(cfg.model, cfg.beta, cfg.rho0, cfg.grid)
-    qio.write_states_csv(_out_path(args, cfg, "master"), cfg.grid.times(), traj.states, cfg.observables)
+    states = integrate_master(cfg.model, cfg.beta, cfg.rho0, cfg.grid)
+    qio.write_states_csv(_out_path(args, cfg, "master"), cfg.grid.times(), states, cfg.observables)
     return EXIT_OK
 
 
-def _write_filter_path(args, cfg: RunConfig, states, innov) -> None:
+def _write_filter_path(args, cfg: RunConfig, states, innovations) -> None:
     qio.write_states_csv(
-        _out_path(args, cfg, "states"), innov.grid.times(), states, cfg.observables,
-        innovations=innov.cumulative(),
+        _out_path(args, cfg, "states"), cfg.grid.times(), states, cfg.observables,
+        innovations=np.concatenate([[0.0], np.cumsum(innovations)]),
     )
 
 
@@ -104,6 +102,8 @@ def cmd_filter(args, cfg: RunConfig) -> int:
             "measurement",
             f"record kind {record.kind!r} does not match configured kind {cfg.measurement!r}",
         )
+    if record.grid != cfg.grid:
+        raise ConfigError("grid", f"record {record.grid} does not match configured {cfg.grid}")
     states, innov = filter_record(cfg.model, cfg.beta, cfg.rho0, record)
     _write_filter_path(args, cfg, states, innov)
     return EXIT_OK
@@ -168,7 +168,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (TraceUnderflowError, JumpRateError, StepSizeError, ZeroDivisionError) as exc:
+    except (NumericalError, ZeroDivisionError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -219,7 +219,6 @@ class RunConfig:
     observables: dict
     outputs: dict
     classical: dict | None = None
-    raw: dict = field(default_factory=dict, repr=False)
 
 
 def parse_config(path) -> RunConfig:
@@ -264,5 +263,4 @@ def parse_config_dict(data: dict) -> RunConfig:
         observables=observables,
         outputs=outputs,
         classical=classical,
-        raw=data,
     )

@@ -58,7 +58,7 @@ class EnsembleReport:
 
     config: EnsembleConfig
     checkpoint_times: np.ndarray
-    mean_states: list
+    mean_states: np.ndarray
     observable_means: dict
     observable_stderrs: dict
     innovations_mean: np.ndarray
@@ -123,7 +123,7 @@ def run_ensemble(cfg: EnsembleConfig) -> EnsembleReport:
         mean_rho = rho.sum(axis=0) / n
         mean_states.append(mean_rho)
         mean_purities.append(float(np.mean(np.einsum("nij,nji->n", rho, rho).real)))
-        distances.append(trace_distance(mean_rho, master.states[k]))
+        distances.append(trace_distance(mean_rho, master[k]))
         for name, op in cfg.observables.items():
             vals = np.einsum("nij,ji->n", rho, op).real
             obs_means[name].append(float(vals.mean()))
@@ -134,7 +134,7 @@ def run_ensemble(cfg: EnsembleConfig) -> EnsembleReport:
     return EnsembleReport(
         config=cfg,
         checkpoint_times=np.array(times),
-        mean_states=mean_states,
+        mean_states=np.array(mean_states),
         observable_means={k: np.array(v) for k, v in obs_means.items()},
         observable_stderrs={k: np.array(v) for k, v in obs_stderrs.items()},
         innovations_mean=np.array(innov_means),

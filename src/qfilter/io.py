@@ -58,13 +58,16 @@ def read_record_csv(path) -> MeasurementRecord:
     lines = Path(path).read_text().strip().splitlines()
     if len(lines) < 2 or lines[0] != "kind,dt,steps":
         raise ValueError(f"{path}: not a measurement-record CSV")
-    kind, dt_s, steps_s = lines[1].split(",")
-    steps = int(steps_s)
-    values = [float(v) for v in lines[2:]]
-    if len(values) != steps:
-        raise ValueError(f"{path}: expected {steps} increments, found {len(values)}")
-    grid = TimeGrid(dt=float(dt_s), steps=steps)
-    return MeasurementRecord(kind=kind, grid=grid, increments=np.array(values))
+    try:
+        kind, dt_s, steps_s = lines[1].split(",")
+        steps = int(steps_s)
+        values = [float(v) for v in lines[2:]]
+        if len(values) != steps:
+            raise ValueError(f"expected {steps} increments, found {len(values)}")
+        grid = TimeGrid(dt=float(dt_s), steps=steps)
+        return MeasurementRecord(kind=kind, grid=grid, increments=np.array(values))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def write_ensemble_outputs(summary_path, series_path, report) -> None:

@@ -24,6 +24,10 @@ class DimensionMismatchError(ValueError):
     """Raised when operator dimensions are incompatible."""
 
 
+class NumericalError(RuntimeError):
+    """A run broke down numerically (CLI exit code 2, not a validation error)."""
+
+
 def as_operator(a) -> np.ndarray:
     """Coerce input to a square complex matrix, checking shape and finiteness."""
     m = np.asarray(a, dtype=complex)
@@ -51,12 +55,6 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """AB - BA."""
     check_dims(a, b)
     return a @ b - b @ a
-
-
-def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """AB + BA."""
-    check_dims(a, b)
-    return a @ b + b @ a
 
 
 def expectation(rho: np.ndarray, x: np.ndarray) -> complex:
@@ -218,9 +216,3 @@ def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     a = random_matrix(rng, dim)
     rho = a @ dagger(a)
     return rho / np.trace(rho)
-
-
-def random_pure_density(rng: np.random.Generator, dim: int) -> np.ndarray:
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    return np.outer(v, v.conj())

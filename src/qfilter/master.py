@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dagger, validate_density
+from .linalg import NumericalError, dagger, validate_density
 from .model import CoherentInput, HPModel, lindblad_adjoint, modulated_operators
 
 TRACE_DRIFT_LIMIT = 1e-6
@@ -46,24 +46,11 @@ class TimeGrid:
     def from_duration(cls, dt: float, duration: float) -> "TimeGrid":
         return cls(dt=dt, steps=int(round(duration / dt)))
 
-    @property
-    def duration(self) -> float:
-        return self.dt * self.steps
-
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.steps + 1)
 
 
-@dataclass(frozen=True)
-class MasterTrajectory:
-    grid: TimeGrid
-    states: np.ndarray
-
-    def expectations(self, observable: np.ndarray) -> np.ndarray:
-        return np.trace(self.states @ observable, axis1=-2, axis2=-1)
-
-
-class StepSizeError(RuntimeError):
+class StepSizeError(NumericalError):
     """Trace drift indicates the RK4 step is too large for the generator."""
 
 
@@ -125,8 +112,8 @@ def _rk4_polynomial(a: np.ndarray) -> np.ndarray:
 
 def integrate_master(
     model: HPModel, beta: CoherentInput, rho0: np.ndarray, grid: TimeGrid
-) -> MasterTrajectory:
-    """RK4 integration with beta sampled at the substage times.
+) -> np.ndarray:
+    """The (steps+1, d, d) states by RK4, with beta sampled at the substage times.
 
     The state steps as a row vector through the row-form generator.  A
     step whose three stage values of beta agree is one product with the
@@ -160,34 +147,23 @@ def integrate_master(
                 f"trace drift {drift:.3e} at step {k}: dt={dt} too large for this generator"
             )
         states[k + 1] = v
-    return MasterTrajectory(grid=grid, states=states.reshape(grid.steps + 1, d, d))
+    return states.reshape(grid.steps + 1, d, d)
 
 
-def liouvillian_matrix(model: HPModel, beta_value: complex) -> np.ndarray:
-    """Vectorized (column-stacking) generator for a constant-amplitude input.
-
-    vec(A rho B) = (B^T kron A) vec(rho): the row form of the generator,
-    transposed and with both indices moved from row- to column-stacking.
-    """
-    d = model.dim
-    row = drift_superoperator(model).at(beta_value)
-    return row.reshape(d, d, d, d).transpose(3, 2, 1, 0).reshape(d * d, d * d)
-
-
-class DegenerateSteadyStateError(RuntimeError):
+class DegenerateSteadyStateError(NumericalError):
     """The generator's null space is not one-dimensional."""
 
 
 def steady_state(model: HPModel, beta_value: complex) -> np.ndarray:
     """Unique stationary density matrix of the constant-beta generator."""
-    mat = liouvillian_matrix(model, beta_value)
-    _, svals, vh = np.linalg.svd(mat)
+    # vec_r(rho) is the left null vector of the row-form generator.
+    _, svals, vh = np.linalg.svd(drift_superoperator(model).at(beta_value).T)
     if len(svals) > 1 and svals[-2] <= GAP_TOL:
         raise DegenerateSteadyStateError(
             f"null space is degenerate (second singular value {svals[-2]:.3e})"
         )
     d = model.dim
-    rho = vh[-1].conj().reshape((d, d), order="F")  # column-stacking convention
+    rho = vh[-1].conj().reshape(d, d)
     rho = 0.5 * (rho + dagger(rho))
     rho = rho / np.trace(rho)
     return rho

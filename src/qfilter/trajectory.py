@@ -3,7 +3,7 @@
 Filters are propagated in density-matrix (Schroedinger) form.  `propagate`
 is the one filter loop; `simulate_record`, `filter_record` and
 `zakai_filter` collect it into arrays (states of shape (steps+1, d, d),
-the innovations path, the Zakai log-normalization), and the ensemble
+the (steps,) innovations, the Zakai log-normalization), and the ensemble
 harness aggregates it on the fly.
 
 The loop steps in Liouville space (conventions in `master`): each state
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dagger
+from .linalg import NumericalError, dagger
 from .master import TimeGrid, affine_superoperator
 from .model import CoherentInput, HPModel, lindblad_adjoint
 
@@ -45,11 +45,11 @@ COUNTING = "counting"
 KINDS = (QUADRATURE, COUNTING)
 
 
-class TraceUnderflowError(RuntimeError):
+class TraceUnderflowError(NumericalError):
     """The (un)normalized state trace collapsed below the floor."""
 
 
-class JumpRateError(RuntimeError):
+class JumpRateError(NumericalError):
     """A detection event occurred in a state with vanishing jump rate,
     or the per-step jump probability exceeds the validity bound."""
 
@@ -70,29 +70,29 @@ class MeasurementRecord:
             raise ValueError(
                 f"record length {inc.shape} does not match grid steps {self.grid.steps}"
             )
+        if not np.all(np.isfinite(inc)):
+            raise ValueError("record increments must be finite")
         if self.kind == COUNTING and not np.all((inc == 0.0) | (inc == 1.0)):
             raise ValueError("counting increments must be exactly 0 or 1")
         object.__setattr__(self, "increments", inc)
-
-
-@dataclass(frozen=True)
-class InnovationsPath:
-    grid: TimeGrid
-    increments: np.ndarray
-
-    def cumulative(self) -> np.ndarray:
-        return np.concatenate([[0.0], np.cumsum(self.increments)])
 
 
 def _btrace(x: np.ndarray) -> np.ndarray:
     return np.einsum("...ii->...", x)
 
 
+def _row_error(error, bad: np.ndarray, message: str) -> NumericalError:
+    """error(message), naming the first bad row when `bad` is over a batch."""
+    where = f"trajectory {np.flatnonzero(bad)[0]}: " if np.ndim(bad) else ""
+    return error(where + message)
+
+
 def _hermitize_normalize(rho: np.ndarray) -> np.ndarray:
     rho = 0.5 * (rho + dagger(rho))
     tr = _btrace(rho).real
-    if not np.all(np.isfinite(tr)) or np.any(np.abs(tr) < TRACE_UNDERFLOW):
-        raise TraceUnderflowError("state trace underflow during renormalization")
+    bad = ~np.isfinite(tr) | (np.abs(tr) < TRACE_UNDERFLOW)
+    if np.any(bad):
+        raise _row_error(TraceUnderflowError, bad, "state trace underflow during renormalization")
     return rho / tr[..., None, None]
 
 
@@ -170,16 +170,14 @@ def _quadrature_finish(v, out, m, dy, sup, dt):
 def _counting_finish(v, out, r, dy, sup, dt):
     """No-jump drift step of each row; a row with dY = 1 first jumps.
 
-    Only the rows that jumped pass through `sup` a second time.
+    Only the rows that jumped pass through `sup` a second time; `propagate`
+    has checked that their rates clear JUMP_RATE_FLOOR.
     """
     d2 = v.shape[-1]
     new = v + (out[..., :d2] + r * v) * dt
     jumped = np.flatnonzero(dy != 0.0)
     if jumped.size:
-        rate = r[jumped]
-        if np.any(rate < JUMP_RATE_FLOOR):
-            raise JumpRateError("detection event in a state with vanishing jump rate")
-        post = out[jumped, :, d2:] / rate
+        post = out[jumped, :, d2:] / r[jumped]
         post_out = post @ sup
         new[jumped] = post + (post_out[..., :d2] + _right_trace(post_out) * post) * dt
     return new
@@ -216,7 +214,8 @@ def propagate(
     else draws dY from `noise` (pre-drawn, step index first) and the
     pre-step intensity, plus `record_bias` dt (negative controls only).
     The step superoperator is recombined only when beta(t) changes.  A
-    numerical failure names its step and time.
+    numerical failure names its step and time, and, over a batch, the
+    first failing trajectory.
     """
     if kind not in _STEPS:
         raise ValueError(f"unknown measurement kind {kind!r}")
@@ -243,14 +242,22 @@ def propagate(
                 dy = noise[k] + intensity * dt + record_bias * dt
             else:  # dY ~ Bernoulli(r dt)
                 prob = intensity * dt
-                if np.any(prob > MAX_JUMP_PROBABILITY):
-                    raise JumpRateError(
-                        f"jump probability {np.max(prob):.3g} exceeds bound {MAX_JUMP_PROBABILITY}"
+                bad = prob > MAX_JUMP_PROBABILITY
+                if np.any(bad):
+                    raise _row_error(
+                        JumpRateError, bad,
+                        f"jump probability {prob[bad][0]:.3g} exceeds bound {MAX_JUMP_PROBABILITY}",
                     )
                 dy = (noise[k] < prob).astype(float) + record_bias * dt
+            if kind == COUNTING and np.min(intensity) < JUMP_RATE_FLOOR:
+                bad = (dy != 0.0) & (intensity < JUMP_RATE_FLOOR)
+                if np.any(bad):
+                    raise _row_error(
+                        JumpRateError, bad, "detection event in a state with vanishing jump rate"
+                    )
             new = finish(v, out, pre, np.reshape(dy, (-1, 1, 1)), sup, dt)
             rho = _hermitize_normalize(new.reshape(shape))
-        except (TraceUnderflowError, JumpRateError) as exc:
+        except NumericalError as exc:
             raise type(exc)(f"step {k}, t={t:g}: {exc}") from exc
         yield rho, dy, intensity
 
@@ -279,16 +286,17 @@ def simulate_record(
 ):
     """Generate a measurement record and the co-evolved filter path.
 
-    Returns (record, states, innovations) with states of shape
-    (steps+1, d, d).  Deterministic given (seed, grid, model); the filter
-    states are the conditional states of the very record being generated.
+    Returns (record, states, innovations): states of shape (steps+1, d, d)
+    and the (steps,) innovations dY - intensity dt.  Deterministic given
+    (seed, grid, model); the filter states are the conditional states of
+    the very record being generated.
     """
     noise = draw_noise(np.random.default_rng(seed), kind, grid)
     states, dys, intensities = _filter_path(
         propagate(model, beta, rho0, kind, grid, noise=noise), rho0, grid
     )
-    innov = InnovationsPath(grid=grid, increments=dys - intensities * grid.dt)
-    return MeasurementRecord(kind=kind, grid=grid, increments=dys), states, innov
+    record = MeasurementRecord(kind=kind, grid=grid, increments=dys)
+    return record, states, dys - intensities * grid.dt
 
 
 def _replay(model: HPModel, beta: CoherentInput, rho0: np.ndarray, record: MeasurementRecord):
@@ -301,12 +309,11 @@ def filter_record(
 ):
     """Replay the filter against a stored record.
 
-    Returns (states, innovations) with states of shape (steps+1, d, d).
-    Uses the same loop as simulate_record, so replaying a simulated record
-    reproduces the co-evolved states exactly.
+    Returns (states, innovations) as simulate_record does, from the same
+    loop, so replaying a simulated record reproduces its states exactly.
     """
     states, dys, intensities = _replay(model, beta, rho0, record)
-    return states, InnovationsPath(grid=record.grid, increments=dys - intensities * record.grid.dt)
+    return states, dys - intensities * record.grid.dt
 
 
 def zakai_filter(

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import record_acceptance
+from conftest import EXCITED, decay_model, record_acceptance
 from qfilter.classical import (
     classical_innovations,
     kalman_bucy_step,
@@ -21,7 +21,6 @@ from qfilter.classical import (
 from qfilter.ensemble import EnsembleConfig, martingale_test, run_ensemble
 from qfilter.ito import zakai_expansion
 from qfilter.linalg import (
-    SIGMA_MINUS,
     dagger,
     max_norm,
     random_density,
@@ -49,16 +48,7 @@ from qfilter.trajectory import (
 )
 from qfilter.verify import ito_suite, qprob_suite, random_beta, random_model
 
-EXCITED = np.array([[1, 0], [0, 0]], dtype=complex)
 HALF_MIXED = 0.5 * np.eye(2, dtype=complex)
-
-
-def decay_model(gamma=1.0):
-    return HPModel(
-        S=np.eye(2, dtype=complex),
-        L=np.sqrt(gamma) * SIGMA_MINUS,
-        H=np.zeros((2, 2), dtype=complex),
-    )
 
 
 def check(name, passed, detail):
@@ -360,7 +350,7 @@ def test_criterion_8_purity_and_convergence():
 
     def final_state(dt):
         grid = TimeGrid(dt=dt, steps=int(round(5.0 / dt)))
-        return integrate_master(model, beta, EXCITED, grid).states[-1]
+        return integrate_master(model, beta, EXCITED, grid)[-1]
 
     ref = final_state(0.003125)
     e_coarse = trace_distance(final_state(0.1), ref)

@@ -14,6 +14,7 @@ from qfilter.classical import (
     systematic_resample,
 )
 from qfilter.config import CLASSICAL_DEFAULTS
+from qfilter.linalg import NumericalError
 from qfilter.master import TimeGrid
 
 
@@ -49,9 +50,9 @@ def test_particle_ensemble_invariants():
     with pytest.raises(ValueError, match="aligned"):
         systematic_resample(np.zeros(3), np.full(2, 0.5), rng)
     vanished = np.array([-np.inf, -np.inf])
-    with pytest.raises(ValueError, match="vanished"):
+    with pytest.raises(NumericalError, match="vanished"):
         normalized_weights(vanished)
-    with pytest.raises(ValueError, match="vanished"):
+    with pytest.raises(NumericalError, match="vanished"):
         particle_step(np.zeros(2), vanished, 0.0, model, 0.1, rng)
 
 
@@ -99,7 +100,7 @@ def test_kalman_covariance_converges_to_riccati_fixed_point():
 def test_kalman_bucy_step_rejects_negative_covariance():
     # P' = P - c^2 P^2 dt at a = sigma = 0: dt = 1 lands on 0, dt = 2 overshoots to -1.
     assert kalman_bucy_step(0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0) == (0.0, 0.0)
-    with pytest.raises(ValueError, match="covariance"):
+    with pytest.raises(NumericalError, match="covariance"):
         kalman_bucy_step(0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 2.0)
 
 

@@ -106,6 +106,45 @@ def test_numerical_failure_names_the_step(tmp_path, capsys):
     assert "step 0, t=0: jump probability" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line, value, message",
+    [
+        (9, "nan", "record increments must be finite"),
+        (9, "0.1x", "could not convert string to float"),
+        (1, "quadrature,0.001", "not enough values to unpack"),
+    ],
+    ids=["nan", "not-a-number", "short-metadata"],
+)
+def test_bad_record_fails_validation_naming_the_file(tmp_path, capsys, line, value, message):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    record = out / "record.csv"
+    lines = record.read_text().splitlines()
+    lines[line] = value
+    record.write_text("\n".join(lines) + "\n")
+    assert main(["filter", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+    assert f"error: {record}: {message}" in capsys.readouterr().err
+
+
+def test_filter_grid_mismatch_fails_validation(tmp_path, capsys):
+    out = tmp_path / "out"
+    coarse = write_config(tmp_path, grid={"dt": 2e-3, "T": 0.3})
+    assert main(["simulate", "--config", str(coarse), "--out", str(out)]) == EXIT_OK
+    states_before = (out / "states.csv").read_bytes()
+    fine = write_config(tmp_path)
+    assert main(["filter", "--config", str(fine), "--out", str(out)]) == EXIT_VALIDATION
+    assert "error: grid: record TimeGrid(dt=0.002, steps=150" in capsys.readouterr().err
+    assert (out / "states.csv").read_bytes() == states_before
+
+
+def test_classical_numerical_failure_exit_code(tmp_path, capsys):
+    # c^2 P^2 dt overshoots: the Kalman-Bucy covariance goes negative mid-run.
+    cfg = write_config(tmp_path, classical={"preset": "linear", "c": 100.0, "particles": 100})
+    assert main(["classical", "--config", str(cfg), "--out", str(tmp_path / "c")]) == EXIT_NUMERICAL
+    assert "numerical failure: covariance" in capsys.readouterr().err
+
+
 def test_ensemble_command(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "ens"

@@ -1,26 +1,17 @@
 import numpy as np
 import pytest
 
+from conftest import EXCITED, decay_model
 from qfilter.ensemble import (
     EnsembleConfig,
     martingale_test,
     mix_seed,
     run_ensemble,
 )
-from qfilter.linalg import SIGMA_MINUS, SIGMA_Z
+from qfilter.linalg import SIGMA_Z
 from qfilter.master import TimeGrid
-from qfilter.model import CoherentInput, HPModel
+from qfilter.model import CoherentInput
 from qfilter.trajectory import simulate_record
-
-EXCITED = np.array([[1, 0], [0, 0]], dtype=complex)
-
-
-def decay_model(gamma=1.0):
-    return HPModel(
-        S=np.eye(2, dtype=complex),
-        L=np.sqrt(gamma) * SIGMA_MINUS,
-        H=np.zeros((2, 2), dtype=complex),
-    )
 
 
 def small_config(**overrides):

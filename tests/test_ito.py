@@ -19,20 +19,15 @@ from qfilter.linalg import (
     max_norm,
     random_hermitian,
     random_matrix,
-    random_unitary,
 )
-from qfilter.model import CoherentInput, HPModel, heisenberg_generator
-from qfilter.verify import ito_suite
+from qfilter.model import CoherentInput, heisenberg_generator
+from qfilter.verify import ito_suite, random_model
 
 SYMBOLS = ("dt", "dB", "dBdag", "dLambda")
 
 
 def poly_norm(p):
     return max(max_norm(p.coeff(s)) for s in SYMBOLS)
-
-
-def random_model(rng, dim):
-    return HPModel(S=random_unitary(rng, dim), L=random_matrix(rng, dim), H=random_hermitian(rng, dim))
 
 
 def test_ito_table_spot_values():

@@ -8,7 +8,6 @@ from qfilter.linalg import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    anticommutator,
     as_operator,
     commutator,
     dagger,
@@ -21,7 +20,6 @@ from qfilter.linalg import (
     random_density,
     random_hermitian,
     random_matrix,
-    random_pure_density,
     random_unitary,
     trace_distance,
     validate_density,
@@ -44,7 +42,6 @@ def test_commutator_dimension_mismatch():
 
 def test_pauli_algebra():
     assert max_norm(commutator(SIGMA_X, SIGMA_Y) - 2j * SIGMA_Z) == 0
-    assert max_norm(anticommutator(SIGMA_X, SIGMA_X) - 2 * np.eye(2)) == 0
     assert max_norm(dagger(SIGMA_MINUS) - SIGMA_PLUS) == 0
     # sigma_minus maps the excited state (index 0) to the ground state.
     excited = np.array([1, 0], dtype=complex)
@@ -55,8 +52,6 @@ def test_expectation_and_purity():
     rho = np.array([[0.75, 0], [0, 0.25]], dtype=complex)
     assert expectation(rho, SIGMA_Z) == pytest.approx(0.5)
     assert purity(rho) == pytest.approx(0.625)
-    rng = np.random.default_rng(0)
-    assert purity(random_pure_density(rng, 5)) == pytest.approx(1.0)
 
 
 def test_hermitian_unitary_predicates():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import decay_model
 from qfilter.linalg import (
     SIGMA_MINUS,
     dagger,
@@ -8,7 +9,6 @@ from qfilter.linalg import (
     random_density,
     random_hermitian,
     random_matrix,
-    random_unitary,
 )
 from qfilter.model import (
     CoherentInput,
@@ -21,18 +21,7 @@ from qfilter.model import (
     modulated_coupling,
     modulated_hamiltonian,
 )
-
-
-def decay_model(gamma=1.0):
-    return HPModel(
-        S=np.eye(2, dtype=complex),
-        L=np.sqrt(gamma) * SIGMA_MINUS,
-        H=np.zeros((2, 2), dtype=complex),
-    )
-
-
-def random_model(rng, dim):
-    return HPModel(S=random_unitary(rng, dim), L=random_matrix(rng, dim), H=random_hermitian(rng, dim))
+from qfilter.verify import random_model
 
 
 def test_model_validation():

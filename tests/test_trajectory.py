@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
+from conftest import EXCITED, decay_model
 from qfilter.ito import girsanov_coefficients
 from qfilter.linalg import (
-    SIGMA_MINUS,
     dagger,
     max_norm,
     random_density,
     trace_distance,
 )
 from qfilter.master import TimeGrid
-from qfilter.model import CoherentInput, HPModel, lindblad_adjoint, modulated_operators
+from qfilter.model import CoherentInput, lindblad_adjoint, modulated_operators
 from qfilter.trajectory import (
     COUNTING,
     JumpRateError,
@@ -19,20 +19,11 @@ from qfilter.trajectory import (
     TraceUnderflowError,
     count_step_arrays,
     filter_record,
+    propagate,
     quad_step_arrays,
     simulate_record,
     zakai_filter,
 )
-
-EXCITED = np.array([[1, 0], [0, 0]], dtype=complex)
-
-
-def decay_model(gamma=1.0):
-    return HPModel(
-        S=np.eye(2, dtype=complex),
-        L=np.sqrt(gamma) * SIGMA_MINUS,
-        H=np.zeros((2, 2), dtype=complex),
-    )
 
 
 def step_ops(model, beta, t=0.0):
@@ -128,11 +119,12 @@ def test_innovations_alignment_and_content():
     model = decay_model()
     beta = CoherentInput.constant(0.4)
     grid = TimeGrid(dt=1e-3, steps=200)
-    rec, states, path = simulate_record(model, beta, EXCITED, QUADRATURE, grid, seed=3)
-    assert path.increments.shape == (200,)
-    cum = path.cumulative()
-    assert cum[0] == 0.0
-    assert cum[-1] == pytest.approx(path.increments.sum())
+    rec, states, innov = simulate_record(model, beta, EXCITED, QUADRATURE, grid, seed=3)
+    assert innov.shape == (200,)
+    # dY_k - m_k dt, with m_k = tr[(L^b + L^b†) rho_k] of the pre-step state.
+    lb, _ = step_ops(model, beta)
+    m = np.einsum("kij,ji->k", states[:-1], lb + dagger(lb)).real
+    assert np.allclose(innov, rec.increments - m * grid.dt, rtol=0.0, atol=1e-15)
 
 
 def test_zakai_filter_kallianpur_striebel_exact():
@@ -217,6 +209,35 @@ def test_failures_name_step_and_time():
     nan_state = np.full((2, 2), np.nan, dtype=complex)
     with pytest.raises(TraceUnderflowError, match="step 0, t=0: state trace underflow"):
         filter_record(decay_model(), CoherentInput.vacuum(), nan_state, record)
+
+
+GROUND = np.array([[0, 0], [0, 1]], dtype=complex)
+
+
+def test_batched_jump_bound_names_the_trajectory():
+    # r dt = 200 * 1e-3 = 0.2 exceeds the bound in the excited row only.
+    rho = np.stack([GROUND, EXCITED, GROUND])
+    grid = TimeGrid(dt=1e-3, steps=10)
+    noise = np.random.default_rng(0).random((grid.steps, 3))
+    steps = propagate(decay_model(200.0), CoherentInput.vacuum(), rho, COUNTING, grid, noise=noise)
+    with pytest.raises(JumpRateError, match=r"step 0, t=0: trajectory 1: jump probability 0\.2 "):
+        next(steps)
+
+
+def test_batched_replay_failures_name_the_trajectory():
+    model, vacuum = decay_model(), CoherentInput.vacuum()
+    grid = TimeGrid(dt=1e-3, steps=1)
+    single = propagate(model, vacuum, GROUND, COUNTING, grid, increments=np.ones(1))
+    with pytest.raises(JumpRateError, match="step 0, t=0: detection event"):
+        next(single)
+    pair = np.stack([EXCITED, GROUND])
+    jump = propagate(model, vacuum, pair, COUNTING, grid, increments=np.ones((1, 2)))
+    with pytest.raises(JumpRateError, match="step 0, t=0: trajectory 1: detection event"):
+        next(jump)
+    pair[1] = np.nan
+    underflow = propagate(model, vacuum, pair, QUADRATURE, grid, increments=np.zeros((1, 2)))
+    with pytest.raises(TraceUnderflowError, match="step 0, t=0: trajectory 1: state trace underflow"):
+        next(underflow)
 
 
 def test_trace_underflow_detected():
