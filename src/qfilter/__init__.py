@@ -40,12 +40,10 @@ from .linalg import (
     SpectralDecomposition,
     commutator,
     dagger,
-    expectation,
     is_hermitian,
     is_unitary,
     joint_spectral_projections,
     max_norm,
-    purity,
     trace_distance,
     validate_density,
 )

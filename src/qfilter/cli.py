@@ -93,7 +93,7 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
 
 
 def cmd_filter(args, cfg: RunConfig) -> int:
-    record_path = _out_path(args, cfg, "record")
+    record_path = Path(args.out) / cfg.outputs["record"]  # a failed filter creates no --out
     if not record_path.exists():
         raise ConfigError(str(record_path), "record file does not exist; run simulate first")
     record = qio.read_record_csv(record_path)

@@ -19,7 +19,6 @@ import numpy as np
 
 from .linalg import as_operator, check_dims, commutator, dagger, max_norm
 from .model import (
-    CoherentInput,
     HPModel,
     evans_hudson,
     heisenberg_generator,
@@ -59,11 +58,6 @@ class IncrementPolynomial:
 
     def coeff(self, symbol: str) -> np.ndarray:
         return getattr(self, "coeff_" + symbol)
-
-    @classmethod
-    def zero(cls, dim: int) -> "IncrementPolynomial":
-        z = np.zeros((dim, dim), dtype=complex)
-        return cls(z, z.copy(), z.copy(), z.copy())
 
     @classmethod
     def single(cls, symbol: str, coeff: np.ndarray) -> "IncrementPolynomial":
@@ -159,28 +153,27 @@ def output_increments(model: HPModel):
     return db_out, dlambda_out
 
 
-def verify_generator(model: HPModel, beta: CoherentInput, x: np.ndarray, t: float = 0.0) -> float:
-    """Residual of E^beta[dj_t(X)] = E^beta[j_t(L^beta X)] dt."""
-    rate = coherent_expectation(langevin_increment(model, x), beta.value(t))
-    gen = heisenberg_generator(model, beta, t, x)
+def verify_generator(model: HPModel, b: complex, x: np.ndarray) -> float:
+    """Residual of E^beta[dj_t(X)] = E^beta[j_t(L^beta X)] dt at beta = b."""
+    rate = coherent_expectation(langevin_increment(model, x), b)
+    gen = heisenberg_generator(model, b, x)
     return max_norm(rate - gen)
 
 
-def girsanov_coefficients(model: HPModel, beta: CoherentInput, t: float, kind: str):
-    """Change-of-measure coefficients for the Zakai dynamics.
+def girsanov_coefficients(model: HPModel, b: complex, kind: str):
+    """Change-of-measure coefficients for the Zakai dynamics at beta = b.
 
     Quadrature: (tilde_L, tilde_K) with
         tilde_L = L + (S - I) beta = L^beta - beta I,
         tilde_K = -L†S beta - (1/2)L†L - iH - L^beta beta + beta^2.
     Counting: ((1/beta) tilde_L, -((1/2)L†L + iH + L†S beta)).
     """
-    b = beta.value(t)
     d = model.dim
     eye = np.eye(d, dtype=complex)
-    tilde_l = modulated_coupling(model, beta, t) - b * eye
+    tilde_l = modulated_coupling(model, b) - b * eye
     base = -dagger(model.L) @ model.S * b - 0.5 * dagger(model.L) @ model.L - 1j * model.H
     if kind == "quadrature":
-        tilde_k = base - modulated_coupling(model, beta, t) * b + b * b * eye
+        tilde_k = base - modulated_coupling(model, b) * b + b * b * eye
         return tilde_l, tilde_k
     if kind == "counting":
         if abs(b) == 0:
@@ -189,8 +182,8 @@ def girsanov_coefficients(model: HPModel, beta: CoherentInput, t: float, kind: s
     raise ValueError(f"unknown measurement kind {kind!r}")
 
 
-def zakai_expansion(model: HPModel, beta: CoherentInput, t: float, x: np.ndarray, kind: str):
-    """Gain and drift of d(F†XF) from the Ito table, at the system level.
+def zakai_expansion(model: HPModel, b: complex, x: np.ndarray, kind: str):
+    """Gain and drift of d(F†XF) from the Ito table, at the system level, at beta = b.
 
     Expands dF† X + X dF + dF† X dF with dF = coeff dY + K dt stripped of
     the F factors.  Returns (gain, drift) where for quadrature the
@@ -200,7 +193,7 @@ def zakai_expansion(model: HPModel, beta: CoherentInput, t: float, x: np.ndarray
     x = as_operator(x)
     d = model.dim
     if kind == "quadrature":
-        tilde_l, tilde_k = girsanov_coefficients(model, beta, t, "quadrature")
+        tilde_l, tilde_k = girsanov_coefficients(model, b, "quadrature")
         dy = IncrementPolynomial(
             coeff_dt=np.zeros((d, d), dtype=complex),
             coeff_dB=np.eye(d, dtype=complex),
@@ -209,7 +202,7 @@ def zakai_expansion(model: HPModel, beta: CoherentInput, t: float, x: np.ndarray
         )
         df = dy.left_mul(tilde_l) + IncrementPolynomial.single("dt", tilde_k)
     elif kind == "counting":
-        coeff, k_c = girsanov_coefficients(model, beta, t, "counting")
+        coeff, k_c = girsanov_coefficients(model, b, "counting")
         df = IncrementPolynomial.single("dLambda", coeff) + IncrementPolynomial.single("dt", k_c)
     else:
         raise ValueError(f"unknown measurement kind {kind!r}")

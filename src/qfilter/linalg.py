@@ -57,16 +57,6 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
-def expectation(rho: np.ndarray, x: np.ndarray) -> complex:
-    """tr(rho X)."""
-    check_dims(rho, x)
-    return complex(np.trace(rho @ x))
-
-
-def purity(rho: np.ndarray) -> float:
-    return float(np.real(np.trace(rho @ rho)))
-
-
 def max_norm(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 

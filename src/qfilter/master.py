@@ -86,10 +86,10 @@ def affine_superoperator(model: HPModel, maps) -> AffineSuperoperator:
     units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
 
     def evaluate(b):
-        lb, hb = modulated_operators(model, CoherentInput.constant(b), 0.0)
+        lb, hb = modulated_operators(model, b)
         return np.concatenate([m.reshape(d * d, d * d) for m in maps(lb, hb, units)], axis=1)
 
-    f0, f_plus, f_minus, f_i = (evaluate(b) for b in (0.0, 1.0, -1.0, 1j))
+    f0, f_plus, f_minus, f_i = (evaluate(b) for b in (0j, 1 + 0j, -1 + 0j, 1j))
     p3 = 0.5 * (f_plus + f_minus) - f0
     even = 0.5 * (f_plus - f_minus)  # M1 + M2
     odd = -1j * (f_i - f0 - p3)  # M1 - M2

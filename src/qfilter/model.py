@@ -103,26 +103,25 @@ class CoherentInput:
         raise ValueError(f"unknown coherent input kind {self.kind!r}")
 
 
-def modulated_coupling(model: HPModel, beta: CoherentInput, t: float) -> np.ndarray:
-    """L^beta(t) = S beta(t) + L."""
-    return model.S * beta.value(t) + model.L
+def modulated_coupling(model: HPModel, b: complex) -> np.ndarray:
+    """L^beta = S beta + L at the amplitude beta = b."""
+    return model.S * b + model.L
 
 
-def modulated_hamiltonian(model: HPModel, beta: CoherentInput, t: float) -> np.ndarray:
-    """H + (1/2i)(beta L†S - beta* S†L).
+def modulated_hamiltonian(model: HPModel, b: complex) -> np.ndarray:
+    """H + (1/2i)(beta L†S - beta* S†L) at the amplitude beta = b.
 
     The S factors are forced by matching the Lindblad form of the
     coherent-state generator against the Evans-Hudson sum; for S = I this
     reduces to H + (1/2i)(beta L† - beta* L).
     """
-    b = beta.value(t)
     cross = b * (dagger(model.L) @ model.S) - np.conj(b) * (dagger(model.S) @ model.L)
     return model.H + cross / 2j
 
 
-def modulated_operators(model: HPModel, beta: CoherentInput, t: float):
-    """(L^beta(t), H^beta(t)): the effective coupling and total Hamiltonian."""
-    return modulated_coupling(model, beta, t), modulated_hamiltonian(model, beta, t)
+def modulated_operators(model: HPModel, b: complex):
+    """(L^beta, H^beta) at beta = b: the effective coupling and total Hamiltonian."""
+    return modulated_coupling(model, b), modulated_hamiltonian(model, b)
 
 
 def evans_hudson(model: HPModel, index: tuple, x: np.ndarray) -> np.ndarray:
@@ -147,9 +146,8 @@ def lindblad_heisenberg(l: np.ndarray, h: np.ndarray, x: np.ndarray) -> np.ndarr
     return 0.5 * ld @ commutator(x, l) + 0.5 * commutator(ld, x) @ l - 1j * commutator(x, h)
 
 
-def heisenberg_generator(model: HPModel, beta: CoherentInput, t: float, x: np.ndarray) -> np.ndarray:
-    """L_00 X + beta* L_10 X + beta L_01 X + |beta|^2 L_11 X."""
-    b = beta.value(t)
+def heisenberg_generator(model: HPModel, b: complex, x: np.ndarray) -> np.ndarray:
+    """L_00 X + beta* L_10 X + beta L_01 X + |beta|^2 L_11 X at beta = b."""
     out = evans_hudson(model, (0, 0), x)
     if b != 0:
         out = (
@@ -171,10 +169,10 @@ def lindblad_adjoint(l: np.ndarray, h: np.ndarray, rho: np.ndarray) -> np.ndarra
     return -1j * (h @ rho - rho @ h) + l @ rho @ ld - 0.5 * (ldl @ rho + rho @ ldl)
 
 
-def adjoint_generator(model: HPModel, beta: CoherentInput, t: float, rho: np.ndarray) -> np.ndarray:
+def adjoint_generator(model: HPModel, b: complex, rho: np.ndarray) -> np.ndarray:
     """Schroedinger-picture generator dual to heisenberg_generator.
 
     L'rho = -i[H^beta, rho] + L^beta rho L^beta† - (1/2){L^beta† L^beta, rho}.
     """
-    lb, hb = modulated_operators(model, beta, t)
+    lb, hb = modulated_operators(model, b)
     return lindblad_adjoint(lb, hb, np.asarray(rho, dtype=complex))

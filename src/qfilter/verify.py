@@ -21,7 +21,6 @@ from .linalg import (
     random_unitary,
 )
 from .model import (
-    CoherentInput,
     HPModel,
     adjoint_generator,
     heisenberg_generator,
@@ -56,8 +55,8 @@ def random_model(rng: np.random.Generator, dim: int) -> HPModel:
     )
 
 
-def random_beta(rng: np.random.Generator) -> CoherentInput:
-    return CoherentInput.constant(rng.standard_normal() + 1j * rng.standard_normal())
+def random_beta(rng: np.random.Generator) -> complex:
+    return rng.standard_normal() + 1j * rng.standard_normal()
 
 
 def _random_commuting_instance(rng: np.random.Generator, dim: int, n_generators: int = 2):
@@ -171,8 +170,7 @@ def ito_suite(seed: int = 0, dims=(2, 3, 4), instances: int = 100):
     for _ in range(instances):
         dim = int(rng.choice(dims))
         model = random_model(rng, dim)
-        beta = random_beta(rng)
-        b = beta.value(0.0)
+        b = random_beta(rng)
         x = random_hermitian(rng, dim)
         rho = random_density(rng, dim)
 
@@ -190,22 +188,22 @@ def ito_suite(seed: int = 0, dims=(2, 3, 4), instances: int = 100):
         )
 
         res["ito/coherent-generator"] = max(
-            res["ito/coherent-generator"], ito.verify_generator(model, beta, x)
+            res["ito/coherent-generator"], ito.verify_generator(model, b, x)
         )
 
-        lb = modulated_coupling(model, beta, 0.0)
-        hb = modulated_hamiltonian(model, beta, 0.0)
+        lb = modulated_coupling(model, b)
+        hb = modulated_hamiltonian(model, b)
         res["model/lindblad-identity"] = max(
             res["model/lindblad-identity"],
-            max_norm(heisenberg_generator(model, beta, 0.0, x) - lindblad_heisenberg(lb, hb, x)),
+            max_norm(heisenberg_generator(model, b, x) - lindblad_heisenberg(lb, hb, x)),
         )
 
-        lhs = np.trace(rho @ heisenberg_generator(model, beta, 0.0, x))
-        rhs = np.trace(adjoint_generator(model, beta, 0.0, rho) @ x)
+        lhs = np.trace(rho @ heisenberg_generator(model, b, x))
+        rhs = np.trace(adjoint_generator(model, b, rho) @ x)
         res["model/generator-duality"] = max(res["model/generator-duality"], abs(lhs - rhs))
 
-        tilde_l, tilde_k = ito.girsanov_coefficients(model, beta, 0.0, "quadrature")
-        gain, drift = ito.zakai_expansion(model, beta, 0.0, x, "quadrature")
+        tilde_l, tilde_k = ito.girsanov_coefficients(model, b, "quadrature")
+        gain, drift = ito.zakai_expansion(model, b, x, "quadrature")
         res["ito/zakai-quadrature-gain"] = max(
             res["ito/zakai-quadrature-gain"], max_norm(gain - (x @ tilde_l + dagger(tilde_l) @ x))
         )
@@ -216,15 +214,15 @@ def ito_suite(seed: int = 0, dims=(2, 3, 4), instances: int = 100):
         c = b + np.conj(b)
         res["ito/zakai-quadrature-rearranged"] = max(
             res["ito/zakai-quadrature-rearranged"],
-            max_norm(drift + c * gain - heisenberg_generator(model, beta, 0.0, x)),
+            max_norm(drift + c * gain - heisenberg_generator(model, b, x)),
         )
 
         if abs(b) > 0.1:
-            cgain, cdrift = ito.zakai_expansion(model, beta, 0.0, x, "counting")
+            cgain, cdrift = ito.zakai_expansion(model, b, x, "counting")
             res["ito/zakai-counting-rearranged"] = max(
                 res["ito/zakai-counting-rearranged"],
                 max_norm(
-                    cdrift + abs(b) ** 2 * cgain - heisenberg_generator(model, beta, 0.0, x)
+                    cdrift + abs(b) ** 2 * cgain - heisenberg_generator(model, b, x)
                 ),
             )
 

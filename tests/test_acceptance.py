@@ -6,7 +6,6 @@ All randomness is seeded; tolerances are frozen here.
 """
 
 import numpy as np
-import pytest
 from scipy import stats
 
 from conftest import EXCITED, decay_model, record_acceptance
@@ -19,7 +18,7 @@ from qfilter.classical import (
     simulate_pair,
 )
 from qfilter.ensemble import EnsembleConfig, martingale_test, run_ensemble
-from qfilter.ito import zakai_expansion
+from qfilter.ito import girsanov_coefficients, verify_generator, zakai_expansion
 from qfilter.linalg import (
     dagger,
     max_norm,
@@ -42,11 +41,12 @@ from qfilter.trajectory import (
     QUADRATURE,
     count_step_arrays,
     filter_record,
+    propagate,
     quad_step_arrays,
     simulate_record,
     zakai_filter,
 )
-from qfilter.verify import ito_suite, qprob_suite, random_beta, random_model
+from qfilter.verify import qprob_suite, random_beta, random_model
 
 HALF_MIXED = 0.5 * np.eye(2, dtype=complex)
 
@@ -65,29 +65,24 @@ def test_criterion_1_algebraic_identity_suite():
     for _ in range(100):
         dim = int(rng.choice([2, 3, 4]))
         model = random_model(rng, dim)
-        beta = random_beta(rng)
-        b = beta.value(0.0)
+        b = random_beta(rng)
         x = random_hermitian(rng, dim)
         rho = random_density(rng, dim)
-        lb = modulated_coupling(model, beta, 0.0)
-        hb = modulated_hamiltonian(model, beta, 0.0)
+        lb = modulated_coupling(model, b)
+        hb = modulated_hamiltonian(model, b)
 
         # (a) Evans-Hudson sum equals the Lindblad form with the corrected H.
         res_a = max(
             res_a,
-            max_norm(heisenberg_generator(model, beta, 0.0, x) - lindblad_heisenberg(lb, hb, x)),
+            max_norm(heisenberg_generator(model, b, x) - lindblad_heisenberg(lb, hb, x)),
         )
 
         # (b) coherent expectation of the Langevin increment is the generator.
-        from qfilter.ito import verify_generator
-
-        res_b = max(res_b, verify_generator(model, beta, x))
+        res_b = max(res_b, verify_generator(model, b, x))
 
         # (c) quadrature Zakai gain/drift from the Ito table vs closed forms.
-        from qfilter.ito import girsanov_coefficients
-
-        tl, tk = girsanov_coefficients(model, beta, 0.0, "quadrature")
-        gain, drift = zakai_expansion(model, beta, 0.0, x, "quadrature")
+        tl, tk = girsanov_coefficients(model, b, "quadrature")
+        gain, drift = zakai_expansion(model, b, x, "quadrature")
         res_c = max(res_c, max_norm(gain - (x @ tl + dagger(tl) @ x)))
         res_c = max(res_c, max_norm(drift - (dagger(tl) @ x @ tl + x @ tk + dagger(tk) @ x)))
 
@@ -145,20 +140,18 @@ def test_criterion_3_kallianpur_striebel_consistency():
 def test_criterion_4_coherent_record_statistics():
     trivial = HPModel(S=np.eye(2, dtype=complex), L=np.zeros((2, 2)), H=np.zeros((2, 2)))
     n, dt, steps = 2000, 1e-3, 1000
+    grid = TimeGrid(dt=dt, steps=steps)
+    rho0 = np.broadcast_to(HALF_MIXED, (n, 2, 2))
     rng = np.random.default_rng(102)
 
     # Quadrature: slope beta + beta*, increment variance dt.
     b = 0.3 + 0.2j
-    beta = CoherentInput.constant(b)
-    lb = modulated_coupling(trivial, beta, 0.0)
-    hb = modulated_hamiltonian(trivial, beta, 0.0)
-    rho = np.broadcast_to(HALF_MIXED, (n, 2, 2)).copy()
+    noise = rng.standard_normal((steps, n)) * np.sqrt(dt)
     total = np.zeros(n)
     sum_sq = 0.0
-    for _ in range(steps):
-        m = np.einsum("nii->n", lb @ rho + rho @ dagger(lb)).real
-        dy = rng.standard_normal(n) * np.sqrt(dt) + m * dt
-        rho, _ = quad_step_arrays(rho, dy, lb, hb, dt)
+    for _, dy, m in propagate(
+        trivial, CoherentInput.constant(b), rho0, QUADRATURE, grid, noise=noise
+    ):
         total += dy
         sum_sq += float(np.sum((dy - m * dt) ** 2))
     slope = total / (steps * dt)
@@ -174,14 +167,9 @@ def test_criterion_4_coherent_record_statistics():
     # Counting: total counts Poisson with mean integral |beta|^2.
     def counting_pvalue(beta_input, seed):
         lam_steps = np.array([abs(beta_input.value(k * dt)) ** 2 for k in range(steps)])
-        lb_t = [modulated_coupling(trivial, beta_input, k * dt) for k in range(steps)]
-        hb_t = [modulated_hamiltonian(trivial, beta_input, k * dt) for k in range(steps)]
-        gen = np.random.default_rng(seed)
-        rho = np.broadcast_to(HALF_MIXED, (n, 2, 2)).copy()
+        noise = np.random.default_rng(seed).random((steps, n))
         counts = np.zeros(n)
-        for k in range(steps):
-            dy = (gen.random(n) < lam_steps[k] * dt).astype(float)
-            rho, _ = count_step_arrays(rho, dy, lb_t[k], hb_t[k], dt)
+        for _, dy, _ in propagate(trivial, beta_input, rho0, COUNTING, grid, noise=noise):
             counts += dy
         lam = float(lam_steps.sum() * dt)
         kmax = int(counts.max())
@@ -237,14 +225,13 @@ def test_criterion_5_ensemble_average_matches_master():
 
 def test_criterion_6_vacuum_reduction():
     rng = np.random.default_rng(106)
-    vac = CoherentInput.vacuum()
     worst = 0.0
     dt = 1e-3
     for _ in range(50):
         dim = int(rng.choice([2, 3]))
         model = random_model(rng, dim)
-        lb = modulated_coupling(model, vac, 0.0)
-        hb = modulated_hamiltonian(model, vac, 0.0)
+        lb = modulated_coupling(model, 0j)
+        hb = modulated_hamiltonian(model, 0j)
         rho = random_density(rng, dim)
         l, h = model.L, model.H
         ld = dagger(l)
@@ -324,21 +311,17 @@ def test_criterion_8_purity_and_convergence():
     # moment-matched two-point driving increments (+-sqrt(dt)), under which
     # the Euler purity defect is first order in dt.
     model = decay_model(1.0)
-    vac = CoherentInput.vacuum()
-    lb = modulated_coupling(model, vac, 0.0)
-    hb = modulated_hamiltonian(model, vac, 0.0)
 
     def mean_path_defect(dt, n_traj=512, seed=777):
-        steps = int(round(5.0 / dt))
-        gen = np.random.default_rng(seed)
-        rho = np.broadcast_to(EXCITED, (n_traj, 2, 2)).copy()
+        grid = TimeGrid(dt=dt, steps=int(round(5.0 / dt)))
+        signs = np.random.default_rng(seed).integers(0, 2, size=(grid.steps, n_traj)) * 2.0 - 1.0
+        rho0 = np.broadcast_to(EXCITED, (n_traj, 2, 2))
         acc = np.zeros(n_traj)
-        for _ in range(steps):
-            m = np.einsum("nii->n", lb @ rho + rho @ dagger(lb)).real
-            signs = gen.integers(0, 2, size=n_traj) * 2.0 - 1.0
-            rho, _ = quad_step_arrays(rho, m * dt + signs * np.sqrt(dt), lb, hb, dt)
+        for rho, _, _ in propagate(
+            model, CoherentInput.vacuum(), rho0, QUADRATURE, grid, noise=signs * np.sqrt(dt)
+        ):
             acc += np.abs(1.0 - np.einsum("nij,nji->n", rho, rho).real)
-        return float((acc / steps).mean())
+        return float((acc / grid.steps).mean())
 
     d_coarse = mean_path_defect(2e-3)
     d_fine = mean_path_defect(1e-3)

@@ -51,6 +51,7 @@ def test_filter_without_record_fails_validation(tmp_path):
     out = tmp_path / "empty"
     assert main(["filter", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
     assert not (out / "states.csv").exists()
+    assert not out.exists()
 
 
 def test_filter_kind_mismatch_fails_validation(tmp_path):
@@ -195,8 +196,9 @@ def test_classical_requires_section(tmp_path):
     assert main(["classical", "--config", str(cfg), "--out", str(tmp_path / "x")]) == EXIT_VALIDATION
 
 
-def test_verify_command(capsys):
-    assert main(["verify", "--seed", "0"]) == EXIT_OK
+@pytest.mark.parametrize("extra", [[], ["--dims-check"]], ids=["plain", "dims-check"])
+def test_verify_command(capsys, extra):
+    assert main(["verify", "--seed", "0", *extra]) == EXIT_OK
     captured = capsys.readouterr().out
     assert "all 16 identity checks passed" in captured
 

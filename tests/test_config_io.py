@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -14,7 +12,7 @@ from qfilter.config import (
     parse_matrix,
 )
 from qfilter.io import read_record_csv, write_record_csv, write_states_csv
-from qfilter.linalg import SIGMA_Z, max_norm, purity, random_density, random_hermitian
+from qfilter.linalg import SIGMA_Z, max_norm, random_density, random_hermitian
 from qfilter.master import TimeGrid
 from qfilter.trajectory import COUNTING, MeasurementRecord, QUADRATURE
 
@@ -231,6 +229,6 @@ def test_states_csv_matches_per_row_reference(tmp_path, dim):
     write_states_csv(path, times, rhos, obs)
     want = ["t,a,b,trace,purity"]
     for t, rho in zip(times, rhos):
-        row = [t, *(np.trace(rho @ o).real for o in obs.values()), np.trace(rho).real, purity(rho)]
+        row = [t, *(np.trace(rho @ o).real for o in obs.values()), np.trace(rho).real, np.trace(rho @ rho).real]
         want.append(",".join(format(float(x), ".17g") for x in row))
     assert path.read_text() == "\n".join(want) + "\n"

@@ -14,13 +14,12 @@ from qfilter.ito import (
     zakai_expansion,
 )
 from qfilter.linalg import (
-    SIGMA_MINUS,
     dagger,
     max_norm,
     random_hermitian,
     random_matrix,
 )
-from qfilter.model import CoherentInput, heisenberg_generator
+from qfilter.model import heisenberg_generator
 from qfilter.verify import ito_suite, random_model
 
 SYMBOLS = ("dt", "dB", "dBdag", "dLambda")
@@ -84,16 +83,15 @@ def test_langevin_vacuum_expectation_is_lindblad_term():
     model = random_model(rng, 3)
     x = random_hermitian(rng, 3)
     rate = coherent_expectation(langevin_increment(model, x), 0.0)
-    vac = CoherentInput.vacuum()
-    assert max_norm(rate - heisenberg_generator(model, vac, 0.0, x)) < 1e-12
+    assert max_norm(rate - heisenberg_generator(model, 0j, x)) < 1e-12
 
 
 def test_verify_generator_random():
     rng = np.random.default_rng(23)
     for _ in range(20):
         model = random_model(rng, int(rng.choice([2, 3])))
-        beta = CoherentInput.constant(rng.standard_normal() + 1j * rng.standard_normal())
-        assert verify_generator(model, beta, random_hermitian(rng, model.dim)) < 1e-10
+        b = rng.standard_normal() + 1j * rng.standard_normal()
+        assert verify_generator(model, b, random_hermitian(rng, model.dim)) < 1e-10
 
 
 def test_output_increments_preserve_ito_table():
@@ -116,9 +114,9 @@ def test_output_increments_preserve_ito_table():
 def test_girsanov_vacuum_counting_rejected():
     model = random_model(np.random.default_rng(25), 2)
     with pytest.raises(ValueError):
-        girsanov_coefficients(model, CoherentInput.vacuum(), 0.0, "counting")
+        girsanov_coefficients(model, 0j, "counting")
     with pytest.raises(ValueError):
-        girsanov_coefficients(model, CoherentInput.constant(1.0), 0.0, "heterodyne")
+        girsanov_coefficients(model, 1 + 0j, "heterodyne")
 
 
 def test_girsanov_quadrature_identity():
@@ -127,8 +125,7 @@ def test_girsanov_quadrature_identity():
     for _ in range(10):
         model = random_model(rng, 3)
         b = rng.standard_normal() + 1j * rng.standard_normal()
-        beta = CoherentInput.constant(b)
-        tilde_l, _ = girsanov_coefficients(model, beta, 0.0, "quadrature")
+        tilde_l, _ = girsanov_coefficients(model, b, "quadrature")
         lb = model.S * b + model.L
         lhs = dagger(tilde_l) @ tilde_l + np.conj(b) * tilde_l + b * dagger(tilde_l)
         rhs = dagger(lb) @ lb - abs(b) ** 2 * np.eye(3)
@@ -142,14 +139,13 @@ def test_zakai_expansion_rearranges_to_generator():
     for _ in range(10):
         model = random_model(rng, 2)
         b = 0.5 + rng.standard_normal() + 1j * rng.standard_normal()
-        beta = CoherentInput.constant(b)
         x = random_hermitian(rng, 2)
-        gen = heisenberg_generator(model, beta, 0.0, x)
+        gen = heisenberg_generator(model, b, x)
 
-        gain, drift = zakai_expansion(model, beta, 0.0, x, "quadrature")
+        gain, drift = zakai_expansion(model, b, x, "quadrature")
         assert max_norm(drift + (b + np.conj(b)) * gain - gen) < 1e-10
 
-        cgain, cdrift = zakai_expansion(model, beta, 0.0, x, "counting")
+        cgain, cdrift = zakai_expansion(model, b, x, "counting")
         assert max_norm(cdrift + abs(b) ** 2 * cgain - gen) < 1e-10
 
 

@@ -11,15 +11,12 @@ from qfilter.linalg import (
     as_operator,
     commutator,
     dagger,
-    expectation,
     is_hermitian,
     is_unitary,
     joint_spectral_projections,
     max_norm,
-    purity,
     random_density,
     random_hermitian,
-    random_matrix,
     random_unitary,
     trace_distance,
     validate_density,
@@ -46,12 +43,6 @@ def test_pauli_algebra():
     # sigma_minus maps the excited state (index 0) to the ground state.
     excited = np.array([1, 0], dtype=complex)
     assert np.allclose(SIGMA_MINUS @ excited, [0, 1])
-
-
-def test_expectation_and_purity():
-    rho = np.array([[0.75, 0], [0, 0.25]], dtype=complex)
-    assert expectation(rho, SIGMA_Z) == pytest.approx(0.5)
-    assert purity(rho) == pytest.approx(0.625)
 
 
 def test_hermitian_unitary_predicates():

@@ -69,17 +69,16 @@ def test_piecewise_input_on_grid_boundaries(sample_dt, steps_per_sample):
 def test_modulated_coupling_and_hamiltonian_vacuum_reduction():
     rng = np.random.default_rng(8)
     model = random_model(rng, 3)
-    vac = CoherentInput.vacuum()
-    assert max_norm(modulated_coupling(model, vac, 0.0) - model.L) == 0
-    assert max_norm(modulated_hamiltonian(model, vac, 0.0) - model.H) == 0
+    assert max_norm(modulated_coupling(model, 0j) - model.L) == 0
+    assert max_norm(modulated_hamiltonian(model, 0j) - model.H) == 0
 
 
 def test_modulated_hamiltonian_is_hermitian():
     rng = np.random.default_rng(9)
     for _ in range(10):
         model = random_model(rng, 3)
-        beta = CoherentInput.constant(rng.standard_normal() + 1j * rng.standard_normal())
-        hb = modulated_hamiltonian(model, beta, 0.0)
+        b = rng.standard_normal() + 1j * rng.standard_normal()
+        hb = modulated_hamiltonian(model, b)
         assert max_norm(hb - dagger(hb)) < 1e-12
 
 
@@ -103,11 +102,11 @@ def test_generator_lindblad_identity_random():
     for _ in range(25):
         dim = int(rng.choice([2, 3, 4]))
         model = random_model(rng, dim)
-        beta = CoherentInput.constant(rng.standard_normal() + 1j * rng.standard_normal())
+        b = rng.standard_normal() + 1j * rng.standard_normal()
         x = random_hermitian(rng, dim)
-        lb = modulated_coupling(model, beta, 0.0)
-        hb = modulated_hamiltonian(model, beta, 0.0)
-        res = max_norm(heisenberg_generator(model, beta, 0.0, x) - lindblad_heisenberg(lb, hb, x))
+        lb = modulated_coupling(model, b)
+        hb = modulated_hamiltonian(model, b)
+        res = max_norm(heisenberg_generator(model, b, x) - lindblad_heisenberg(lb, hb, x))
         assert res < 1e-10
 
 
@@ -116,22 +115,22 @@ def test_generator_duality():
     for _ in range(25):
         dim = int(rng.choice([2, 3, 4]))
         model = random_model(rng, dim)
-        beta = CoherentInput.constant(rng.standard_normal() + 1j * rng.standard_normal())
+        b = rng.standard_normal() + 1j * rng.standard_normal()
         x = random_hermitian(rng, dim)
         rho = random_density(rng, dim)
-        lhs = np.trace(rho @ heisenberg_generator(model, beta, 0.0, x))
-        rhs = np.trace(adjoint_generator(model, beta, 0.0, rho) @ x)
+        lhs = np.trace(rho @ heisenberg_generator(model, b, x))
+        rhs = np.trace(adjoint_generator(model, b, rho) @ x)
         assert abs(lhs - rhs) < 1e-10
 
 
 def test_generator_annihilates_identity_and_preserves_trace():
     rng = np.random.default_rng(13)
     model = random_model(rng, 3)
-    beta = CoherentInput.constant(0.3 - 0.7j)
+    b = 0.3 - 0.7j
     eye = np.eye(3, dtype=complex)
-    assert max_norm(heisenberg_generator(model, beta, 0.0, eye)) < 1e-12
+    assert max_norm(heisenberg_generator(model, b, eye)) < 1e-12
     rho = random_density(rng, 3)
-    assert abs(np.trace(adjoint_generator(model, beta, 0.0, rho))) < 1e-12
+    assert abs(np.trace(adjoint_generator(model, b, rho))) < 1e-12
 
 
 def test_lindblad_adjoint_batched_matches_loop():

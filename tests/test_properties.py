@@ -124,7 +124,7 @@ def test_propagate_matches_reference_kernels(case):
     for k, (rho, _, intensity) in enumerate(
         propagate(model, beta, rho0, kind, GRID, increments=increments)
     ):
-        lb, hb = modulated_operators(model, beta, GRID.t0 + k * DT)
+        lb, hb = modulated_operators(model, beta.value(GRID.t0 + k * DT))
         ref, ref_intensity = step(ref, increments[k], lb, hb, DT)
         assert max_norm(rho - ref) <= REFERENCE_TOL
         assert abs(intensity - ref_intensity) <= REFERENCE_TOL

@@ -10,7 +10,7 @@ from qfilter.linalg import (
     trace_distance,
 )
 from qfilter.master import TimeGrid
-from qfilter.model import CoherentInput, lindblad_adjoint, modulated_operators
+from qfilter.model import CoherentInput, modulated_operators
 from qfilter.trajectory import (
     COUNTING,
     JumpRateError,
@@ -24,10 +24,6 @@ from qfilter.trajectory import (
     simulate_record,
     zakai_filter,
 )
-
-
-def step_ops(model, beta, t=0.0):
-    return modulated_operators(model, beta, t)
 
 
 def test_record_validation():
@@ -45,8 +41,7 @@ def test_record_validation():
 def test_quad_step_preserves_state_properties():
     rng = np.random.default_rng(40)
     model = decay_model()
-    beta = CoherentInput.constant(0.3 + 0.1j)
-    lb, hb = step_ops(model, beta)
+    lb, hb = modulated_operators(model, 0.3 + 0.1j)
     rho = random_density(rng, 2)
     new, m = quad_step_arrays(rho, 0.02, lb, hb, 1e-3)
     assert abs(np.trace(new) - 1.0) < 1e-12
@@ -57,8 +52,7 @@ def test_quad_step_preserves_state_properties():
 def test_step_arrays_batched_matches_single():
     rng = np.random.default_rng(41)
     model = decay_model()
-    beta = CoherentInput.constant(0.5)
-    lb, hb = step_ops(model, beta)
+    lb, hb = modulated_operators(model, 0.5 + 0j)
     batch = np.stack([random_density(rng, 2) for _ in range(6)])
     dys = rng.standard_normal(6) * 0.03
     out, ms = quad_step_arrays(batch, dys, lb, hb, 1e-3)
@@ -77,8 +71,7 @@ def test_step_arrays_batched_matches_single():
 
 def test_count_jump_from_excited_lands_in_ground():
     model = decay_model()
-    beta = CoherentInput.vacuum()
-    lb, hb = step_ops(model, beta)
+    lb, hb = modulated_operators(model, 0j)
     new, rate = count_step_arrays(EXCITED, 1.0, lb, hb, 1e-6)
     assert rate == pytest.approx(1.0)
     assert new[1, 1].real == pytest.approx(1.0, abs=1e-5)
@@ -86,8 +79,7 @@ def test_count_jump_from_excited_lands_in_ground():
 
 def test_count_jump_with_zero_rate_raises():
     model = decay_model()
-    beta = CoherentInput.vacuum()
-    lb, hb = step_ops(model, beta)
+    lb, hb = modulated_operators(model, 0j)
     ground = np.array([[0, 0], [0, 1]], dtype=complex)
     with pytest.raises(JumpRateError):
         count_step_arrays(ground, 1.0, lb, hb, 1e-3)
@@ -122,7 +114,7 @@ def test_innovations_alignment_and_content():
     rec, states, innov = simulate_record(model, beta, EXCITED, QUADRATURE, grid, seed=3)
     assert innov.shape == (200,)
     # dY_k - m_k dt, with m_k = tr[(L^b + L^b†) rho_k] of the pre-step state.
-    lb, _ = step_ops(model, beta)
+    lb, _ = modulated_operators(model, beta.value(0.0))
     m = np.einsum("kij,ji->k", states[:-1], lb + dagger(lb)).real
     assert np.allclose(innov, rec.increments - m * grid.dt, rtol=0.0, atol=1e-15)
 
@@ -155,7 +147,7 @@ def test_zakai_log_norm_matches_naive_euler_zakai():
     beta = CoherentInput.constant(0.5)
     grid = TimeGrid(dt=1e-3, steps=1000)
     rec, _, _ = simulate_record(model, beta, EXCITED, QUADRATURE, grid, seed=5)
-    tl, tk = girsanov_coefficients(model, beta, 0.0, "quadrature")
+    tl, tk = girsanov_coefficients(model, beta.value(0.0), "quadrature")
 
     sigma = EXCITED.astype(complex)
     for dy in rec.increments:
@@ -242,8 +234,7 @@ def test_batched_replay_failures_name_the_trajectory():
 
 def test_trace_underflow_detected():
     model = decay_model()
-    beta = CoherentInput.vacuum()
-    lb, hb = step_ops(model, beta)
+    lb, hb = modulated_operators(model, 0j)
     nan_state = np.full((2, 2), np.nan, dtype=complex)
     with pytest.raises(TraceUnderflowError):
         quad_step_arrays(nan_state, 0.0, lb, hb, 1e-3)
