@@ -2,8 +2,8 @@
 
 Scalar state-observation SDE pair
 
-    dX = v(X) dt + sigma_X(X) dW_proc,
-    dY = h(X) dt + dW_obs,
+    dX = v(X) dt + sigma dW_proc,
+    dY = c X dt + dW_obs,
 
 a bootstrap particle filter with Kallianpur-Striebel log-weights and
 systematic resampling, and a scalar Kalman-Bucy oracle for the
@@ -24,30 +24,21 @@ from .linalg import NumericalError
 
 @dataclass(frozen=True)
 class ClassicalModel:
-    """Scalar diffusion with additive-Wiener observation; callables are
-    vectorized over particle arrays."""
+    """The module's SDE pair, its drift v vectorized over particle arrays."""
 
     drift: callable
-    diffusion: callable
-    observation: callable
+    sigma: float
+    c: float
 
 
 def linear_model(a: float = -1.0, sigma: float = 1.0, c: float = 1.0) -> ClassicalModel:
     """Ornstein-Uhlenbeck state with linear observation (Kalman-Bucy solvable)."""
-    return ClassicalModel(
-        drift=lambda x: a * x,
-        diffusion=lambda x: sigma * np.ones_like(np.asarray(x, dtype=float)),
-        observation=lambda x: c * x,
-    )
+    return ClassicalModel(drift=lambda x: a * x, sigma=sigma, c=c)
 
 
 def bistable_double_well(sigma: float = 0.5, c: float = 1.0) -> ClassicalModel:
     """Double-well drift x - x^3; a standard nonlinear filtering benchmark."""
-    return ClassicalModel(
-        drift=lambda x: x - x**3,
-        diffusion=lambda x: sigma * np.ones_like(np.asarray(x, dtype=float)),
-        observation=lambda x: c * x,
-    )
+    return ClassicalModel(drift=lambda x: x - x**3, sigma=sigma, c=c)
 
 
 PRESETS = {
@@ -68,8 +59,8 @@ def simulate_pair(cm: ClassicalModel, x0: float, grid, seed: int):
     dw_obs = rng.standard_normal(grid.steps) * sqdt
     for k in range(grid.steps):
         x = xs[k]
-        dys[k] = cm.observation(x) * dt + dw_obs[k]
-        xs[k + 1] = x + cm.drift(x) * dt + cm.diffusion(x) * dw_proc[k]
+        dys[k] = cm.c * x * dt + dw_obs[k]
+        xs[k + 1] = x + cm.drift(x) * dt + cm.sigma * dw_proc[k]
     return xs, dys
 
 
@@ -115,7 +106,7 @@ def particle_step(
     """Propagate-then-reweight realization of the unnormalized filter.
 
     Log-weights gain the discrete Kallianpur-Striebel factor
-    h(x) dY - (1/2) h(x)^2 dt; systematic resampling fires when the
+    h dY - (1/2) h^2 dt with h = c x; systematic resampling fires when the
     effective sample size drops below RESAMPLE_THRESHOLD * N.  Returns
     (positions, log_weights, normalized weights) after the step.
     """
@@ -124,8 +115,8 @@ def particle_step(
     _check_aligned(positions, log_weights)
     n = len(positions)
     noise = rng.standard_normal(n) * np.sqrt(dt)
-    moved = positions + cm.drift(positions) * dt + cm.diffusion(positions) * noise
-    h = cm.observation(moved)
+    moved = positions + cm.drift(positions) * dt + cm.sigma * noise
+    h = cm.c * moved
     log_w = log_weights + h * dy - 0.5 * h**2 * dt
     w = normalized_weights(log_w)
     if 1.0 / float(np.sum(w**2)) < RESAMPLE_THRESHOLD * n:
@@ -195,7 +186,7 @@ def run_benchmark(
     pf[0] = moments(positions, weights)
     kb[0] = mean, cov
     for k in range(grid.steps):
-        h_means[k] = float(np.sum(weights * model.observation(positions)))
+        h_means[k] = float(np.sum(weights * (model.c * positions)))
         positions, log_weights, weights = particle_step(
             positions, log_weights, dys[k], model, grid.dt, rng
         )

@@ -132,6 +132,10 @@ def parse_rho0(data, dim: int, path: str = "rho0") -> np.ndarray:
     raise ConfigError(path, "expected a preset name or an object with a 'matrix' key")
 
 
+# Fixed columns of the state CSVs; "purity" would also repeat mean_purity in ensemble.csv.
+RESERVED_COLUMNS = ("t", "trace", "purity", "innovations")
+
+
 def parse_observables(data, dim: int, path: str = "observables") -> dict:
     if data is None:
         return {}
@@ -143,15 +147,20 @@ def parse_observables(data, dim: int, path: str = "observables") -> dict:
         if isinstance(item, str):
             if item not in PAULI_BY_NAME:
                 raise ConfigError(here, f"unknown observable name {item!r}")
-            op = PAULI_BY_NAME[item]
+            name, op = item, PAULI_BY_NAME[item]
             if op.shape[0] != dim:
                 raise ConfigError(here, f"named observable is dimension 2, model has dim {dim}")
-            out[item] = op
         elif isinstance(item, dict):
             name = _require(item, "name", here)
-            out[name] = parse_matrix(_require(item, "matrix", here), dim, f"{here}.matrix")
+            if not isinstance(name, str):
+                raise ConfigError(f"{here}.name", f"expected a string, got {name!r}")
+            op = parse_matrix(_require(item, "matrix", here), dim, f"{here}.matrix")
         else:
             raise ConfigError(here, "expected a name or an object with name/matrix")
+        if name in out or name in RESERVED_COLUMNS:
+            taken = "a fixed column" if name in RESERVED_COLUMNS else "already used"
+            raise ConfigError(here, f"observable name {name!r} is {taken}")
+        out[name] = op
     return out
 
 
@@ -250,7 +259,13 @@ def parse_config_dict(data: dict) -> RunConfig:
     for key, value in extra.items():
         if key not in DEFAULT_OUTPUTS:
             raise ConfigError(f"output.{key}", f"unknown output key; options: {sorted(DEFAULT_OUTPUTS)}")
-        outputs[key] = str(value)
+        if not isinstance(value, str) or value in ("", ".", "..") or "/" in value:
+            raise ConfigError(f"output.{key}", f"expected a bare file name, got {value!r}")
+        outputs[key] = value
+    names = list(outputs.values())
+    for key in extra:
+        if names.count(outputs[key]) > 1:
+            raise ConfigError(f"output.{key}", f"file name {outputs[key]!r} is already used")
     classical = data.get("classical")
     if classical is not None:
         classical = parse_classical(classical)

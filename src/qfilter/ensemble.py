@@ -119,7 +119,7 @@ def run_ensemble(cfg: EnsembleConfig) -> EnsembleReport:
         innov_cum += dy - intensity * grid.dt
         if k not in checkpoints:
             continue
-        times.append(grid.t0 + k * grid.dt)
+        times.append(k * grid.dt)
         mean_rho = rho.sum(axis=0) / n
         mean_states.append(mean_rho)
         mean_purities.append(float(np.mean(np.einsum("nij,nji->n", rho, rho).real)))

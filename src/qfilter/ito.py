@@ -52,10 +52,6 @@ class IncrementPolynomial:
         for name, c in zip(_SYMBOLS, coeffs):
             object.__setattr__(self, "coeff_" + name, c)
 
-    @property
-    def dim(self) -> int:
-        return self.coeff_dt.shape[0]
-
     def coeff(self, symbol: str) -> np.ndarray:
         return getattr(self, "coeff_" + symbol)
 

@@ -30,11 +30,10 @@ GAP_TOL = 1e-8  # steady_state: a second singular value this small is degenerate
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform integration grid: times t0 + k dt for k = 0..steps."""
+    """Uniform integration grid: times k dt for k = 0..steps."""
 
     dt: float
     steps: int
-    t0: float = 0.0
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -47,7 +46,7 @@ class TimeGrid:
         return cls(dt=dt, steps=int(round(duration / dt)))
 
     def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.steps + 1)
+        return self.dt * np.arange(self.steps + 1)
 
 
 class StepSizeError(NumericalError):
@@ -128,7 +127,7 @@ def integrate_master(
     dt = grid.dt
     b_poly = poly = None
     for k in range(grid.steps):
-        t = grid.t0 + k * dt
+        t = k * dt
         b1, b2, b3 = beta.value(t), beta.value(t + 0.5 * dt), beta.value(t + dt)
         if b1 == b2 == b3:
             if b1 != b_poly:

@@ -226,7 +226,7 @@ def propagate(
     dt = grid.dt
     b_prev = None
     for k in range(grid.steps):
-        t = grid.t0 + k * dt
+        t = k * dt
         try:
             b = beta.value(t)
             if b != b_prev:
@@ -325,7 +325,7 @@ def zakai_filter(
     normalized states of `filter_record`, so the Kallianpur-Striebel
     relation pi = sigma / sigma(1) holds exactly at every step; log_norm,
     shape (steps+1,), is log sigma(1) with log_norm[0] = 0.  Step k's
-    factor, from the Zakai trace SDE at beta = beta(t0 + k dt) and the
+    factor, from the Zakai trace SDE at beta = beta(k dt) and the
     pre-step intensity, is
 
         quadrature: 1 + (m - b - b*)(dY - (b + b*) dt),
@@ -334,7 +334,7 @@ def zakai_filter(
     the counting form valid only for |beta| >= COUNTING_BETA_MIN on the grid.
     """
     grid = record.grid
-    b = np.array([beta.value(grid.t0 + k * grid.dt) for k in range(grid.steps)])
+    b = np.array([beta.value(k * grid.dt) for k in range(grid.steps)])
     # hypot rounds as abs() of a Python complex does; np.abs of a complex array need not.
     abs_b = np.hypot(b.real, b.imag)
     if record.kind == COUNTING and np.min(abs_b) < COUNTING_BETA_MIN:
@@ -350,7 +350,7 @@ def zakai_filter(
     if underflow.size:
         k = underflow[0]
         raise TraceUnderflowError(
-            f"step {k}, t={grid.t0 + k * grid.dt:g}: "
+            f"step {k}, t={k * grid.dt:g}: "
             f"Zakai normalization factor {factor[k]:.3g} underflowed"
         )
     return states, np.concatenate([[0.0], np.cumsum(np.log(factor))])

@@ -99,6 +99,55 @@ def test_error_messages_name_key_paths():
         parse_config_dict(data)
 
 
+OBS = {"name": "n", "matrix": EYE2}
+
+
+@pytest.mark.parametrize(
+    "observables, match",
+    [
+        (["sigma_z", {**OBS, "name": "sigma_z"}], r"^observables\[1\]: .* 'sigma_z' is already used"),
+        ([OBS, {**OBS, "name": "t"}], r"^observables\[1\]: .* 't' is a fixed column"),
+        ([{**OBS, "name": "trace"}], r"^observables\[0\]: .* 'trace' is a fixed column"),
+        ([{**OBS, "name": "purity"}], r"^observables\[0\]: .* 'purity' is a fixed column"),
+        ([{**OBS, "name": "innovations"}], r"^observables\[0\]: .* 'innovations' is a fixed column"),
+        ([{**OBS, "name": 5}], r"^observables\[0\]\.name: expected a string, got 5"),
+        ([{**OBS, "name": None}], r"^observables\[0\]\.name: expected a string, got None"),
+    ],
+)
+def test_bad_observable_names_fail_naming_the_entry(observables, match):
+    data = base_config()
+    data["observables"] = observables
+    with pytest.raises(ConfigError, match=match):
+        parse_config_dict(data)
+
+
+@pytest.mark.parametrize(
+    "output, match",
+    [
+        ({"states": "record.csv"}, r"^output\.states: file name 'record\.csv' is already used"),
+        ({"master": "m.csv", "classical": "m.csv"}, r"^output\.master: .* 'm\.csv' is already used"),
+        ({"master": None}, r"^output\.master: expected a bare file name, got None"),
+        ({"master": 5}, r"^output\.master: expected a bare file name, got 5"),
+        ({"master": "sub/m.csv"}, r"^output\.master: expected a bare file name, got 'sub/m\.csv'"),
+        ({"record": ""}, r"^output\.record: expected a bare file name, got ''"),
+        ({"record": "."}, r"^output\.record: expected a bare file name"),
+        ({"record": ".."}, r"^output\.record: expected a bare file name"),
+    ],
+)
+def test_bad_output_names_fail_naming_the_key(output, match):
+    data = base_config()
+    data["output"] = output
+    with pytest.raises(ConfigError, match=match):
+        parse_config_dict(data)
+
+
+def test_output_names_may_be_swapped():
+    data = base_config()
+    data["output"] = {"record": "states.csv", "states": "record.csv"}
+    outputs = parse_config_dict(data).outputs
+    assert (outputs["record"], outputs["states"]) == ("states.csv", "record.csv")
+
+
 def test_classical_section_defaults():
     data = base_config()
     data["classical"] = {"preset": "bistable-double-well", "sigma": 0.5}
