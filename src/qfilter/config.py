@@ -134,6 +134,7 @@ def parse_rho0(data, dim: int, path: str = "rho0") -> np.ndarray:
 
 # Fixed columns of the state CSVs; "purity" would also repeat mean_purity in ensemble.csv.
 RESERVED_COLUMNS = ("t", "trace", "purity", "innovations")
+CSV_SPECIAL = ',"\n\r'  # an observable name is written unquoted into CSV headers
 
 
 def parse_observables(data, dim: int, path: str = "observables") -> dict:
@@ -154,6 +155,10 @@ def parse_observables(data, dim: int, path: str = "observables") -> dict:
             name = _require(item, "name", here)
             if not isinstance(name, str):
                 raise ConfigError(f"{here}.name", f"expected a string, got {name!r}")
+            if any(c in name for c in CSV_SPECIAL):
+                raise ConfigError(
+                    f"{here}.name", f"expected a name without , \" or line breaks, got {name!r}"
+                )
             op = parse_matrix(_require(item, "matrix", here), dim, f"{here}.matrix")
         else:
             raise ConfigError(here, "expected a name or an object with name/matrix")
@@ -259,7 +264,7 @@ def parse_config_dict(data: dict) -> RunConfig:
     for key, value in extra.items():
         if key not in DEFAULT_OUTPUTS:
             raise ConfigError(f"output.{key}", f"unknown output key; options: {sorted(DEFAULT_OUTPUTS)}")
-        if not isinstance(value, str) or value in ("", ".", "..") or "/" in value:
+        if not isinstance(value, str) or value in ("", ".", "..") or any(c in value for c in "/\0"):
             raise ConfigError(f"output.{key}", f"expected a bare file name, got {value!r}")
         outputs[key] = value
     names = list(outputs.values())

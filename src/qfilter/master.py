@@ -12,7 +12,9 @@ A map acts on the right of a row vector: vec_r(F(rho)) = vec_r(rho) @ M,
 row ab of M being vec_r(F(E_ab)) for the matrix unit E_ab.  Since
 L^beta = L + beta S and H^beta is affine in (beta, beta*), every map
 built from them is M(beta) = M0 + beta M1 + beta* M2 + |beta|^2 M3; the
-four pieces are built once per run (`affine_superoperator`).
+four pieces are built once per run (`affine_superoperator`).  `at` forms
+M(beta); `apply` gives v @ M(beta) from the four products v @ pieces, so
+RK4 under a time-varying beta forms no d^2 x d^2 matrix per stage.
 """
 
 from __future__ import annotations
@@ -57,8 +59,9 @@ class StepSizeError(NumericalError):
 class AffineSuperoperator:
     """Row-form maps M(beta) = M0 + beta M1 + beta* M2 + |beta|^2 M3.
 
-    pieces has shape (4, d*d, n*d*d): n maps side by side, row-form as in
-    the module docstring.
+    pieces has shape (4, d*d, w): the maps side by side, row-form as in
+    the module docstring, a matrix-valued map taking d*d columns and a
+    scalar-valued one (a trace) one column.
     """
 
     pieces: np.ndarray
@@ -73,12 +76,18 @@ class AffineSuperoperator:
         out += np.multiply(p3, b.real**2 + b.imag**2, out=term)
         return out
 
+    def apply(self, v: np.ndarray, b: complex) -> np.ndarray:
+        """v @ at(b) for a row vector v, from the four products v @ pieces."""
+        b = complex(b)
+        return np.array([1, b, b.conjugate(), b.real**2 + b.imag**2]) @ (v @ self.pieces)
+
 
 def affine_superoperator(model: HPModel, maps) -> AffineSuperoperator:
     """The pieces of the row-form maps `maps(L^beta, H^beta, units)`.
 
     `maps` returns a tuple of arrays, each one map applied to the stack of
-    the d*d matrix units.  The maps are evaluated at beta = 0, 1, -1, i
+    the d*d matrix units: (d*d, d, d) for a matrix-valued map, (d*d,) for a
+    scalar-valued one.  The maps are evaluated at beta = 0, 1, -1, i
     and the four pieces solved for, so each map keeps its one definition.
     """
     d = model.dim
@@ -86,7 +95,7 @@ def affine_superoperator(model: HPModel, maps) -> AffineSuperoperator:
 
     def evaluate(b):
         lb, hb = modulated_operators(model, b)
-        return np.concatenate([m.reshape(d * d, d * d) for m in maps(lb, hb, units)], axis=1)
+        return np.concatenate([m.reshape(d * d, -1) for m in maps(lb, hb, units)], axis=1)
 
     f0, f_plus, f_minus, f_i = (evaluate(b) for b in (0j, 1 + 0j, -1 + 0j, 1j))
     p3 = 0.5 * (f_plus + f_minus) - f0
@@ -117,7 +126,8 @@ def integrate_master(
     The state steps as a row vector through the row-form generator.  A
     step whose three stage values of beta agree is one product with the
     RK4 polynomial of that generator (exactly RK4), kept while beta is
-    unchanged; otherwise the pieces are combined at the stage times.
+    unchanged; otherwise each stage applies the pieces to its vector at its
+    beta (`AffineSuperoperator.apply`).
     """
     rho = validate_density(rho0).astype(complex)
     d = rho.shape[0]
@@ -134,11 +144,10 @@ def integrate_master(
                 b_poly, poly = b1, _rk4_polynomial(dt * generator.at(b1))
             v = v @ poly
         else:
-            a1, a2, a3 = generator.at(b1), generator.at(b2), generator.at(b3)
-            k1 = v @ a1
-            k2 = (v + 0.5 * dt * k1) @ a2
-            k3 = (v + 0.5 * dt * k2) @ a2
-            k4 = (v + dt * k3) @ a3
+            k1 = generator.apply(v, b1)
+            k2 = generator.apply(v + 0.5 * dt * k1, b2)
+            k3 = generator.apply(v + 0.5 * dt * k2, b2)
+            k4 = generator.apply(v + dt * k3, b3)
             v = v + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         drift = abs(v[:: d + 1].sum() - 1.0)
         if not drift <= TRACE_DRIFT_LIMIT:  # a non-finite trace counts as drift

@@ -8,14 +8,18 @@ harness aggregates it on the fly.
 
 The loop steps in Liouville space (conventions in `master`): each state
 is a row vector vec_r(rho) of d^2 entries, and the linear work of a step
-is one product with a (d^2, 2 d^2) matrix, [drift | gain] for quadrature
-and [no-jump drift | jump] for counting, whose right half traces to the
-pre-step intensity.  Its four affine pieces in beta are built once per
-run, and combined when beta(t) changes.  The product is taken per row,
-(N, 1, d^2) @ (d^2, 2 d^2), so that trajectory i of a batch is bit for
-bit the trajectory run alone.  `quad_step_arrays` and `count_step_arrays`
-are the reference Euler kernels the loop is tested against.  Every step
-ends with a Hermitian projection and trace renormalization.
+is one product with a (d^2, w) matrix whose right block gives the
+pre-step intensity: [drift | gain], w = 2 d^2, for quadrature, the
+intensity being the trace of the gain, and [no-jump drift | rate],
+w = d^2 + 1, for counting, the last column giving tr(L^b rho L^b†).  Its
+four affine pieces in beta are built once per run, and combined when
+beta(t) changes.  The product is taken per row, (N, 1, d^2) @ (d^2, w),
+so that trajectory i of a batch is bit for bit the trajectory run alone.
+A counting row that clicked jumps in matrix form, L^b rho L^b† / r, and
+then takes its no-jump drift through the same matrix.  `quad_step_arrays`
+and `count_step_arrays` are the reference Euler kernels the loop is
+tested against.  Every step ends with a Hermitian projection and trace
+renormalization.
 
 The unnormalized (Zakai) state is kept in factorized form: the normalized
 filter state plus an accumulated log-normalization, whose per-step
@@ -33,7 +37,7 @@ import numpy as np
 
 from .linalg import NumericalError, dagger
 from .master import TimeGrid, affine_superoperator
-from .model import CoherentInput, HPModel, lindblad_adjoint
+from .model import CoherentInput, HPModel, lindblad_adjoint, modulated_coupling
 
 JUMP_RATE_FLOOR = 1e-12
 TRACE_UNDERFLOW = 1e-12
@@ -150,36 +154,40 @@ def _quadrature_maps(lb: np.ndarray, hb: np.ndarray, rho: np.ndarray):
 
 
 def _counting_maps(lb: np.ndarray, hb: np.ndarray, rho: np.ndarray):
-    """[no-jump drift | jump]: L'rho - L^b rho L^b† and L^b rho L^b†."""
+    """[no-jump drift | rate]: L'rho - L^b rho L^b† and tr(L^b rho L^b†)."""
     jump = lb @ rho @ dagger(lb)
-    return lindblad_adjoint(lb, hb, rho) - jump, jump
+    return lindblad_adjoint(lb, hb, rho) - jump, _btrace(jump)
 
 
-def _right_trace(out: np.ndarray) -> np.ndarray:
-    """Real trace of the right half of (B, 1, 2 d^2) rows, shape (B, 1, 1)."""
-    d2 = out.shape[-1] // 2
+def _right_trace(out: np.ndarray, d2: int) -> np.ndarray:
+    """Real trace of the block right of column d2 of (B, 1, w) rows, shape (B, 1, 1):
+    vec_r of the quadrature gain, or the one counting rate column."""
     return out[..., d2 :: math.isqrt(d2) + 1].real.sum(axis=-1, keepdims=True)
 
 
-def _quadrature_finish(v, out, m, dy, sup, dt):
+def _quadrature_finish(v, out, m, dy, dt, sup, lb):
     """rho + L'rho dt + (L^b rho + rho L^b† - m rho)(dY - m dt), in rows."""
     d2 = v.shape[-1]
     return v + out[..., :d2] * dt + (out[..., d2:] - m * v) * (dy - m * dt)
 
 
-def _counting_finish(v, out, r, dy, sup, dt):
+def _counting_finish(v, out, r, dy, dt, sup, lb):
     """No-jump drift step of each row; a row with dY = 1 first jumps.
 
-    Only the rows that jumped pass through `sup` a second time; `propagate`
-    has checked that their rates clear JUMP_RATE_FLOOR.
+    Only the rows that jumped take the jump, L^b rho L^b† / r in matrix
+    form as in `count_step_arrays`, and then a second product with `sup`
+    for their no-jump drift; `propagate` has checked that their rates
+    clear JUMP_RATE_FLOOR.
     """
     d2 = v.shape[-1]
     new = v + (out[..., :d2] + r * v) * dt
     jumped = np.flatnonzero(dy != 0.0)
     if jumped.size:
-        post = out[jumped, :, d2:] / r[jumped]
+        d = math.isqrt(d2)
+        jump = lb @ v[jumped].reshape(-1, d, d) @ dagger(lb)
+        post = (jump / r[jumped]).reshape(-1, 1, d2)
         post_out = post @ sup
-        new[jumped] = post + (post_out[..., :d2] + _right_trace(post_out) * post) * dt
+        new[jumped] = post + (post_out[..., :d2] + _right_trace(post_out, d2) * post) * dt
     return new
 
 
@@ -213,9 +221,9 @@ def propagate(
     rho0 has shape (d, d) or (N, d, d).  Replays `increments` when given,
     else draws dY from `noise` (pre-drawn, step index first) and the
     pre-step intensity, plus `record_bias` dt (negative controls only).
-    The step superoperator is recombined only when beta(t) changes.  A
-    numerical failure names its step and time, and, over a batch, the
-    first failing trajectory.
+    The step superoperator and L^beta are rebuilt only when beta(t)
+    changes.  A numerical failure names its step and time, and, over a
+    batch, the first failing trajectory.
     """
     if kind not in _STEPS:
         raise ValueError(f"unknown measurement kind {kind!r}")
@@ -230,11 +238,11 @@ def propagate(
         try:
             b = beta.value(t)
             if b != b_prev:
-                sup = step_map.at(b)
+                sup, lb = step_map.at(b), modulated_coupling(model, b)
                 b_prev = b
             v = rho.reshape(-1, 1, shape[-1] ** 2)
             out = v @ sup
-            pre = _right_trace(out)
+            pre = _right_trace(out, v.shape[-1])
             intensity = pre.reshape(shape[:-2])
             if increments is not None:
                 dy = increments[k]
@@ -255,7 +263,7 @@ def propagate(
                     raise _row_error(
                         JumpRateError, bad, "detection event in a state with vanishing jump rate"
                     )
-            new = finish(v, out, pre, np.reshape(dy, (-1, 1, 1)), sup, dt)
+            new = finish(v, out, pre, np.reshape(dy, (-1, 1, 1)), dt, sup, lb)
             rho = _hermitize_normalize(new.reshape(shape))
         except NumericalError as exc:
             raise type(exc)(f"step {k}, t={t:g}: {exc}") from exc

@@ -191,6 +191,24 @@ def test_grid_without_steps_fails_validation_naming_the_key(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_observable_name_with_a_comma_fails_validation(tmp_path, capsys):
+    # Written unquoted, the name would split the CSV header into one field too many.
+    observables = [{"name": "a,b", "matrix": matrix_to_json(np.eye(2))}]
+    cfg = write_config(tmp_path, observables=observables)
+    out = tmp_path / "m"
+    assert main(["master", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+    assert "observables[0].name: expected a name without" in capsys.readouterr().err
+    assert not (out / "master.csv").exists()
+
+
+def test_output_name_with_a_nul_byte_fails_validation_before_running(tmp_path, capsys):
+    cfg = write_config(tmp_path, output={"master": "m\0.csv"})
+    out = tmp_path / "m"
+    assert main(["master", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+    assert "output.master: expected a bare file name" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_classical_requires_section(tmp_path):
     cfg = write_config(tmp_path)
     assert main(["classical", "--config", str(cfg), "--out", str(tmp_path / "x")]) == EXIT_VALIDATION

@@ -112,6 +112,10 @@ OBS = {"name": "n", "matrix": EYE2}
         ([{**OBS, "name": "innovations"}], r"^observables\[0\]: .* 'innovations' is a fixed column"),
         ([{**OBS, "name": 5}], r"^observables\[0\]\.name: expected a string, got 5"),
         ([{**OBS, "name": None}], r"^observables\[0\]\.name: expected a string, got None"),
+        ([{**OBS, "name": "a,b"}], r"^observables\[0\]\.name: expected a name without"),
+        ([OBS, {**OBS, "name": 'a"b'}], r"^observables\[1\]\.name: expected a name without"),
+        ([{**OBS, "name": "a\nb"}], r"^observables\[0\]\.name: expected a name without"),
+        ([{**OBS, "name": "a\rb"}], r"^observables\[0\]\.name: expected a name without"),
     ],
 )
 def test_bad_observable_names_fail_naming_the_entry(observables, match):
@@ -132,6 +136,7 @@ def test_bad_observable_names_fail_naming_the_entry(observables, match):
         ({"record": ""}, r"^output\.record: expected a bare file name, got ''"),
         ({"record": "."}, r"^output\.record: expected a bare file name"),
         ({"record": ".."}, r"^output\.record: expected a bare file name"),
+        ({"master": "m\0.csv"}, r"^output\.master: expected a bare file name, got 'm\\x00\.csv'"),
     ],
 )
 def test_bad_output_names_fail_naming_the_key(output, match):

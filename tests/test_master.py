@@ -95,11 +95,22 @@ def rk4_reference(model, beta, rho0, grid):
     return np.array(states)
 
 
-@pytest.mark.parametrize("dim", [2, 4])
+# A sample lasts 15.5 steps of 2e-3, so one run takes both the RK4-polynomial
+# steps and the stage steps.
+PIECEWISE = CoherentInput.piecewise(
+    0.0, 0.031, [0.6 - 0.3j, -0.2 + 0.5j, 0.1j, 0.8, -0.4 - 0.4j] * 4
+)
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8])
 @pytest.mark.parametrize(
     "beta",
-    [CoherentInput.constant(0.6 - 0.3j), CoherentInput.sinusoid(0.4 + 0.2j, 2 * np.pi, 0.3)],
-    ids=["constant", "sinusoid"],
+    [
+        CoherentInput.constant(0.6 - 0.3j),
+        CoherentInput.sinusoid(0.4 + 0.2j, 2 * np.pi, 0.3),
+        PIECEWISE,
+    ],
+    ids=["constant", "sinusoid", "piecewise"],
 )
 def test_integrate_master_matches_matrix_form_rk4(dim, beta):
     rng = np.random.default_rng(31 + dim)
@@ -108,6 +119,9 @@ def test_integrate_master_matches_matrix_form_rk4(dim, beta):
     )
     rho0 = random_density(rng, dim)
     grid = TimeGrid(dt=2e-3, steps=300)
+    if beta is PIECEWISE:
+        stages = [{beta.value(t + s * grid.dt) for s in (0, 0.5, 1)} for t in grid.times()[:-1]]
+        assert {len(values) > 1 for values in stages} == {False, True}
     states = integrate_master(model, beta, rho0, grid)
     assert states.shape == (grid.steps + 1, dim, dim)
     assert max_norm(states - rk4_reference(model, beta, rho0, grid)) <= 1e-12

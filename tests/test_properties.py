@@ -4,7 +4,8 @@ Each example draws a model with d in {2, 3, 4} (also 8 against the
 reference kernels), a constant or sinusoid beta, a measurement kind and a
 seed.  L is scaled, as the benchmark's random models are, so that (||L||_2 + max|beta|)^2 dt, a bound on the
 per-step jump probability, stays within 0.05.  Examples are derandomized
-so that every run checks the same models.
+so that every run checks the same models.  The step superoperators'
+`AffineSuperoperator.apply` is checked against `at` on random models too.
 """
 
 import numpy as np
@@ -14,9 +15,10 @@ from hypothesis import strategies as st
 
 from qfilter.ensemble import mix_seed
 from qfilter.linalg import max_norm, random_density
-from qfilter.master import TimeGrid
+from qfilter.master import TimeGrid, affine_superoperator, drift_superoperator
 from qfilter.model import CoherentInput, HPModel, modulated_operators
 from qfilter.trajectory import (
+    _STEPS,
     COUNTING,
     COUNTING_BETA_MIN,
     KINDS,
@@ -128,6 +130,22 @@ def test_propagate_matches_reference_kernels(case):
         ref, ref_intensity = step(ref, increments[k], lb, hb, DT)
         assert max_norm(rho - ref) <= REFERENCE_TOL
         assert abs(intensity - ref_intensity) <= REFERENCE_TOL
+
+
+@exact
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 4, 8]), st.sampled_from(["drift", *KINDS]))
+def test_apply_equals_the_product_with_the_recombined_maps(seed, dim, maps):
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, dim)
+    if maps == "drift":
+        sup = drift_superoperator(model)
+    else:
+        sup = affine_superoperator(model, _STEPS[maps][0])
+    width = {"drift": dim * dim, QUADRATURE: 2 * dim * dim, COUNTING: dim * dim + 1}[maps]
+    assert sup.pieces.shape == (4, dim * dim, width)
+    b = complex(rng.standard_normal(), rng.standard_normal())
+    v = random_density(rng, dim).reshape(dim * dim)
+    assert max_norm(sup.apply(v, b) - v @ sup.at(b)) <= REFERENCE_TOL
 
 
 def zakai_log_norm_reference(model, beta, rho0, record):
