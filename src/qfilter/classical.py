@@ -141,11 +141,6 @@ def kalman_bucy_step(
     return new_mean, new_cov
 
 
-def riccati_steady_state(a: float, c: float, sigma: float) -> float:
-    """Fixed point of the scalar Riccati equation: (a + sqrt(a^2 + c^2 sigma^2)) / c^2."""
-    return (a + np.sqrt(a**2 + c**2 * sigma**2)) / c**2
-
-
 def classical_innovations(dys: np.ndarray, posterior_h_means: np.ndarray, dt: float) -> np.ndarray:
     """dI = dY - pi(h) dt, with pi(h) evaluated before each step."""
     dys = np.asarray(dys, dtype=float)

@@ -17,7 +17,7 @@ from . import classical as cl
 from . import io as qio
 from . import verify as qverify
 from .config import ConfigError, RunConfig, parse_config
-from .ensemble import EnsembleConfig, run_ensemble
+from .ensemble import run_ensemble
 from .linalg import NumericalError
 from .master import integrate_master
 from .trajectory import filter_record, simulate_record
@@ -110,19 +110,15 @@ def cmd_filter(args, cfg: RunConfig) -> int:
 
 
 def cmd_ensemble(args, cfg: RunConfig) -> int:
-    ens_cfg = EnsembleConfig(
-        model=cfg.model,
-        beta=cfg.beta,
-        rho0=cfg.rho0,
-        grid=cfg.grid,
-        kind=cfg.measurement,
-        n_traj=args.trajectories,
-        master_seed=args.seed,
-        observables=cfg.observables,
+    if args.trajectories < 1:
+        raise ValueError(f"--trajectories: must be >= 1, got {args.trajectories}")
+    columns = run_ensemble(
+        cfg.model, cfg.beta, cfg.rho0, cfg.measurement, cfg.grid, args.trajectories,
+        master_seed=args.seed, observables=cfg.observables,
     )
-    report = run_ensemble(ens_cfg)
     qio.write_ensemble_outputs(
-        _out_path(args, cfg, "ensemble_summary"), _out_path(args, cfg, "ensemble_series"), report
+        _out_path(args, cfg, "ensemble_summary"), _out_path(args, cfg, "ensemble_series"),
+        columns, args.trajectories, args.seed, cfg.measurement,
     )
     return EXIT_OK
 

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .ensemble import innovations_z
 from .master import TimeGrid
 from .trajectory import COUNTING, MeasurementRecord
 
@@ -70,20 +71,20 @@ def read_record_csv(path) -> MeasurementRecord:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def write_ensemble_outputs(summary_path, series_path, report) -> None:
-    Path(summary_path).write_text(json.dumps(report.summary_dict(), indent=2) + "\n")
-    header, columns = ["t"], [report.checkpoint_times]
-    for n in report.observable_means:
-        header += [f"mean_{n}", f"stderr_{n}"]
-        columns += [report.observable_means[n], report.observable_stderrs[n]]
-    header += ["innovations_mean", "innovations_stderr", "trace_distance_to_master", "mean_purity"]
-    columns += [
-        report.innovations_mean,
-        report.innovations_stderr,
-        report.trace_distances_to_master,
-        report.mean_purity,
-    ]
-    _write_rows(series_path, header, columns)
+def write_ensemble_outputs(
+    summary_path, series_path, columns: dict, n_traj: int, master_seed: int, kind: str
+) -> None:
+    """ensemble.json (the run and its headline numbers) and ensemble.csv (`columns`, in order)."""
+    summary = {
+        "n_trajectories": n_traj,
+        "master_seed": master_seed,
+        "kind": kind,
+        "sup_trace_distance_to_master": float(np.max(columns["trace_distance_to_master"])),
+        "max_abs_innovations_z": float(np.max(np.abs(innovations_z(columns)))),
+        "checkpoint_times": columns["t"].tolist(),
+    }
+    Path(summary_path).write_text(json.dumps(summary, indent=2) + "\n")
+    _write_rows(series_path, list(columns), list(columns.values()))
 
 
 def write_classical_csv(path, times, columns: dict) -> None:

@@ -1,8 +1,7 @@
 """Deterministic integration of the coherent-state master equation.
 
-Classical RK4 on d(rho)/dt = L'^{beta(t)}(rho), plus the steady state of a
-time-independent generator via the null space of its vectorized form.
-Serves as the ensemble-average oracle for the stochastic filters.
+Classical RK4 on d(rho)/dt = L'^{beta(t)}(rho).  Serves as the
+ensemble-average oracle for the stochastic filters.
 
 Linear maps of d x d matrices act here, and in the filter loop, in
 Liouville space (Havel, J. Math. Phys. 44, 534 (2003)).  A state is
@@ -23,11 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import NumericalError, dagger, validate_density
+from .linalg import NumericalError, validate_density
 from .model import CoherentInput, HPModel, lindblad_adjoint, modulated_operators
 
 TRACE_DRIFT_LIMIT = 1e-6
-GAP_TOL = 1e-8  # steady_state: a second singular value this small is degenerate
 
 
 @dataclass(frozen=True)
@@ -156,22 +154,3 @@ def integrate_master(
             )
         states[k + 1] = v
     return states.reshape(grid.steps + 1, d, d)
-
-
-class DegenerateSteadyStateError(NumericalError):
-    """The generator's null space is not one-dimensional."""
-
-
-def steady_state(model: HPModel, beta_value: complex) -> np.ndarray:
-    """Unique stationary density matrix of the constant-beta generator."""
-    # vec_r(rho) is the left null vector of the row-form generator.
-    _, svals, vh = np.linalg.svd(drift_superoperator(model).at(beta_value).T)
-    if len(svals) > 1 and svals[-2] <= GAP_TOL:
-        raise DegenerateSteadyStateError(
-            f"null space is degenerate (second singular value {svals[-2]:.3e})"
-        )
-    d = model.dim
-    rho = vh[-1].conj().reshape(d, d)
-    rho = 0.5 * (rho + dagger(rho))
-    rho = rho / np.trace(rho)
-    return rho

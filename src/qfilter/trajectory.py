@@ -214,13 +214,12 @@ def propagate(
     *,
     increments=None,
     noise=None,
-    record_bias: float = 0.0,
 ):
     """The filter loop: yield (rho after step k, dY_k, intensity before step k).
 
     rho0 has shape (d, d) or (N, d, d).  Replays `increments` when given,
     else draws dY from `noise` (pre-drawn, step index first) and the
-    pre-step intensity, plus `record_bias` dt (negative controls only).
+    pre-step intensity.
     The step superoperator and L^beta are rebuilt only when beta(t)
     changes.  A numerical failure names its step and time, and, over a
     batch, the first failing trajectory.
@@ -247,7 +246,7 @@ def propagate(
             if increments is not None:
                 dy = increments[k]
             elif kind == QUADRATURE:  # dY = dI + m dt, dI ~ N(0, dt)
-                dy = noise[k] + intensity * dt + record_bias * dt
+                dy = noise[k] + intensity * dt
             else:  # dY ~ Bernoulli(r dt)
                 prob = intensity * dt
                 bad = prob > MAX_JUMP_PROBABILITY
@@ -256,7 +255,7 @@ def propagate(
                         JumpRateError, bad,
                         f"jump probability {prob[bad][0]:.3g} exceeds bound {MAX_JUMP_PROBABILITY}",
                     )
-                dy = (noise[k] < prob).astype(float) + record_bias * dt
+                dy = (noise[k] < prob).astype(float)
             if kind == COUNTING and np.min(intensity) < JUMP_RATE_FLOOR:
                 bad = (dy != 0.0) & (intensity < JUMP_RATE_FLOOR)
                 if np.any(bad):

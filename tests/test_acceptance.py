@@ -8,16 +8,22 @@ All randomness is seeded; tolerances are frozen here.
 import numpy as np
 from scipy import stats
 
-from conftest import EXCITED, decay_model, record_acceptance
+from conftest import (
+    EXCITED,
+    bias_ensemble_records,
+    decay_model,
+    martingale_test,
+    record_acceptance,
+    riccati_steady_state,
+)
 from qfilter.classical import (
     classical_innovations,
     kalman_bucy_step,
     linear_model,
     particle_step,
-    riccati_steady_state,
     simulate_pair,
 )
-from qfilter.ensemble import EnsembleConfig, martingale_test, run_ensemble
+from qfilter.ensemble import run_ensemble
 from qfilter.ito import girsanov_coefficients, verify_generator, zakai_expansion
 from qfilter.linalg import (
     dagger,
@@ -209,13 +215,8 @@ def test_criterion_5_ensemble_average_matches_master():
     grid = TimeGrid(dt=1e-3, steps=5000)
     sups = {}
     for kind in (QUADRATURE, COUNTING):
-        report = run_ensemble(
-            EnsembleConfig(
-                model=model, beta=beta, rho0=EXCITED, grid=grid, kind=kind,
-                n_traj=1000, master_seed=105,
-            )
-        )
-        sups[kind] = report.sup_trace_distance
+        columns = run_ensemble(model, beta, EXCITED, kind, grid, n_traj=1000, master_seed=105)
+        sups[kind] = float(np.max(columns["trace_distance_to_master"]))
     check(
         "criterion-5 unconditional average = master equation",
         all(v <= 0.05 for v in sups.values()),
@@ -274,30 +275,21 @@ def test_criterion_6_vacuum_reduction():
     )
 
 
-def test_criterion_7_innovations_martingale():
+def test_criterion_7_innovations_martingale(monkeypatch):
     model = decay_model(1.0)
     beta = CoherentInput.constant(0.5)
     grid = TimeGrid(dt=1e-3, steps=2000)
     zs = {}
     unbiased_ok = True
     for kind in (QUADRATURE, COUNTING):
-        report = run_ensemble(
-            EnsembleConfig(
-                model=model, beta=beta, rho0=EXCITED, grid=grid, kind=kind,
-                n_traj=2000, master_seed=107, n_checkpoints=50,
-            )
-        )
-        ok, z = martingale_test(report, z_max=4.0)
+        columns = run_ensemble(model, beta, EXCITED, kind, grid, n_traj=2000, master_seed=107)
+        ok, z = martingale_test(columns, 2000, z_max=4.0)
         zs[kind] = float(np.max(np.abs(z)))
         unbiased_ok = unbiased_ok and ok
 
-    biased = run_ensemble(
-        EnsembleConfig(
-            model=model, beta=beta, rho0=EXCITED, grid=grid, kind=QUADRATURE,
-            n_traj=2000, master_seed=107, n_checkpoints=50, record_bias=0.1,
-        )
-    )
-    bias_passed, z_b = martingale_test(biased, z_max=4.0)
+    bias_ensemble_records(monkeypatch, 0.1)
+    biased = run_ensemble(model, beta, EXCITED, QUADRATURE, grid, n_traj=2000, master_seed=107)
+    bias_passed, z_b = martingale_test(biased, 2000, z_max=4.0)
     check(
         "criterion-7 innovations martingale",
         unbiased_ok and not bias_passed,

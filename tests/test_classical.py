@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import riccati_steady_state
 from qfilter.classical import (
     bistable_double_well,
     classical_innovations,
@@ -8,7 +9,6 @@ from qfilter.classical import (
     linear_model,
     normalized_weights,
     particle_step,
-    riccati_steady_state,
     run_benchmark,
     simulate_pair,
     systematic_resample,

@@ -153,9 +153,30 @@ def test_ensemble_command(tmp_path):
         "ensemble", "--config", str(cfg), "--out", str(out), "--trajectories", "40", "--seed", "2",
     ]) == EXIT_OK
     summary = json.loads((out / "ensemble.json").read_text())
-    assert summary["n_trajectories"] == 40
+    assert list(summary) == [
+        "n_trajectories", "master_seed", "kind", "sup_trace_distance_to_master",
+        "max_abs_innovations_z", "checkpoint_times",
+    ]
+    assert (summary["n_trajectories"], summary["master_seed"], summary["kind"]) == (
+        40, 2, "quadrature",
+    )
     series = (out / "ensemble.csv").read_text().splitlines()
-    assert series[0].startswith("t,mean_sigma_z,stderr_sigma_z")
+    assert series[0] == (
+        "t,mean_sigma_z,stderr_sigma_z,mean_p_excited,stderr_p_excited,"
+        "innovations_mean,innovations_stderr,trace_distance_to_master,mean_purity"
+    )
+    assert len(series) == 1 + len(summary["checkpoint_times"])
+
+
+@pytest.mark.parametrize("count", ["0", "-5"])
+def test_nonpositive_trajectories_fails_validation_naming_the_flag(tmp_path, capsys, count):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "ens"
+    assert main([
+        "ensemble", "--config", str(cfg), "--out", str(out), "--trajectories", count,
+    ]) == EXIT_VALIDATION
+    assert "--trajectories" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_classical_command(tmp_path):

@@ -1,33 +1,27 @@
 import numpy as np
 import pytest
 
-from conftest import EXCITED, decay_model
-from qfilter.ensemble import (
-    EnsembleConfig,
-    martingale_test,
-    mix_seed,
-    run_ensemble,
-)
-from qfilter.linalg import SIGMA_Z
+from conftest import EXCITED, bias_ensemble_records, decay_model, martingale_test
+from qfilter.ensemble import N_CHECKPOINTS, mix_seed, run_ensemble
+from qfilter.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
 from qfilter.master import TimeGrid
 from qfilter.model import CoherentInput
 from qfilter.trajectory import simulate_record
 
 
-def small_config(**overrides):
+def small_run(**overrides):
     base = dict(
         model=decay_model(),
         beta=CoherentInput.constant(0.5),
         rho0=EXCITED,
-        grid=TimeGrid(dt=1e-3, steps=400),
         kind="quadrature",
+        grid=TimeGrid(dt=1e-3, steps=400),
         n_traj=50,
         master_seed=3,
         observables={"sigma_z": SIGMA_Z},
-        n_checkpoints=10,
     )
     base.update(overrides)
-    return EnsembleConfig(**base)
+    return base
 
 
 def test_mix_seed_spreads_and_is_deterministic():
@@ -40,60 +34,53 @@ def test_mix_seed_spreads_and_is_deterministic():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        small_config(n_traj=0)
+        run_ensemble(**small_run(n_traj=0))
     with pytest.raises(ValueError):
-        small_config(kind="heterodyne")
+        run_ensemble(**small_run(kind="heterodyne"))
     with pytest.raises(ValueError):
-        small_config(rho0=2 * EXCITED)
+        run_ensemble(**small_run(rho0=2 * EXCITED))
 
 
 def test_report_shapes_and_determinism():
-    cfg = small_config()
-    rep1 = run_ensemble(cfg)
-    rep2 = run_ensemble(cfg)
-    n_cp = len(rep1.checkpoint_times)
-    assert n_cp == 10
-    assert rep1.observable_means["sigma_z"].shape == (n_cp,)
-    assert rep1.innovations_mean.shape == (n_cp,)
-    assert rep1.trace_distances_to_master.shape == (n_cp,)
-    assert np.array_equal(rep1.observable_means["sigma_z"], rep2.observable_means["sigma_z"])
-    summary = rep1.summary_dict()
-    assert summary["n_trajectories"] == 50
-    assert summary["sup_trace_distance_to_master"] == rep1.sup_trace_distance
+    cols1 = run_ensemble(**small_run())
+    cols2 = run_ensemble(**small_run())
+    assert list(cols1) == [
+        "t", "mean_sigma_z", "stderr_sigma_z", "innovations_mean", "innovations_stderr",
+        "trace_distance_to_master", "mean_purity",
+    ]
+    assert all(v.shape == (N_CHECKPOINTS,) for v in cols1.values())
+    assert cols1["t"][-1] == 400 * 1e-3
+    assert all(np.array_equal(cols1[k], cols2[k]) for k in cols1)
 
 
 def test_trajectory_reproducible_in_isolation():
     # Trajectory i of the ensemble equals a standalone simulation with the
-    # mixed per-trajectory seed.
-    cfg = small_config(n_traj=3, n_checkpoints=1)
-    grid = cfg.grid
-    rep = run_ensemble(cfg)
+    # mixed per-trajectory seed; the Pauli means fix the whole mean state.
+    paulis = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
+    run = small_run(n_traj=3, observables=paulis)
+    cols = run_ensemble(**run)
     rhos = []
     for i in range(3):
         _, states, _ = simulate_record(
-            cfg.model, cfg.beta, cfg.rho0, cfg.kind, grid, seed=mix_seed(cfg.master_seed, i)
+            run["model"], run["beta"], run["rho0"], run["kind"], run["grid"],
+            seed=mix_seed(run["master_seed"], i),
         )
         rhos.append(states[-1])
     mean_final = sum(rhos) / 3
-    assert np.allclose(rep.mean_states[-1], mean_final, atol=1e-12)
+    for name, op in paulis.items():
+        assert abs(cols[f"mean_{name}"][-1] - np.trace(mean_final @ op).real) <= 1e-12
 
 
 def test_ensemble_mean_near_master_small_n():
-    rep = run_ensemble(small_config(n_traj=200, kind="counting"))
-    assert rep.sup_trace_distance < 0.12
+    cols = run_ensemble(**small_run(n_traj=200, kind="counting"))
+    assert np.max(cols["trace_distance_to_master"]) < 0.12
 
 
-def test_martingale_test_requires_enough_trajectories():
-    rep = run_ensemble(small_config(n_traj=50))
-    with pytest.raises(ValueError):
-        martingale_test(rep)
-
-
-def test_martingale_pass_and_bias_control():
-    cfg = small_config(n_traj=150, grid=TimeGrid(dt=1e-3, steps=600))
-    ok, z = martingale_test(run_ensemble(cfg))
+def test_martingale_pass_and_bias_control(monkeypatch):
+    run = small_run(n_traj=150, grid=TimeGrid(dt=1e-3, steps=600))
+    ok, z = martingale_test(run_ensemble(**run), 150)
     assert ok, f"max |z| = {np.max(np.abs(z))}"
     # A deliberately biased record generator must be flagged.
-    biased = small_config(n_traj=150, grid=TimeGrid(dt=1e-3, steps=600), record_bias=1.0)
-    ok_biased, _ = martingale_test(run_ensemble(biased))
+    bias_ensemble_records(monkeypatch, 1.0)
+    ok_biased, _ = martingale_test(run_ensemble(**run), 150)
     assert not ok_biased

@@ -3,6 +3,8 @@ import pytest
 
 from conftest import EXCITED, decay_model
 from qfilter.linalg import (
+    NumericalError,
+    dagger,
     max_norm,
     random_density,
     random_hermitian,
@@ -10,16 +12,30 @@ from qfilter.linalg import (
     random_unitary,
     trace_distance,
 )
-from qfilter.master import (
-    DegenerateSteadyStateError,
-    StepSizeError,
-    TimeGrid,
-    integrate_master,
-    steady_state,
-)
+from qfilter.master import StepSizeError, TimeGrid, drift_superoperator, integrate_master
 from qfilter.model import CoherentInput, HPModel, adjoint_generator
 
 GROUND = np.array([[0, 0], [0, 1]], dtype=complex)
+GAP_TOL = 1e-8  # steady_state: a second singular value this small is degenerate
+
+
+class DegenerateSteadyStateError(NumericalError):
+    """The generator's null space is not one-dimensional."""
+
+
+def steady_state(model: HPModel, beta_value: complex) -> np.ndarray:
+    """Unique stationary density matrix of the constant-beta generator."""
+    # vec_r(rho) is the left null vector of the row-form generator.
+    _, svals, vh = np.linalg.svd(drift_superoperator(model).at(beta_value).T)
+    if len(svals) > 1 and svals[-2] <= GAP_TOL:
+        raise DegenerateSteadyStateError(
+            f"null space is degenerate (second singular value {svals[-2]:.3e})"
+        )
+    d = model.dim
+    rho = vh[-1].conj().reshape(d, d)
+    rho = 0.5 * (rho + dagger(rho))
+    rho = rho / np.trace(rho)
+    return rho
 
 
 def test_time_grid():
