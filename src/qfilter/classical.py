@@ -141,15 +141,6 @@ def kalman_bucy_step(
     return new_mean, new_cov
 
 
-def classical_innovations(dys: np.ndarray, posterior_h_means: np.ndarray, dt: float) -> np.ndarray:
-    """dI = dY - pi(h) dt, with pi(h) evaluated before each step."""
-    dys = np.asarray(dys, dtype=float)
-    means = np.asarray(posterior_h_means, dtype=float)
-    if dys.shape != means.shape:
-        raise ValueError("record and posterior means are misaligned")
-    return dys - means * dt
-
-
 def run_benchmark(
     grid, seed: int, *, preset: str, a: float, c: float, sigma: float,
     particles: int, x0: float, prior_std: float,
@@ -159,8 +150,8 @@ def run_benchmark(
     The path and record come from `seed`, the particles from seed + 1.
     `a` is the linear preset's drift rate; the other presets ignore it.
     Returns the classical.csv columns over grid.times(): x_true, pf_mean,
-    pf_var, cumulative innovations, and kalman_mean, kalman_var for the
-    linear preset only.
+    pf_var, the cumulative innovations dY - pi(h) dt, pi(h) taken before
+    each step, and kalman_mean, kalman_var for the linear preset only.
     """
     linear = preset == "linear"
     model = linear_model(a=a, sigma=sigma, c=c) if linear else PRESETS[preset](sigma=sigma, c=c)
@@ -189,7 +180,7 @@ def run_benchmark(
         if linear:
             mean, cov = kalman_bucy_step(mean, cov, dys[k], a, c, sigma, grid.dt)
             kb[k + 1] = mean, cov
-    innov = np.concatenate([[0.0], np.cumsum(classical_innovations(dys, h_means, grid.dt))])
+    innov = np.concatenate([[0.0], np.cumsum(dys - h_means * grid.dt)])
     columns = {"x_true": xs, "pf_mean": pf[:, 0], "pf_var": pf[:, 1], "innovations": innov}
     if linear:
         columns["kalman_mean"], columns["kalman_var"] = kb[:, 0], kb[:, 1]

@@ -44,9 +44,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config_required=True):
-        p.add_argument("--config", required=config_required, help="path to JSON run config")
+    def add_seed(p):
         p.add_argument("--seed", type=int, default=0, help="master RNG seed (default 0)")
+
+    def add_common(p):
+        p.add_argument("--config", required=True, help="path to JSON run config")
+        add_seed(p)
         p.add_argument("--out", default=".", help="output directory (default current)")
 
     add_common(sub.add_parser("master", help="integrate the coherent-state master equation"))
@@ -57,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ens.add_argument("--trajectories", type=int, default=100, help="trajectory count N")
     add_common(sub.add_parser("classical", help="classical particle-filter benchmark"))
     p_ver = sub.add_parser("verify", help="run the operator-algebra identity suites")
-    add_common(p_ver, config_required=False)
+    add_seed(p_ver)
     p_ver.add_argument(
         "--dims-check", action="store_true", help="extend the qprob suite to dimension 8"
     )
@@ -144,6 +147,9 @@ def cmd_verify(args) -> int:
 
 
 def dispatch(args) -> int:
+    # mix_seed works modulo 2**64, where a larger seed would alias a smaller one.
+    if not 0 <= args.seed < 2**64:
+        raise ValueError(f"--seed: must be in [0, 2**64), got {args.seed}")
     if args.command == "verify":
         return cmd_verify(args)
     cfg = parse_config(args.config)

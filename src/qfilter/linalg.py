@@ -7,8 +7,6 @@ tens are the intended regime (tensor products of a handful of qubits).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Tolerances for density-matrix and projection validation.
@@ -94,40 +92,11 @@ def trace_distance(rho1: np.ndarray, rho2: np.ndarray) -> float:
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Joint eigenprojections of a commuting Hermitian family.
-
-    eigenvalues[k] is the tuple of eigenvalues of the family members on
-    the range of projections[k].
-    """
-
-    eigenvalues: tuple
-    projections: tuple
-
-    @property
-    def dim(self) -> int:
-        return self.projections[0].shape[0]
-
-    def validate(self, tol: float = PROJ_TOL) -> None:
-        d = self.dim
-        total = np.zeros((d, d), dtype=complex)
-        for j, p in enumerate(self.projections):
-            if not is_hermitian(p, tol):
-                raise ValueError(f"projection {j} is not Hermitian")
-            if max_norm(p @ p - p) > tol:
-                raise ValueError(f"projection {j} is not idempotent")
-            for q in self.projections[j + 1 :]:
-                if max_norm(p @ q) > tol:
-                    raise ValueError("projections are not mutually orthogonal")
-            total += p
-        if max_norm(total - np.eye(d)) > tol:
-            raise ValueError("projections do not resolve the identity")
-
-
-def joint_spectral_projections(family) -> SpectralDecomposition:
+def joint_spectral_projections(family) -> tuple[tuple, tuple]:
     """Simultaneously diagonalize a commuting Hermitian family.
 
+    Returns (eigenvalues, projections): eigenvalues[k] is the tuple of
+    eigenvalues of the family members on the range of projections[k].
     Eigenspaces are refined one family member at a time; eigenvalues closer
     than EIG_CLUSTER_TOL are grouped into a single degenerate subspace.
     """
@@ -158,9 +127,7 @@ def joint_spectral_projections(family) -> SpectralDecomposition:
                     start = i
         blocks = refined
 
-    projections = tuple(q @ dagger(q) for q, _ in blocks)
-    eigenvalues = tuple(vals for _, vals in blocks)
-    return SpectralDecomposition(eigenvalues=eigenvalues, projections=projections)
+    return tuple(vals for _, vals in blocks), tuple(q @ dagger(q) for q, _ in blocks)
 
 
 # --- common fixed operators -------------------------------------------------

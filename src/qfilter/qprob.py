@@ -13,7 +13,6 @@ import numpy as np
 
 from .linalg import (
     COMMUTE_TOL,
-    SpectralDecomposition,
     as_operator,
     check_dims,
     commutator,
@@ -34,12 +33,12 @@ class MeasurementAlgebra:
     """
 
     generators: tuple
-    projections: SpectralDecomposition = field(init=False)
+    projections: tuple = field(init=False)
 
     def __post_init__(self):
         gens = tuple(as_operator(g) for g in self.generators)
         object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "projections", joint_spectral_projections(gens))
+        object.__setattr__(self, "projections", joint_spectral_projections(gens)[1])
 
     @property
     def dim(self) -> int:
@@ -54,7 +53,7 @@ def in_commutant(x: np.ndarray, algebra: MeasurementAlgebra, tol: float = COMMUT
     """Whether X commutes with every joint projection of the algebra."""
     x = as_operator(x)
     check_dims(x, *algebra.generators)
-    return all(max_norm(commutator(x, p)) <= tol for p in algebra.projections.projections)
+    return all(max_norm(commutator(x, p)) <= tol for p in algebra.projections)
 
 
 def conditional_expectation(
@@ -70,7 +69,7 @@ def conditional_expectation(
     if not in_commutant(x, algebra):
         raise ValueError("observable is not in the commutant of the algebra")
     out = np.zeros_like(x)
-    for p in algebra.projections.projections:
+    for p in algebra.projections:
         weight = np.trace(rho @ p)
         if abs(weight) > ZERO_WEIGHT_TOL:
             out += (np.trace(rho @ p @ x) / weight) * p
@@ -143,7 +142,7 @@ def bayes_conditional(
     out = np.zeros_like(x)
     fxf = dagger(f) @ x @ f
     ff = dagger(f) @ f
-    for p in algebra.projections.projections:
+    for p in algebra.projections:
         weight = np.trace(rho @ p)
         if abs(weight) <= ZERO_WEIGHT_TOL:
             continue

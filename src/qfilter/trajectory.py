@@ -6,20 +6,21 @@ is the one filter loop; `simulate_record`, `filter_record` and
 the (steps,) innovations, the Zakai log-normalization), and the ensemble
 harness aggregates it on the fly.
 
-The loop steps in Liouville space (conventions in `master`): each state
-is a row vector vec_r(rho) of d^2 entries, and the linear work of a step
-is one product with a (d^2, w) matrix whose right block gives the
-pre-step intensity: [drift | gain], w = 2 d^2, for quadrature, the
-intensity being the trace of the gain, and [no-jump drift | rate],
-w = d^2 + 1, for counting, the last column giving tr(L^b rho L^b†).  Its
-four affine pieces in beta are built once per run, and combined when
-beta(t) changes.  The product is taken per row, (N, 1, d^2) @ (d^2, w),
-so that trajectory i of a batch is bit for bit the trajectory run alone.
-A counting row that clicked jumps in matrix form, L^b rho L^b† / r, and
-then takes its no-jump drift through the same matrix.  `quad_step_arrays`
-and `count_step_arrays` are the reference Euler kernels the loop is
-tested against.  Every step ends with a Hermitian projection and trace
-renormalization.
+The loop steps in Liouville space (conventions in `master`): a state is a
+row vector vec_r(rho) of d^2 entries, and the linear work of a step is one
+per-row product, (N, 1, d^2) @ (d^2, w), so that trajectory i of a batch
+is bit for bit the trajectory run alone.  The loop tests no measurement
+kind; each kind's `_STEPS` entry gives its maps, its dY draw and the rest
+of its step.  Quadrature steps through [drift | gain], w = 2 d^2, whose
+gain trace is the pre-step intensity m, and draws dY = dI + m dt.
+Counting steps through [no-jump drift | rate], w = d^2 + 1, whose last
+column gives r = tr(L^b rho L^b†), and draws a Bernoulli(r dt) click; a
+row that clicked jumps in matrix form, L^b rho L^b† / r, with L^b built
+for those rows only, and then takes its no-jump drift through the same
+matrix.  The matrix is recombined from its four affine pieces in beta
+when beta(t) changes.  `quad_step_arrays` and `count_step_arrays` are the
+reference Euler kernels the loop is tested against.  Every step ends
+with a Hermitian projection and trace renormalization.
 
 The unnormalized (Zakai) state is kept in factorized form: the normalized
 filter state plus an accumulated log-normalization, whose per-step
@@ -165,36 +166,57 @@ def _right_trace(out: np.ndarray, d2: int) -> np.ndarray:
     return out[..., d2 :: math.isqrt(d2) + 1].real.sum(axis=-1, keepdims=True)
 
 
-def _quadrature_finish(v, out, m, dy, dt, sup, lb):
+def _rows(x) -> np.ndarray:
+    """A per-trajectory scalar, () or (N,), as (B, 1, 1) to scale (B, 1, w) rows."""
+    return np.reshape(x, (-1, 1, 1))
+
+
+def _quadrature_draw(di, m, dt):
+    """dY = dI + m dt, with dI ~ N(0, dt) pre-drawn."""
+    return di + m * dt
+
+
+def _quadrature_finish(v, out, m, dy, dt, *_):
     """rho + L'rho dt + (L^b rho + rho L^b† - m rho)(dY - m dt), in rows."""
     d2 = v.shape[-1]
+    m, dy = _rows(m), _rows(dy)
     return v + out[..., :d2] * dt + (out[..., d2:] - m * v) * (dy - m * dt)
 
 
-def _counting_finish(v, out, r, dy, dt, sup, lb):
-    """No-jump drift step of each row; a row with dY = 1 first jumps.
+def _counting_draw(u, r, dt):
+    """dY ~ Bernoulli(r dt) from pre-drawn uniforms, within MAX_JUMP_PROBABILITY."""
+    prob = r * dt
+    bad = prob > MAX_JUMP_PROBABILITY
+    if np.any(bad):
+        msg = f"jump probability {prob[bad][0]:.3g} exceeds bound {MAX_JUMP_PROBABILITY}"
+        raise _row_error(JumpRateError, bad, msg)
+    return (u < prob).astype(float)
 
-    Only the rows that jumped take the jump, L^b rho L^b† / r in matrix
-    form as in `count_step_arrays`, and then a second product with `sup`
-    for their no-jump drift; `propagate` has checked that their rates
-    clear JUMP_RATE_FLOOR.
-    """
+
+def _counting_finish(v, out, r, dy, dt, sup, model, b):
+    """No-jump drift step of each row; a row that clicked, at r >= JUMP_RATE_FLOOR, first jumps."""
+    if np.min(r) < JUMP_RATE_FLOOR:
+        bad = (dy != 0.0) & (r < JUMP_RATE_FLOOR)
+        if np.any(bad):
+            msg = "detection event in a state with vanishing jump rate"
+            raise _row_error(JumpRateError, bad, msg)
     d2 = v.shape[-1]
+    r = _rows(r)
     new = v + (out[..., :d2] + r * v) * dt
     jumped = np.flatnonzero(dy != 0.0)
     if jumped.size:
-        d = math.isqrt(d2)
-        jump = lb @ v[jumped].reshape(-1, d, d) @ dagger(lb)
+        lb = modulated_coupling(model, b)
+        jump = lb @ v[jumped].reshape((-1,) + lb.shape) @ dagger(lb)
         post = (jump / r[jumped]).reshape(-1, 1, d2)
         post_out = post @ sup
         new[jumped] = post + (post_out[..., :d2] + _right_trace(post_out, d2) * post) * dt
     return new
 
 
-# kind -> (the maps side by side in the step superoperator, the rest of the step)
+# kind -> (the maps side by side in the step matrix, the dY draw, the rest of the step)
 _STEPS = {
-    QUADRATURE: (_quadrature_maps, _quadrature_finish),
-    COUNTING: (_counting_maps, _counting_finish),
+    QUADRATURE: (_quadrature_maps, _quadrature_draw, _quadrature_finish),
+    COUNTING: (_counting_maps, _counting_draw, _counting_finish),
 }
 
 
@@ -218,15 +240,13 @@ def propagate(
     """The filter loop: yield (rho after step k, dY_k, intensity before step k).
 
     rho0 has shape (d, d) or (N, d, d).  Replays `increments` when given,
-    else draws dY from `noise` (pre-drawn, step index first) and the
-    pre-step intensity.
-    The step superoperator and L^beta are rebuilt only when beta(t)
-    changes.  A numerical failure names its step and time, and, over a
-    batch, the first failing trajectory.
+    else the kind's draw takes dY from `noise` (pre-drawn, step index
+    first) and the pre-step intensity.  A numerical failure names its step
+    and time, and, over a batch, the first failing trajectory.
     """
     if kind not in _STEPS:
         raise ValueError(f"unknown measurement kind {kind!r}")
-    maps, finish = _STEPS[kind]
+    maps, draw, finish = _STEPS[kind]
     step_map = affine_superoperator(model, maps)
     rho = np.asarray(rho0, dtype=complex)
     shape = rho.shape
@@ -237,32 +257,12 @@ def propagate(
         try:
             b = beta.value(t)
             if b != b_prev:
-                sup, lb = step_map.at(b), modulated_coupling(model, b)
-                b_prev = b
+                sup, b_prev = step_map.at(b), b
             v = rho.reshape(-1, 1, shape[-1] ** 2)
             out = v @ sup
-            pre = _right_trace(out, v.shape[-1])
-            intensity = pre.reshape(shape[:-2])
-            if increments is not None:
-                dy = increments[k]
-            elif kind == QUADRATURE:  # dY = dI + m dt, dI ~ N(0, dt)
-                dy = noise[k] + intensity * dt
-            else:  # dY ~ Bernoulli(r dt)
-                prob = intensity * dt
-                bad = prob > MAX_JUMP_PROBABILITY
-                if np.any(bad):
-                    raise _row_error(
-                        JumpRateError, bad,
-                        f"jump probability {prob[bad][0]:.3g} exceeds bound {MAX_JUMP_PROBABILITY}",
-                    )
-                dy = (noise[k] < prob).astype(float)
-            if kind == COUNTING and np.min(intensity) < JUMP_RATE_FLOOR:
-                bad = (dy != 0.0) & (intensity < JUMP_RATE_FLOOR)
-                if np.any(bad):
-                    raise _row_error(
-                        JumpRateError, bad, "detection event in a state with vanishing jump rate"
-                    )
-            new = finish(v, out, pre, np.reshape(dy, (-1, 1, 1)), dt, sup, lb)
+            intensity = _right_trace(out, v.shape[-1]).reshape(shape[:-2])
+            dy = increments[k] if increments is not None else draw(noise[k], intensity, dt)
+            new = finish(v, out, intensity, dy, dt, sup, model, b)
             rho = _hermitize_normalize(new.reshape(shape))
         except NumericalError as exc:
             raise type(exc)(f"step {k}, t={t:g}: {exc}") from exc

@@ -73,7 +73,7 @@ def _random_commuting_instance(rng: np.random.Generator, dim: int, n_generators:
         gens.append(u @ np.diag(vals).astype(complex) @ dagger(u))
     algebra = qprob.MeasurementAlgebra(tuple(gens))
     a = random_matrix(rng, dim)
-    x = sum(p @ a @ p for p in algebra.projections.projections)
+    x = sum(p @ a @ p for p in algebra.projections)
     rho = random_density(rng, dim)
     return algebra, x, rho
 
@@ -93,8 +93,8 @@ def qprob_suite(seed: int = 0, dims=(2, 4, 8), instances: int = 100):
         res_proj = max(res_proj, max_norm(twice - cond))
 
         # Least squares against a random algebra element.
-        coeffs = rng.standard_normal(len(algebra.projections.projections))
-        y = sum(c * p for c, p in zip(coeffs, algebra.projections.projections))
+        coeffs = rng.standard_normal(len(algebra.projections))
+        y = sum(c * p for c, p in zip(coeffs, algebra.projections))
 
         def state_norm(op):
             return np.sqrt(abs(np.trace(rho @ dagger(op) @ op)))
@@ -107,7 +107,7 @@ def qprob_suite(seed: int = 0, dims=(2, 4, 8), instances: int = 100):
 
         # Quantum Bayes: F block-diagonal in the commutant, normalized in rho.
         b = random_matrix(rng, dim)
-        f = sum(p @ b @ p for p in algebra.projections.projections)
+        f = sum(p @ b @ p for p in algebra.projections)
         norm = np.trace(rho @ dagger(f) @ f).real
         if norm < 1e-6:
             continue

@@ -4,7 +4,6 @@ import pytest
 from conftest import riccati_steady_state
 from qfilter.classical import (
     bistable_double_well,
-    classical_innovations,
     kalman_bucy_step,
     linear_model,
     normalized_weights,
@@ -109,13 +108,6 @@ def test_double_well_drift_sign():
     assert m.drift(0.5) > 0
     assert m.drift(2.0) < 0
     assert m.drift(-0.5) < 0
-
-
-def test_classical_innovations_validation():
-    with pytest.raises(ValueError):
-        classical_innovations(np.zeros(5), np.zeros(4), 0.1)
-    out = classical_innovations(np.full(3, 0.2), np.full(3, 1.0), 0.1)
-    assert np.allclose(out, 0.1)
 
 
 def test_particle_step_rejects_bad_dt():

@@ -179,6 +179,30 @@ def test_nonpositive_trajectories_fails_validation_naming_the_flag(tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "ensemble"])
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_out_of_range_seed_fails_validation_naming_the_flag(tmp_path, capsys, command, seed):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg), "--out", str(out), "--seed", str(seed)]
+    assert main(argv) == EXIT_VALIDATION
+    assert f"error: --seed: must be in [0, 2**64), got {seed}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "ensemble"])
+def test_largest_seed_runs(tmp_path, command):
+    cfg = write_config(tmp_path, grid={"dt": 1e-3, "T": 0.01})
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path), "--seed", str(2**64 - 1)]
+    assert main(argv + (["--trajectories", "2"] if command == "ensemble" else [])) == EXIT_OK
+
+
+def test_verify_takes_no_config_or_out(tmp_path):
+    with pytest.raises(SystemExit):
+        main(["verify", "--config", "nonexistent.json", "--out", str(tmp_path / "zz")])
+    assert not (tmp_path / "zz").exists()
+
+
 def test_classical_command(tmp_path):
     cfg = write_config(tmp_path, classical={"preset": "linear", "particles": 200})
     out = tmp_path / "cls"

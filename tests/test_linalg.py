@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qfilter.linalg import (
+    PROJ_TOL,
     DimensionMismatchError,
     SIGMA_MINUS,
     SIGMA_PLUS,
@@ -76,6 +77,23 @@ def test_trace_distance_properties():
     assert trace_distance(np.diag([1.0, 0]).astype(complex), np.diag([0, 1.0]).astype(complex)) == pytest.approx(1.0)
 
 
+def validate_projections(projections, tol=PROJ_TOL):
+    """Raise ValueError unless the projections are orthogonal and resolve the identity."""
+    d = projections[0].shape[0]
+    total = np.zeros((d, d), dtype=complex)
+    for j, p in enumerate(projections):
+        if not is_hermitian(p, tol):
+            raise ValueError(f"projection {j} is not Hermitian")
+        if max_norm(p @ p - p) > tol:
+            raise ValueError(f"projection {j} is not idempotent")
+        for q in projections[j + 1 :]:
+            if max_norm(p @ q) > tol:
+                raise ValueError("projections are not mutually orthogonal")
+        total += p
+    if max_norm(total - np.eye(d)) > tol:
+        raise ValueError("projections do not resolve the identity")
+
+
 def test_joint_spectral_projections_resolve_and_commute():
     rng = np.random.default_rng(4)
     for _ in range(20):
@@ -85,11 +103,11 @@ def test_joint_spectral_projections_resolve_and_commute():
             u @ np.diag(rng.integers(-2, 3, size=dim).astype(float)).astype(complex) @ dagger(u)
             for _ in range(2)
         ]
-        dec = joint_spectral_projections(fam)
-        dec.validate()
+        eigenvalues, projections = joint_spectral_projections(fam)
+        validate_projections(projections)
         # Each family member is reconstructed from its joint eigenvalues.
         for j, a in enumerate(fam):
-            rebuilt = sum(vals[j] * p for vals, p in zip(dec.eigenvalues, dec.projections))
+            rebuilt = sum(vals[j] * p for vals, p in zip(eigenvalues, projections))
             assert max_norm(rebuilt - a) < 1e-9
 
 
@@ -105,9 +123,9 @@ def test_joint_spectral_projections_rejects_noncommuting():
 def test_degenerate_family_keeps_degenerate_block():
     # sigma_z (x) I on two qubits: two 2-dimensional eigenprojections.
     a = np.kron(SIGMA_Z, np.eye(2)).astype(complex)
-    dec = joint_spectral_projections([a])
-    assert len(dec.projections) == 2
-    assert all(np.trace(p).real == pytest.approx(2.0) for p in dec.projections)
+    _, projections = joint_spectral_projections([a])
+    assert len(projections) == 2
+    assert all(np.trace(p).real == pytest.approx(2.0) for p in projections)
 
 
 def test_random_unitary_is_haar_like_deterministic():

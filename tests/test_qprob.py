@@ -61,7 +61,7 @@ def test_tower_property_mean():
     gens = (u @ np.diag([1.0, 1.0, -1.0, 2.0]).astype(complex) @ dagger(u),)
     alg = MeasurementAlgebra(gens)
     a = random_matrix(rng, 4)
-    x = sum(p @ a @ p for p in alg.projections.projections)
+    x = sum(p @ a @ p for p in alg.projections)
     rho = random_density(rng, 4)
     cond = conditional_expectation(x, alg, rho)
     assert np.trace(rho @ cond) == pytest.approx(np.trace(rho @ x), abs=1e-12)
@@ -73,7 +73,7 @@ def test_defining_property_residual_small():
     gens = (u @ np.diag([0.0, 0.0, 1.0, 2.0]).astype(complex) @ dagger(u),)
     alg = MeasurementAlgebra(gens)
     a = random_matrix(rng, 4)
-    x = sum(p @ a @ p for p in alg.projections.projections)
+    x = sum(p @ a @ p for p in alg.projections)
     rho = random_density(rng, 4)
     assert verify_defining_property(x, alg, rho) < 1e-10
 
