@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: master, simulate, filter, ensemble, classical, verify.
-Exit codes: 0 success, 1 validation error, 2 numerical failure.
+Exit codes: 0 success, 1 validation or usage error, 2 numerical failure.
 All randomness flows from --seed (default 0); outputs land under --out.
 """
 
@@ -27,8 +27,16 @@ EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, the validation code, not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qfilter",
         description=(
             "Quantum filtering simulator for quadrature and photon-counting "

@@ -8,12 +8,14 @@ Increment polynomials carry concrete matrix coefficients over the basis
 
 with every other increment pair (and anything involving dt) vanishing.
 Identities are verified numerically at machine precision rather than by
-term rewriting.
+term rewriting.  Every function here also takes stacks: a polynomial with
+(n, d, d) coefficients, or a model of stacked (S, L, H), is n instances,
+and beta is then a scalar or an (n, 1, 1) stack.  `qfilter verify` checks
+each identity once per dimension on its random instances stacked as
+(n, d, d) arrays; a given seed draws the same instances.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,8 +27,11 @@ from .model import (
     modulated_coupling,
 )
 
+_SYMBOLS = ("dt", "dB", "dBdag", "dLambda")
+_INDEX = {s: i for i, s in enumerate(_SYMBOLS)}
+
 # Nonzero table entries: (left symbol, right symbol) -> result symbol.
-# Symbols: "dt", "dB", "dBdag", "dLambda".
+# Each entry has its own result symbol.
 _ITO_TABLE = {
     ("dB", "dBdag"): "dt",
     ("dB", "dLambda"): "dB",
@@ -34,63 +39,69 @@ _ITO_TABLE = {
     ("dLambda", "dBdag"): "dBdag",
 }
 
-_SYMBOLS = ("dt", "dB", "dBdag", "dLambda")
 
-
-@dataclass(frozen=True)
 class IncrementPolynomial:
-    """Matrix-coefficient polynomial a dt + b dB + c dB† + e dLambda."""
+    """Matrix-coefficient polynomial a dt + b dB + c dB† + e dLambda.
 
-    coeff_dt: np.ndarray
-    coeff_dB: np.ndarray
-    coeff_dBdag: np.ndarray
-    coeff_dLambda: np.ndarray
+    `coeffs` holds the four coefficients as one (4, ..., d, d) array in the
+    symbol order dt, dB, dB†, dLambda.  The constructor validates its
+    arguments; polynomials derived from valid ones (`_of`) are not
+    validated again.
+    """
 
-    def __post_init__(self):
-        coeffs = tuple(as_operator(getattr(self, "coeff_" + s)) for s in _SYMBOLS)
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeff_dt, coeff_dB, coeff_dBdag, coeff_dLambda):
+        coeffs = [as_operator(c) for c in (coeff_dt, coeff_dB, coeff_dBdag, coeff_dLambda)]
         check_dims(*coeffs)
-        for name, c in zip(_SYMBOLS, coeffs):
-            object.__setattr__(self, "coeff_" + name, c)
+        self.coeffs = np.stack(np.broadcast_arrays(*coeffs))
+
+    @classmethod
+    def _of(cls, coeffs: np.ndarray) -> "IncrementPolynomial":
+        p = object.__new__(cls)
+        p.coeffs = coeffs
+        return p
 
     def coeff(self, symbol: str) -> np.ndarray:
-        return getattr(self, "coeff_" + symbol)
+        return self.coeffs[_INDEX[symbol]]
 
     @classmethod
     def single(cls, symbol: str, coeff: np.ndarray) -> "IncrementPolynomial":
         coeff = as_operator(coeff)
-        parts = {s: np.zeros_like(coeff) for s in _SYMBOLS}
-        parts[symbol] = coeff
-        return cls(parts["dt"], parts["dB"], parts["dBdag"], parts["dLambda"])
+        coeffs = np.zeros((4, *coeff.shape), dtype=complex)
+        coeffs[_INDEX[symbol]] = coeff
+        return cls._of(coeffs)
 
     def adjoint(self) -> "IncrementPolynomial":
         """Adjoint polynomial: dB <-> dB†, dt and dLambda self-adjoint."""
-        return IncrementPolynomial(
-            coeff_dt=dagger(self.coeff_dt),
-            coeff_dB=dagger(self.coeff_dBdag),
-            coeff_dBdag=dagger(self.coeff_dB),
-            coeff_dLambda=dagger(self.coeff_dLambda),
-        )
+        return self._of(dagger(self.coeffs[[0, 2, 1, 3]]))
 
     def left_mul(self, a: np.ndarray) -> "IncrementPolynomial":
-        return IncrementPolynomial(*(as_operator(a) @ self.coeff(s) for s in _SYMBOLS))
+        return self._of(a @ self.coeffs)
 
     def right_mul(self, a: np.ndarray) -> "IncrementPolynomial":
-        return IncrementPolynomial(*(self.coeff(s) @ as_operator(a) for s in _SYMBOLS))
+        return self._of(self.coeffs @ a)
 
     def __add__(self, other: "IncrementPolynomial") -> "IncrementPolynomial":
-        return IncrementPolynomial(*(self.coeff(s) + other.coeff(s) for s in _SYMBOLS))
+        return self._of(self.coeffs + other.coeffs)
 
     def __sub__(self, other: "IncrementPolynomial") -> "IncrementPolynomial":
-        return IncrementPolynomial(*(self.coeff(s) - other.coeff(s) for s in _SYMBOLS))
+        return self._of(self.coeffs - other.coeffs)
 
 
 def ito_product(p: IncrementPolynomial, q: IncrementPolynomial) -> IncrementPolynomial:
-    """Product of two increment polynomials routed by the quantum Ito table."""
-    check_dims(p.coeff_dt, q.coeff_dt)
-    parts = {s: np.zeros_like(p.coeff_dt) for s in _SYMBOLS}
-    for (a, b), target in _ITO_TABLE.items():
-        parts[target] = parts[target] + p.coeff(a) @ q.coeff(b)
-    return IncrementPolynomial(parts["dt"], parts["dB"], parts["dBdag"], parts["dLambda"])
+    """Product of two increment polynomials routed by the quantum Ito table.
+
+    One gather of the left and right coefficients of the table entries, one
+    stacked product, and one scatter into the entries' result symbols.
+    """
+    check_dims(p.coeffs, q.coeffs)
+    entries = [(_INDEX[a], _INDEX[b], _INDEX[t]) for (a, b), t in _ITO_TABLE.items()]
+    left, right, target = (list(i) for i in zip(*entries))
+    products = p.coeffs[left] @ q.coeffs[right]
+    out = np.zeros((4, *products.shape[1:]), dtype=complex)
+    out[target] = products
+    return IncrementPolynomial._of(out)
 
 
 def ito_product_many(*polys: IncrementPolynomial) -> IncrementPolynomial:
@@ -101,29 +112,20 @@ def ito_product_many(*polys: IncrementPolynomial) -> IncrementPolynomial:
     return out
 
 
-def coherent_expectation(p: IncrementPolynomial, beta: complex) -> np.ndarray:
+def coherent_expectation(p: IncrementPolynomial, beta) -> np.ndarray:
     """dt-rate of the polynomial on a coherent state with amplitude beta.
 
     Uses dB Psi(beta) = beta dt Psi(beta) and dLambda Psi(beta) = beta dB† Psi(beta),
     which compose to the rates (1, beta, beta*, |beta|^2) on (dt, dB, dB†, dLambda).
     """
-    b = complex(beta)
-    return (
-        p.coeff_dt
-        + b * p.coeff_dB
-        + np.conj(b) * p.coeff_dBdag
-        + abs(b) ** 2 * p.coeff_dLambda
-    )
+    c = p.coeffs
+    return c[0] + beta * c[1] + np.conj(beta) * c[2] + abs(beta) ** 2 * c[3]
 
 
 def langevin_increment(model: HPModel, x: np.ndarray) -> IncrementPolynomial:
     """dj_t(X) with its four Evans-Hudson coefficients."""
-    return IncrementPolynomial(
-        coeff_dt=evans_hudson(model, (0, 0), x),
-        coeff_dB=evans_hudson(model, (0, 1), x),
-        coeff_dBdag=evans_hudson(model, (1, 0), x),
-        coeff_dLambda=evans_hudson(model, (1, 1), x),
-    )
+    indices = ((0, 0), (0, 1), (1, 0), (1, 1))  # dt, dB, dB†, dLambda
+    return IncrementPolynomial._of(np.stack([evans_hudson(model, i, x) for i in indices]))
 
 
 def output_increments(model: HPModel):
@@ -132,31 +134,24 @@ def output_increments(model: HPModel):
     dB_out = S dB + L dt;
     dLambda_out = dLambda + L†S dB + S†L dB† + L†L dt.
     """
-    d = model.dim
-    eye = np.eye(d, dtype=complex)
-    db_out = IncrementPolynomial(
-        coeff_dt=model.L,
-        coeff_dB=model.S,
-        coeff_dBdag=np.zeros((d, d), dtype=complex),
-        coeff_dLambda=np.zeros((d, d), dtype=complex),
-    )
-    dlambda_out = IncrementPolynomial(
-        coeff_dt=dagger(model.L) @ model.L,
-        coeff_dB=dagger(model.L) @ model.S,
-        coeff_dBdag=dagger(model.S) @ model.L,
-        coeff_dLambda=eye,
+    s, l = model.S, model.L
+    zero = np.zeros_like(s)
+    eye = np.broadcast_to(np.eye(model.dim, dtype=complex), s.shape)
+    db_out = IncrementPolynomial._of(np.stack([l, s, zero, zero]))
+    dlambda_out = IncrementPolynomial._of(
+        np.stack([dagger(l) @ l, dagger(l) @ s, dagger(s) @ l, eye])
     )
     return db_out, dlambda_out
 
 
-def verify_generator(model: HPModel, b: complex, x: np.ndarray) -> float:
+def verify_generator(model: HPModel, b, x: np.ndarray) -> float:
     """Residual of E^beta[dj_t(X)] = E^beta[j_t(L^beta X)] dt at beta = b."""
     rate = coherent_expectation(langevin_increment(model, x), b)
     gen = heisenberg_generator(model, b, x)
     return max_norm(rate - gen)
 
 
-def girsanov_coefficients(model: HPModel, b: complex, kind: str):
+def girsanov_coefficients(model: HPModel, b, kind: str):
     """Change-of-measure coefficients for the Zakai dynamics at beta = b.
 
     Quadrature: (tilde_L, tilde_K) with
@@ -164,21 +159,20 @@ def girsanov_coefficients(model: HPModel, b: complex, kind: str):
         tilde_K = -L†S beta - (1/2)L†L - iH - L^beta beta + beta^2.
     Counting: ((1/beta) tilde_L, -((1/2)L†L + iH + L†S beta)).
     """
-    d = model.dim
-    eye = np.eye(d, dtype=complex)
-    tilde_l = modulated_coupling(model, b) - b * eye
+    eye = np.eye(model.dim, dtype=complex)
+    lb = modulated_coupling(model, b)
+    tilde_l = lb - b * eye
     base = -dagger(model.L) @ model.S * b - 0.5 * dagger(model.L) @ model.L - 1j * model.H
     if kind == "quadrature":
-        tilde_k = base - modulated_coupling(model, b) * b + b * b * eye
-        return tilde_l, tilde_k
+        return tilde_l, base - lb * b + b * b * eye
     if kind == "counting":
-        if abs(b) == 0:
+        if np.any(b == 0):
             raise ValueError("counting-mode Girsanov coefficients require beta != 0")
         return tilde_l / b, base
     raise ValueError(f"unknown measurement kind {kind!r}")
 
 
-def zakai_expansion(model: HPModel, b: complex, x: np.ndarray, kind: str):
+def zakai_expansion(model: HPModel, b, x: np.ndarray, kind: str):
     """Gain and drift of d(F†XF) from the Ito table, at the system level, at beta = b.
 
     Expands dF† X + X dF + dF† X dF with dF = coeff dY + K dt stripped of
@@ -187,27 +181,24 @@ def zakai_expansion(model: HPModel, b: complex, x: np.ndarray, kind: str):
     counting the gain multiplies dLambda.
     """
     x = as_operator(x)
-    d = model.dim
     if kind == "quadrature":
+        # dF = tilde_L dY + tilde_K dt with dY = dB + dB†.
         tilde_l, tilde_k = girsanov_coefficients(model, b, "quadrature")
-        dy = IncrementPolynomial(
-            coeff_dt=np.zeros((d, d), dtype=complex),
-            coeff_dB=np.eye(d, dtype=complex),
-            coeff_dBdag=np.eye(d, dtype=complex),
-            coeff_dLambda=np.zeros((d, d), dtype=complex),
-        )
-        df = dy.left_mul(tilde_l) + IncrementPolynomial.single("dt", tilde_k)
+        coeffs = [tilde_k, tilde_l, tilde_l, np.zeros_like(tilde_l)]
     elif kind == "counting":
         coeff, k_c = girsanov_coefficients(model, b, "counting")
-        df = IncrementPolynomial.single("dLambda", coeff) + IncrementPolynomial.single("dt", k_c)
+        coeffs = [k_c, np.zeros_like(k_c), np.zeros_like(k_c), coeff]
     else:
         raise ValueError(f"unknown measurement kind {kind!r}")
+    df = IncrementPolynomial._of(np.stack(coeffs))
 
-    total = df.adjoint().right_mul(x) + df.left_mul(x) + ito_product(df.adjoint().right_mul(x), df)
+    dfx = df.adjoint().right_mul(x)
+    total = dfx + df.left_mul(x) + ito_product(dfx, df)
     if kind == "quadrature":
-        # dY = dB + dB†: both coefficients must agree and form the gain.
+        # dY = dB + dB†: both coefficients must agree, instance by instance, and form the gain.
         gain = total.coeff("dB")
-        if max_norm(total.coeff("dB") - total.coeff("dBdag")) > 1e-12 * (1 + max_norm(gain)):
+        mismatch = np.abs(gain - total.coeff("dBdag")).max(axis=(-2, -1))
+        if np.any(mismatch > 1e-12 * (1 + np.abs(gain).max(axis=(-2, -1)))):
             raise AssertionError("quadrature expansion is not a dY polynomial")
         return gain, total.coeff("dt")
     return total.coeff("dLambda"), total.coeff("dt")
@@ -221,8 +212,7 @@ def nondemolition_residual(x: np.ndarray) -> float:
     dt, dB, dB† and dLambda.
     """
     x = as_operator(x)
-    d = x.shape[0]
-    eye_sys = np.eye(d, dtype=complex)
+    eye_sys = np.eye(x.shape[-1], dtype=complex)
     annihilate = np.array([[0, 1], [0, 0]], dtype=complex)
     stand_ins = [
         np.eye(2, dtype=complex),          # dt
@@ -231,8 +221,4 @@ def nondemolition_residual(x: np.ndarray) -> float:
         dagger(annihilate) @ annihilate,   # dLambda
     ]
     system_side = np.kron(x, np.eye(2, dtype=complex))
-    residual = 0.0
-    for m in stand_ins:
-        field_side = np.kron(eye_sys, m)
-        residual = max(residual, max_norm(commutator(system_side, field_side)))
-    return residual
+    return float(np.max([max_norm(commutator(system_side, np.kron(eye_sys, m))) for m in stand_ins]))

@@ -1,6 +1,7 @@
 """Dense complex linear algebra for small Hilbert spaces.
 
-Operators are plain numpy arrays of shape (d, d) with complex entries.
+Operators are plain numpy arrays of shape (d, d) with complex entries, or
+stacks of them of shape (..., d, d).
 Everything here is a pure function of its inputs; dimensions up to a few
 tens are the intended regime (tensor products of a handful of qubits).
 """
@@ -27,13 +28,13 @@ class NumericalError(RuntimeError):
 
 
 def as_operator(a) -> np.ndarray:
-    """Coerce input to a square complex matrix, checking shape and finiteness."""
+    """Coerce input to a square complex matrix or a (..., d, d) stack, checking shape and finiteness."""
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"operator must be square, got shape {m.shape}")
-    if m.shape[0] < 1:
+    if m.shape[-1] < 1:
         raise ValueError("operator dimension must be >= 1")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("operator has non-finite entries")
     return m
 
@@ -56,7 +57,7 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def max_norm(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    return float(np.abs(a).max()) if a.size else 0.0
 
 
 def is_hermitian(a: np.ndarray, tol: float = HERM_TOL) -> bool:
@@ -64,7 +65,7 @@ def is_hermitian(a: np.ndarray, tol: float = HERM_TOL) -> bool:
 
 
 def is_unitary(a: np.ndarray, tol: float = PROJ_TOL) -> bool:
-    d = a.shape[0]
+    d = a.shape[-1]
     return max_norm(dagger(a) @ a - np.eye(d)) <= tol
 
 
@@ -122,7 +123,7 @@ def joint_spectral_projections(family) -> tuple[tuple, tuple]:
             for i in range(1, len(w) + 1):
                 if i == len(w) or w[i] - w[start] > EIG_CLUSTER_TOL:
                     vecs = v[:, start:i]
-                    lam = float(np.mean(w[start:i]))
+                    lam = float(w[start:i].sum()) / (i - start)
                     refined.append((q @ vecs, vals + (lam,)))
                     start = i
         blocks = refined

@@ -12,13 +12,15 @@ row ab of M being vec_r(F(E_ab)) for the matrix unit E_ab.  Since
 L^beta = L + beta S and H^beta is affine in (beta, beta*), every map
 built from them is M(beta) = M0 + beta M1 + beta* M2 + |beta|^2 M3; the
 four pieces are built once per run (`affine_superoperator`).  `at` forms
-M(beta); `apply` gives v @ M(beta) from the four products v @ pieces, so
-RK4 under a time-varying beta forms no d^2 x d^2 matrix per stage.
+M(beta); `apply` gives v @ M(beta) from one product of v with the four
+pieces side by side, so RK4 under a time-varying beta forms no d^2 x d^2
+matrix per stage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,6 +66,12 @@ class AffineSuperoperator:
 
     pieces: np.ndarray
 
+    @cached_property
+    def side_by_side(self) -> np.ndarray:
+        """The pieces as one (d*d, 4w) matrix [M0 M1 M2 M3], built on first use."""
+        n, rows, width = self.pieces.shape
+        return self.pieces.transpose(1, 0, 2).reshape(rows, n * width)
+
     def at(self, b: complex) -> np.ndarray:
         b = complex(b)
         p0, p1, p2, p3 = self.pieces
@@ -75,9 +83,10 @@ class AffineSuperoperator:
         return out
 
     def apply(self, v: np.ndarray, b: complex) -> np.ndarray:
-        """v @ at(b) for a row vector v, from the four products v @ pieces."""
+        """v @ at(b) for a row vector v, from the one product v @ side_by_side."""
         b = complex(b)
-        return np.array([1, b, b.conjugate(), b.real**2 + b.imag**2]) @ (v @ self.pieces)
+        products = (v @ self.side_by_side).reshape(4, -1)
+        return np.array([1, b, b.conjugate(), b.real**2 + b.imag**2]) @ products
 
 
 def affine_superoperator(model: HPModel, maps) -> AffineSuperoperator:

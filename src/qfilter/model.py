@@ -3,6 +3,10 @@
 S is the scattering unitary, L the coupling (units time^-1/2), H the
 Hamiltonian (units time^-1).  The coherent input amplitude beta(t) carries
 units time^-1/2, so all generator terms scale as time^-1.
+
+A model may hold stacks (n, d, d) of n triples; the operator functions
+below then act instance by instance, with beta a scalar or a stack
+(n, 1, 1) of amplitudes.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .linalg import (
 
 @dataclass(frozen=True)
 class HPModel:
-    """System triple (S, L, H) on a dim-dimensional Hilbert space."""
+    """System triple (S, L, H) on a dim-dimensional Hilbert space, or a stack of triples."""
 
     S: np.ndarray
     L: np.ndarray
@@ -44,7 +48,7 @@ class HPModel:
 
     @property
     def dim(self) -> int:
-        return self.S.shape[0]
+        return self.S.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -148,15 +152,12 @@ def lindblad_heisenberg(l: np.ndarray, h: np.ndarray, x: np.ndarray) -> np.ndarr
 
 def heisenberg_generator(model: HPModel, b: complex, x: np.ndarray) -> np.ndarray:
     """L_00 X + beta* L_10 X + beta L_01 X + |beta|^2 L_11 X at beta = b."""
-    out = evans_hudson(model, (0, 0), x)
-    if b != 0:
-        out = (
-            out
-            + np.conj(b) * evans_hudson(model, (1, 0), x)
-            + b * evans_hudson(model, (0, 1), x)
-            + abs(b) ** 2 * evans_hudson(model, (1, 1), x)
-        )
-    return out
+    return (
+        evans_hudson(model, (0, 0), x)
+        + np.conj(b) * evans_hudson(model, (1, 0), x)
+        + b * evans_hudson(model, (0, 1), x)
+        + abs(b) ** 2 * evans_hudson(model, (1, 1), x)
+    )
 
 
 def lindblad_adjoint(l: np.ndarray, h: np.ndarray, rho: np.ndarray) -> np.ndarray:

@@ -28,17 +28,18 @@ ZERO_WEIGHT_TOL = 1e-12
 class MeasurementAlgebra:
     """Commutative von Neumann algebra vN{Y_1, ..., Y_n} of Hermitian generators.
 
-    Represented by the joint spectral projections of the generators; in
-    finite dimension this carries the full algebra.
+    Represented by the joint spectral projections of the generators, held
+    as one (k, d, d) array; in finite dimension this carries the full
+    algebra.
     """
 
     generators: tuple
-    projections: tuple = field(init=False)
+    projections: np.ndarray = field(init=False)
 
     def __post_init__(self):
         gens = tuple(as_operator(g) for g in self.generators)
         object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "projections", joint_spectral_projections(gens)[1])
+        object.__setattr__(self, "projections", np.array(joint_spectral_projections(gens)[1]))
 
     @property
     def dim(self) -> int:
@@ -49,11 +50,31 @@ class MeasurementAlgebra:
         return MeasurementAlgebra(tuple(dagger(u) @ g @ u for g in self.generators))
 
 
+def _traces(a: np.ndarray) -> np.ndarray:
+    return a.trace(axis1=-2, axis2=-1)
+
+
 def in_commutant(x: np.ndarray, algebra: MeasurementAlgebra, tol: float = COMMUTE_TOL) -> bool:
     """Whether X commutes with every joint projection of the algebra."""
     x = as_operator(x)
     check_dims(x, *algebra.generators)
-    return all(max_norm(commutator(x, p)) <= tol for p in algebra.projections)
+    return max_norm(commutator(x, algebra.projections)) <= tol
+
+
+def _branch_means(algebra: MeasurementAlgebra, rho: np.ndarray, a: np.ndarray):
+    """c_k = tr(rho P_k A) / tr(rho P_k) over the projections, and which weights are live.
+
+    A branch whose weight tr(rho P_k) vanishes is not live and gets c_k = 0.
+    """
+    weights = _traces(rho @ algebra.projections)
+    live = np.abs(weights) > ZERO_WEIGHT_TOL
+    num = _traces(rho @ algebra.projections @ a)
+    return np.divide(num, weights, out=np.zeros_like(num), where=live), live
+
+
+def _combine(coefficients: np.ndarray, algebra: MeasurementAlgebra) -> np.ndarray:
+    """sum_k c_k P_k."""
+    return (coefficients[:, None, None] * algebra.projections).sum(axis=0)
 
 
 def conditional_expectation(
@@ -68,24 +89,15 @@ def conditional_expectation(
     rho = as_operator(rho)
     if not in_commutant(x, algebra):
         raise ValueError("observable is not in the commutant of the algebra")
-    out = np.zeros_like(x)
-    for p in algebra.projections:
-        weight = np.trace(rho @ p)
-        if abs(weight) > ZERO_WEIGHT_TOL:
-            out += (np.trace(rho @ p @ x) / weight) * p
-    return out
+    return _combine(_branch_means(algebra, rho, x)[0], algebra)
 
 
-def _monomials(algebra: MeasurementAlgebra, degree: int = 2):
-    """Monomials in the generators up to the given degree, including identity."""
+def _monomials(algebra: MeasurementAlgebra) -> np.ndarray:
+    """Monomials in the generators up to degree 2, including identity, as one stack."""
+    gens = np.array(algebra.generators)
     d = algebra.dim
-    mons = [np.eye(d, dtype=complex)]
-    mons.extend(algebra.generators)
-    if degree >= 2:
-        for g in algebra.generators:
-            for h in algebra.generators:
-                mons.append(g @ h)
-    return mons
+    products = (gens[:, None] @ gens[None, :]).reshape(-1, d, d)
+    return np.concatenate([np.eye(d, dtype=complex)[None], gens, products])
 
 
 def verify_defining_property(
@@ -93,12 +105,8 @@ def verify_defining_property(
 ) -> float:
     """max_Y |tr(rho E[X|M] Y) - tr(rho X Y)| over generator monomials up to degree 2."""
     cond = conditional_expectation(x, algebra, rho)
-    residual = 0.0
-    for y in _monomials(algebra):
-        lhs = np.trace(rho @ cond @ y)
-        rhs = np.trace(rho @ x @ y)
-        residual = max(residual, abs(lhs - rhs))
-    return float(residual)
+    monomials = _monomials(algebra)
+    return max_norm(_traces(rho @ cond @ monomials) - _traces(rho @ x @ monomials))
 
 
 def rotated_conditional(
@@ -139,18 +147,10 @@ def bayes_conditional(
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"tr(rho F†F) = {norm} is not 1 within tolerance")
 
-    out = np.zeros_like(x)
-    fxf = dagger(f) @ x @ f
-    ff = dagger(f) @ f
-    for p in algebra.projections:
-        weight = np.trace(rho @ p)
-        if abs(weight) <= ZERO_WEIGHT_TOL:
-            continue
-        den = np.trace(rho @ p @ ff) / weight
-        if abs(den) <= ZERO_WEIGHT_TOL:
-            raise ZeroDivisionError(
-                "zero denominator coefficient on a projection with nonzero weight"
-            )
-        num = np.trace(rho @ p @ fxf) / weight
-        out += (num / den) * p
-    return out
+    den, live = _branch_means(algebra, rho, dagger(f) @ f)
+    if np.any(live & (np.abs(den) <= ZERO_WEIGHT_TOL)):
+        raise ZeroDivisionError(
+            "zero denominator coefficient on a projection with nonzero weight"
+        )
+    num, _ = _branch_means(algebra, rho, dagger(f) @ x @ f)
+    return _combine(np.divide(num, den, out=np.zeros_like(num), where=live), algebra)

@@ -2,7 +2,12 @@
 
 Each check runs over randomized instances and reports its worst residual;
 the CLI `verify` command prints one line per check and fails if any
-residual exceeds the reporting threshold.
+residual exceeds the reporting threshold, or is NaN.  A suite draws its
+instances one after another from `numpy.random.default_rng(seed)`, so the
+same seed draws the same instances.  The ito suite then stacks them per
+dimension as (n, d, d) arrays and checks each identity once per
+dimension; the qprob suite checks each instance's algebra on its stack of
+joint projections.
 """
 
 from __future__ import annotations
@@ -47,12 +52,17 @@ class CheckResult:
         return f"{self.name:<44s} {self.residual:12.3e}  (tol {self.tol:.0e})  {status}"
 
 
+def _worst(residuals) -> float:
+    """The largest residual, NaN if any is NaN, 0 if there are none."""
+    return float(np.max(residuals, initial=0.0))
+
+
+def _random_triple(rng: np.random.Generator, dim: int):
+    return random_unitary(rng, dim), random_matrix(rng, dim), random_hermitian(rng, dim)
+
+
 def random_model(rng: np.random.Generator, dim: int) -> HPModel:
-    return HPModel(
-        S=random_unitary(rng, dim),
-        L=random_matrix(rng, dim),
-        H=random_hermitian(rng, dim),
-    )
+    return HPModel(*_random_triple(rng, dim))
 
 
 def random_beta(rng: np.random.Generator) -> complex:
@@ -72,8 +82,8 @@ def _random_commuting_instance(rng: np.random.Generator, dim: int, n_generators:
         vals = rng.integers(-2, 3, size=dim).astype(float)
         gens.append(u @ np.diag(vals).astype(complex) @ dagger(u))
     algebra = qprob.MeasurementAlgebra(tuple(gens))
-    a = random_matrix(rng, dim)
-    x = sum(p @ a @ p for p in algebra.projections)
+    p = algebra.projections
+    x = np.sum(p @ random_matrix(rng, dim) @ p, axis=0)
     rho = random_density(rng, dim)
     return algebra, x, rho
 
@@ -81,33 +91,32 @@ def _random_commuting_instance(rng: np.random.Generator, dim: int, n_generators:
 def qprob_suite(seed: int = 0, dims=(2, 4, 8), instances: int = 100):
     """Defining property, projection, least squares, and the two lemmas."""
     rng = np.random.default_rng(seed)
-    res_def = res_proj = res_lsq = res_l1 = res_l2 = 0.0
+    res_def, res_proj, res_lsq, res_l1, res_l2 = [], [], [], [], []
     for _ in range(instances):
         dim = int(rng.choice(dims))
         algebra, x, rho = _random_commuting_instance(rng, dim)
+        p = algebra.projections
 
-        res_def = max(res_def, qprob.verify_defining_property(x, algebra, rho))
+        res_def.append(qprob.verify_defining_property(x, algebra, rho))
 
         cond = qprob.conditional_expectation(x, algebra, rho)
         twice = qprob.conditional_expectation(cond, algebra, rho)
-        res_proj = max(res_proj, max_norm(twice - cond))
+        res_proj.append(max_norm(twice - cond))
 
         # Least squares against a random algebra element.
-        coeffs = rng.standard_normal(len(algebra.projections))
-        y = sum(c * p for c, p in zip(coeffs, algebra.projections))
+        y = np.sum(rng.standard_normal(len(p))[:, None, None] * p, axis=0)
 
         def state_norm(op):
             return np.sqrt(abs(np.trace(rho @ dagger(op) @ op)))
 
-        res_lsq = max(res_lsq, state_norm(x - cond) - state_norm(x - y))
+        res_lsq.append(state_norm(x - cond) - state_norm(x - y))
 
         u = random_unitary(rng, dim)
         lhs, rhs = qprob.rotated_conditional(x, algebra, rho, u)
-        res_l1 = max(res_l1, max_norm(lhs - rhs))
+        res_l1.append(max_norm(lhs - rhs))
 
         # Quantum Bayes: F block-diagonal in the commutant, normalized in rho.
-        b = random_matrix(rng, dim)
-        f = sum(p @ b @ p for p in algebra.projections)
+        f = np.sum(p @ random_matrix(rng, dim) @ p, axis=0)
         norm = np.trace(rho @ dagger(f) @ f).real
         if norm < 1e-6:
             continue
@@ -116,16 +125,15 @@ def qprob_suite(seed: int = 0, dims=(2, 4, 8), instances: int = 100):
             bayes = qprob.bayes_conditional(x, f, algebra, rho)
         except ZeroDivisionError:
             continue
-        rho_f = f @ rho @ dagger(f)
-        direct = qprob.conditional_expectation(x, algebra, rho_f)
-        res_l2 = max(res_l2, max_norm(bayes - direct))
+        direct = qprob.conditional_expectation(x, algebra, f @ rho @ dagger(f))
+        res_l2.append(max_norm(bayes - direct))
 
     return [
-        CheckResult("qprob/defining-property", res_def, REPORT_TOL),
-        CheckResult("qprob/projection-property", res_proj, 1e-10),
-        CheckResult("qprob/least-squares", max(res_lsq, 0.0), REPORT_TOL),
-        CheckResult("qprob/unitary-rotation-lemma", res_l1, REPORT_TOL),
-        CheckResult("qprob/quantum-bayes-lemma", res_l2, REPORT_TOL),
+        CheckResult("qprob/defining-property", _worst(res_def), REPORT_TOL),
+        CheckResult("qprob/projection-property", _worst(res_proj), 1e-10),
+        CheckResult("qprob/least-squares", _worst(res_lsq), REPORT_TOL),
+        CheckResult("qprob/unitary-rotation-lemma", _worst(res_l1), REPORT_TOL),
+        CheckResult("qprob/quantum-bayes-lemma", _worst(res_l2), REPORT_TOL),
     ]
 
 
@@ -133,17 +141,20 @@ def ito_suite(seed: int = 0, dims=(2, 3, 4), instances: int = 100):
     """Ito-table, generator, Lindblad-form, duality and Zakai-coefficient checks."""
     rng = np.random.default_rng(seed)
     res = {
-        "ito/table-identities": 0.0,
-        "ito/associativity": 0.0,
-        "ito/coherent-generator": 0.0,
-        "model/lindblad-identity": 0.0,
-        "model/generator-duality": 0.0,
-        "ito/zakai-quadrature-gain": 0.0,
-        "ito/zakai-quadrature-drift": 0.0,
-        "ito/zakai-quadrature-rearranged": 0.0,
-        "ito/zakai-counting-rearranged": 0.0,
-        "ito/girsanov-tilde-k": 0.0,
-        "ito/non-demolition": 0.0,
+        name: []
+        for name in (
+            "ito/table-identities",
+            "ito/associativity",
+            "ito/coherent-generator",
+            "model/lindblad-identity",
+            "model/generator-duality",
+            "ito/zakai-quadrature-gain",
+            "ito/zakai-quadrature-drift",
+            "ito/zakai-quadrature-rearranged",
+            "ito/zakai-counting-rearranged",
+            "ito/girsanov-tilde-k",
+            "ito/non-demolition",
+        )
     }
 
     # Fixed spot identities of the Ito table at dim 2.
@@ -161,70 +172,66 @@ def ito_suite(seed: int = 0, dims=(2, 3, 4), instances: int = 100):
         ito.ito_product(dt_poly, db),
         ito.ito_product(db, dt_poly),
     ]
-    for p in spots:
-        res["ito/table-identities"] = max(
-            res["ito/table-identities"],
-            max(max_norm(p.coeff(s)) for s in ("dt", "dB", "dBdag", "dLambda")),
-        )
+    res["ito/table-identities"] = [max_norm(p.coeffs) for p in spots]
 
+    # Draw every instance in order, as beta and one (17, d, d) array of its
+    # matrices: S, L, H, X, rho and the coefficients of three polynomials.
+    drawn = {dim: [] for dim in dims}
     for _ in range(instances):
         dim = int(rng.choice(dims))
-        model = random_model(rng, dim)
+        s, l, h = _random_triple(rng, dim)
         b = random_beta(rng)
-        x = random_hermitian(rng, dim)
-        rho = random_density(rng, dim)
+        x, rho = random_hermitian(rng, dim), random_density(rng, dim)
+        coeffs = [random_matrix(rng, dim) for _ in range(12)]
+        drawn[dim].append((b, np.array([s, l, h, x, rho, *coeffs])))
 
-        def rand_poly():
-            return ito.IncrementPolynomial(
-                *(random_matrix(rng, dim) for _ in range(4))
-            )
+    for dim in list(drawn):
+        rows = drawn.pop(dim)  # the draws are freed dimension by dimension
+        if not rows:
+            continue
+        betas, matrices = zip(*rows)
+        del rows
+        b = np.array(betas)[:, None, None]
+        s, l, h, x, rho, *coeffs = np.stack(matrices, axis=1)
+        del matrices
+        model = HPModel(S=s, L=l, H=h)
 
-        p, q, r = rand_poly(), rand_poly(), rand_poly()
+        p, q, r = (ito.IncrementPolynomial(*coeffs[i : i + 4]) for i in (0, 4, 8))
         left = ito.ito_product(ito.ito_product(p, q), r)
         right = ito.ito_product(p, ito.ito_product(q, r))
-        res["ito/associativity"] = max(
-            res["ito/associativity"],
-            max(max_norm(left.coeff(s) - right.coeff(s)) for s in ("dt", "dB", "dBdag", "dLambda")),
-        )
+        res["ito/associativity"].append(max_norm(left.coeffs - right.coeffs))
 
-        res["ito/coherent-generator"] = max(
-            res["ito/coherent-generator"], ito.verify_generator(model, b, x)
-        )
+        res["ito/coherent-generator"].append(ito.verify_generator(model, b, x))
 
+        generator = heisenberg_generator(model, b, x)
         lb = modulated_coupling(model, b)
         hb = modulated_hamiltonian(model, b)
-        res["model/lindblad-identity"] = max(
-            res["model/lindblad-identity"],
-            max_norm(heisenberg_generator(model, b, x) - lindblad_heisenberg(lb, hb, x)),
-        )
+        res["model/lindblad-identity"].append(max_norm(generator - lindblad_heisenberg(lb, hb, x)))
 
-        lhs = np.trace(rho @ heisenberg_generator(model, b, x))
-        rhs = np.trace(adjoint_generator(model, b, rho) @ x)
-        res["model/generator-duality"] = max(res["model/generator-duality"], abs(lhs - rhs))
+        lhs = np.trace(rho @ generator, axis1=-2, axis2=-1)
+        rhs = np.trace(adjoint_generator(model, b, rho) @ x, axis1=-2, axis2=-1)
+        res["model/generator-duality"].append(max_norm(lhs - rhs))
 
         tilde_l, tilde_k = ito.girsanov_coefficients(model, b, "quadrature")
         gain, drift = ito.zakai_expansion(model, b, x, "quadrature")
-        res["ito/zakai-quadrature-gain"] = max(
-            res["ito/zakai-quadrature-gain"], max_norm(gain - (x @ tilde_l + dagger(tilde_l) @ x))
+        res["ito/zakai-quadrature-gain"].append(
+            max_norm(gain - (x @ tilde_l + dagger(tilde_l) @ x))
         )
-        res["ito/zakai-quadrature-drift"] = max(
-            res["ito/zakai-quadrature-drift"],
-            max_norm(drift - (dagger(tilde_l) @ x @ tilde_l + x @ tilde_k + dagger(tilde_k) @ x)),
+        res["ito/zakai-quadrature-drift"].append(
+            max_norm(drift - (dagger(tilde_l) @ x @ tilde_l + x @ tilde_k + dagger(tilde_k) @ x))
         )
         c = b + np.conj(b)
-        res["ito/zakai-quadrature-rearranged"] = max(
-            res["ito/zakai-quadrature-rearranged"],
-            max_norm(drift + c * gain - heisenberg_generator(model, b, x)),
-        )
+        res["ito/zakai-quadrature-rearranged"].append(max_norm(drift + c * gain - generator))
 
-        if abs(b) > 0.1:
-            cgain, cdrift = ito.zakai_expansion(model, b, x, "counting")
-            res["ito/zakai-counting-rearranged"] = max(
-                res["ito/zakai-counting-rearranged"],
-                max_norm(
-                    cdrift + abs(b) ** 2 * cgain - heisenberg_generator(model, b, x)
-                ),
-            )
+        # Counting needs beta away from 0; a dimension may select none.
+        bright = np.abs(b[:, 0, 0]) > 0.1
+        bb = b[bright]
+        cgain, cdrift = ito.zakai_expansion(
+            HPModel(S=s[bright], L=l[bright], H=h[bright]), bb, x[bright], "counting"
+        )
+        res["ito/zakai-counting-rearranged"].append(
+            max_norm(cdrift + abs(bb) ** 2 * cgain - generator[bright])
+        )
 
         cross = (
             -dagger(model.L) @ model.S * b
@@ -232,11 +239,11 @@ def ito_suite(seed: int = 0, dims=(2, 3, 4), instances: int = 100):
             - 1j * model.H
             - tilde_l * b
         )
-        res["ito/girsanov-tilde-k"] = max(res["ito/girsanov-tilde-k"], max_norm(tilde_k - cross))
+        res["ito/girsanov-tilde-k"].append(max_norm(tilde_k - cross))
 
-        res["ito/non-demolition"] = max(res["ito/non-demolition"], ito.nondemolition_residual(x))
+        res["ito/non-demolition"].append(ito.nondemolition_residual(x))
 
-    return [CheckResult(name, v, REPORT_TOL) for name, v in res.items()]
+    return [CheckResult(name, _worst(v), REPORT_TOL) for name, v in res.items()]
 
 
 def full_suite(seed: int = 0, dims_check: bool = False):

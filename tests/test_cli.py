@@ -271,3 +271,15 @@ def test_output_path_overrides(tmp_path):
     out = tmp_path / "o"
     assert main(["master", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
     assert (out / "custom.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--out", "zz"], ["master", "--seed", "x", "--config", "y"]],
+    ids=["verify-unknown-flag", "master-bad-seed"],
+)
+def test_usage_error_exits_with_the_validation_code(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_VALIDATION
+    assert "error:" in capsys.readouterr().err
