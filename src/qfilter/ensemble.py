@@ -72,7 +72,7 @@ def run_ensemble(
     noise = np.empty((grid.steps, n_traj))
     for i in range(n_traj):
         noise[:, i] = draw_noise(np.random.default_rng(mix_seed(master_seed, i)), kind, grid)
-    rhos = np.broadcast_to(np.asarray(rho0, dtype=complex), (n_traj,) + rho0.shape).copy()
+    rhos = np.broadcast_to(np.asarray(rho0, dtype=complex), (n_traj,) + rho0.shape)
     master = integrate_master(model, beta, rho0, grid)
 
     checkpoints = _checkpoint_steps(grid.steps)

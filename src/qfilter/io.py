@@ -15,15 +15,21 @@ from .ensemble import innovations_z
 from .master import TimeGrid
 from .trajectory import COUNTING, MeasurementRecord
 
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+ROW_BLOCK = 256
 
 
 def _write_rows(path, header: list, columns: list) -> None:
-    """One CSV row per index of the equal-length `columns`."""
-    lines = [",".join(header)] + [",".join(map(_fmt, row)) for row in zip(*columns)]
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+    """One CSV row per index of the equal-length `columns`, each row formatted at once.
+
+    Rows are formatted and written ROW_BLOCK at a time, so no copy of the
+    whole table, as numbers or as text, is held.
+    """
+    fmt = ",".join(["%.17g"] * len(columns)) + "\n"
+    with Path(path).open("w", newline="\n") as f:
+        f.write(",".join(header) + "\n")
+        for start in range(0, len(columns[0]), ROW_BLOCK):
+            block = [np.asarray(c[start : start + ROW_BLOCK], dtype=float).tolist() for c in columns]
+            f.write("".join([fmt % row for row in zip(*block)]))
 
 
 def _trace(x: np.ndarray) -> np.ndarray:
@@ -47,11 +53,11 @@ def write_states_csv(path, times, rhos, observables: dict, innovations=None) -> 
 
 
 def write_record_csv(path, record: MeasurementRecord) -> None:
-    lines = ["kind,dt,steps", f"{record.kind},{_fmt(record.grid.dt)},{record.grid.steps}"]
+    lines = ["kind,dt,steps", "%s,%.17g,%d" % (record.kind, record.grid.dt, record.grid.steps)]
     if record.kind == COUNTING:
         lines += [str(int(v)) for v in record.increments]
     else:
-        lines += [_fmt(v) for v in record.increments]
+        lines += ["%.17g" % v for v in record.increments.tolist()]
     Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
 

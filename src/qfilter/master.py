@@ -4,15 +4,21 @@ Classical RK4 on d(rho)/dt = L'^{beta(t)}(rho).  Serves as the
 ensemble-average oracle for the stochastic filters.
 
 Linear maps of d x d matrices act here, and in the filter loop, in
-Liouville space (Havel, J. Math. Phys. 44, 534 (2003)).  A state is
-flattened row-major, vec_r(rho) = rho.reshape(d*d), which is Havel's
-column-stacking vec(rho^T), so vec_r(A rho B) = (A kron B^T) vec_r(rho).
-A map acts on the right of a row vector: vec_r(F(rho)) = vec_r(rho) @ M,
-row ab of M being vec_r(F(E_ab)) for the matrix unit E_ab.  Since
-L^beta = L + beta S and H^beta is affine in (beta, beta*), every map
-built from them is M(beta) = M0 + beta M1 + beta* M2 + |beta|^2 M3; the
-four pieces are built once per run (`affine_superoperator`).  `at` forms
-M(beta); `apply` gives v @ M(beta) from one product of v with the four
+Liouville space (Havel, J. Math. Phys. 44, 534 (2003)) restricted to
+Hermitian matrices, a real space of dimension d^2.  A Hermitian rho is
+held as its real coordinates x: the d x d real matrix with x_ab = Re rho_ab
+on and above the diagonal and x_ab = Im rho_ab below it (`coordinates`),
+flattened row-major to d^2 entries.  The inverse (`hermitian`) takes the
+real part from the upper triangle and the imaginary part from the lower,
+so it round-trips exactly and its result is Hermitian bit for bit; the
+trace is the sum of the diagonal of x.  A Hermitian-preserving map F acts
+on the right of a row vector, x(F(rho)) = x(rho) @ M, row ab of M being
+x(F(h_ab)) for h_ab = hermitian(e_ab), the preimage of the coordinate unit
+vector e_ab; a scalar-valued map takes the real part.  Since
+L^beta = L + beta S and H^beta is affine in (beta, beta*), every map built
+from them is M(beta) = M0 + Re(beta) M1 + Im(beta) M2 + |beta|^2 M3 with
+real pieces, built once per run (`affine_superoperator`).  `at` forms
+M(beta); `apply` gives x @ M(beta) from one product of x with the four
 pieces side by side, so RK4 under a time-varying beta forms no d^2 x d^2
 matrix per stage.
 """
@@ -20,7 +26,7 @@ matrix per stage.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -28,6 +34,7 @@ from .linalg import NumericalError, validate_density
 from .model import CoherentInput, HPModel, lindblad_adjoint, modulated_operators
 
 TRACE_DRIFT_LIMIT = 1e-6
+STATE_BLOCK = 256  # states turned from coordinates to matrices at a time
 
 
 @dataclass(frozen=True)
@@ -55,13 +62,49 @@ class StepSizeError(NumericalError):
     """Trace drift indicates the RK4 step is too large for the generator."""
 
 
+# The index tables below are built in Python: numpy's integer loops would be
+# used nowhere else, and touching their code costs resident memory.
+@cache
+def _below_diagonal(d: int) -> np.ndarray:
+    return np.array([[a > b for b in range(d)] for a in range(d)])
+
+
+def coordinates(rho: np.ndarray) -> np.ndarray:
+    """The real coordinates x of Hermitian (..., d, d) rho: Re on and above the diagonal, Im below."""
+    return np.where(_below_diagonal(rho.shape[-1]), rho.imag, rho.real)
+
+
+@cache
+def _hermitian_gather(d: int) -> np.ndarray:
+    """Where each real and imaginary part of hermitian(x), interleaved, sits in [x, -x, 0]."""
+    index = []
+    for a in range(d):
+        for b in range(d):
+            x_ab, x_ba = a * d + b, b * d + a
+            index.append(x_ab if a <= b else x_ba)
+            index.append(x_ab if a > b else d * d + x_ba if a < b else 2 * d * d)
+    return np.array(index)
+
+
+def hermitian(x: np.ndarray) -> np.ndarray:
+    """The Hermitian (..., d, d) matrix with real coordinates x, the exact inverse of `coordinates`.
+
+    Every entry is a copy of an entry of x or of its negation, or zero, so
+    the result is Hermitian bit for bit.
+    """
+    d = x.shape[-1]
+    flat = x.reshape(x.shape[:-2] + (d * d,))
+    signed = np.concatenate([flat, -flat, np.zeros(flat.shape[:-1] + (1,))], axis=-1)
+    return signed.take(_hermitian_gather(d), axis=-1).view(complex).reshape(x.shape)
+
+
 @dataclass(frozen=True)
 class AffineSuperoperator:
-    """Row-form maps M(beta) = M0 + beta M1 + beta* M2 + |beta|^2 M3.
+    """Real row-form maps M(beta) = M0 + Re(beta) M1 + Im(beta) M2 + |beta|^2 M3.
 
-    pieces has shape (4, d*d, w): the maps side by side, row-form as in
-    the module docstring, a matrix-valued map taking d*d columns and a
-    scalar-valued one (a trace) one column.
+    pieces has shape (4, d*d, w): the maps side by side, row-form on real
+    coordinates as in the module docstring, a matrix-valued map taking d*d
+    columns and a scalar-valued one (a trace) one column.
     """
 
     pieces: np.ndarray
@@ -75,9 +118,9 @@ class AffineSuperoperator:
     def at(self, b: complex) -> np.ndarray:
         b = complex(b)
         p0, p1, p2, p3 = self.pieces
-        out = p1 * b  # in place from here on: at d = 8 each temporary is 128 kB
+        out = p1 * b.real  # in place from here on: at d = 8 each temporary is 33 kB
         out += p0
-        term = p2 * b.conjugate()
+        term = p2 * b.imag
         out += term
         out += np.multiply(p3, b.real**2 + b.imag**2, out=term)
         return out
@@ -86,29 +129,32 @@ class AffineSuperoperator:
         """v @ at(b) for a row vector v, from the one product v @ side_by_side."""
         b = complex(b)
         products = (v @ self.side_by_side).reshape(4, -1)
-        return np.array([1, b, b.conjugate(), b.real**2 + b.imag**2]) @ products
+        return np.array([1.0, b.real, b.imag, b.real**2 + b.imag**2]) @ products
 
 
 def affine_superoperator(model: HPModel, maps) -> AffineSuperoperator:
-    """The pieces of the row-form maps `maps(L^beta, H^beta, units)`.
+    """The real pieces of the row-form maps `maps(L^beta, H^beta, units)`.
 
-    `maps` returns a tuple of arrays, each one map applied to the stack of
-    the d*d matrix units: (d*d, d, d) for a matrix-valued map, (d*d,) for a
-    scalar-valued one.  The maps are evaluated at beta = 0, 1, -1, i
-    and the four pieces solved for, so each map keeps its one definition.
+    `maps` returns a tuple of arrays, each one Hermitian-preserving map
+    applied to the stack of the d*d preimages h_ab of the coordinate unit
+    vectors: (d*d, d, d) for a matrix-valued map, of which the coordinates
+    are taken, and (d*d,) for a scalar-valued one, of which the real part
+    is taken.  The maps are evaluated at beta = 0, 1, -1, i and the four
+    pieces solved for, so each map keeps its one definition.
     """
     d = model.dim
-    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+    units = hermitian(np.eye(d * d).reshape(d * d, d, d))
 
     def evaluate(b):
         lb, hb = modulated_operators(model, b)
-        return np.concatenate([m.reshape(d * d, -1) for m in maps(lb, hb, units)], axis=1)
+        outs = maps(lb, hb, units)
+        return np.concatenate(
+            [(coordinates(m) if m.ndim == 3 else m.real).reshape(d * d, -1) for m in outs], axis=1
+        )
 
     f0, f_plus, f_minus, f_i = (evaluate(b) for b in (0j, 1 + 0j, -1 + 0j, 1j))
     p3 = 0.5 * (f_plus + f_minus) - f0
-    even = 0.5 * (f_plus - f_minus)  # M1 + M2
-    odd = -1j * (f_i - f0 - p3)  # M1 - M2
-    return AffineSuperoperator(np.stack([f0, 0.5 * (even + odd), 0.5 * (even - odd), p3]))
+    return AffineSuperoperator(np.stack([f0, 0.5 * (f_plus - f_minus), f_i - f0 - p3, p3]))
 
 
 def drift_superoperator(model: HPModel) -> AffineSuperoperator:
@@ -118,7 +164,7 @@ def drift_superoperator(model: HPModel) -> AffineSuperoperator:
 
 def _rk4_polynomial(a: np.ndarray) -> np.ndarray:
     """sum_{k=0}^4 a^k / k!, one RK4 step of a constant linear generator."""
-    eye = np.eye(a.shape[0], dtype=complex)
+    eye = np.eye(a.shape[0], dtype=a.dtype)
     out = eye + a / 4
     for k in (3, 2, 1):
         out = eye + (a @ out) / k
@@ -130,17 +176,22 @@ def integrate_master(
 ) -> np.ndarray:
     """The (steps+1, d, d) states by RK4, with beta sampled at the substage times.
 
-    The state steps as a row vector through the row-form generator.  A
-    step whose three stage values of beta agree is one product with the
-    RK4 polynomial of that generator (exactly RK4), kept while beta is
-    unchanged; otherwise each stage applies the pieces to its vector at its
-    beta (`AffineSuperoperator.apply`).
+    The state steps as a row vector of real coordinates through the
+    row-form generator.  A step whose three stage values of beta agree is
+    one product with the RK4 polynomial of that generator (exactly RK4),
+    kept while beta is unchanged; otherwise each stage applies the pieces
+    to its vector at its beta (`AffineSuperoperator.apply`).  The
+    coordinates are kept in the first half of each state's row of the
+    returned array, seen as reals, and turned into the Hermitian states in
+    place, a block of rows at a time, so no second copy of the path is held.
     """
-    rho = validate_density(rho0).astype(complex)
+    rho = validate_density(rho0)
     d = rho.shape[0]
+    d2 = d * d
     generator = drift_superoperator(model)
-    states = np.empty((grid.steps + 1, d * d), dtype=complex)
-    states[0] = v = rho.reshape(d * d)
+    states = np.empty((grid.steps + 1, d, d), dtype=complex)
+    path = states.reshape(grid.steps + 1, d2).view(float)[:, :d2]
+    path[0] = v = coordinates(rho).reshape(d2)
     dt = grid.dt
     b_poly = poly = None
     for k in range(grid.steps):
@@ -161,5 +212,8 @@ def integrate_master(
             raise StepSizeError(
                 f"trace drift {drift:.3e} at step {k}: dt={dt} too large for this generator"
             )
-        states[k + 1] = v
-    return states.reshape(grid.steps + 1, d, d)
+        path[k + 1] = v
+    for start in range(0, grid.steps + 1, STATE_BLOCK):
+        block = slice(start, start + STATE_BLOCK)
+        states[block] = hermitian(path[block].reshape(-1, d, d))
+    return states

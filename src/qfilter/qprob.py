@@ -37,9 +37,10 @@ class MeasurementAlgebra:
     projections: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        gens = tuple(as_operator(g) for g in self.generators)
-        object.__setattr__(self, "generators", gens)
+        gens = tuple(np.asarray(g, dtype=complex) for g in self.generators)
+        # joint_spectral_projections validates each generator (`as_operator`).
         object.__setattr__(self, "projections", np.array(joint_spectral_projections(gens)[1]))
+        object.__setattr__(self, "generators", gens)
 
     @property
     def dim(self) -> int:
@@ -56,7 +57,11 @@ def _traces(a: np.ndarray) -> np.ndarray:
 
 def in_commutant(x: np.ndarray, algebra: MeasurementAlgebra, tol: float = COMMUTE_TOL) -> bool:
     """Whether X commutes with every joint projection of the algebra."""
-    x = as_operator(x)
+    return _commutes(as_operator(x), algebra, tol)
+
+
+def _commutes(x: np.ndarray, algebra: MeasurementAlgebra, tol: float = COMMUTE_TOL) -> bool:
+    """`in_commutant` for an X that `as_operator` has already validated."""
     check_dims(x, *algebra.generators)
     return max_norm(commutator(x, algebra.projections)) <= tol
 
@@ -87,7 +92,7 @@ def conditional_expectation(
     """
     x = as_operator(x)
     rho = as_operator(rho)
-    if not in_commutant(x, algebra):
+    if not _commutes(x, algebra):
         raise ValueError("observable is not in the commutant of the algebra")
     return _combine(_branch_means(algebra, rho, x)[0], algebra)
 
@@ -139,9 +144,9 @@ def bayes_conditional(
     x = as_operator(x)
     f = as_operator(f)
     rho = as_operator(rho)
-    if not in_commutant(f, algebra):
+    if not _commutes(f, algebra):
         raise ValueError("F is not in the commutant of the algebra")
-    if not in_commutant(x, algebra):
+    if not _commutes(x, algebra):
         raise ValueError("observable is not in the commutant of the algebra")
     norm = np.trace(rho @ dagger(f) @ f)
     if abs(norm - 1.0) > 1e-9:

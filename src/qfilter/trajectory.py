@@ -6,21 +6,23 @@ is the one filter loop; `simulate_record`, `filter_record` and
 the (steps,) innovations, the Zakai log-normalization), and the ensemble
 harness aggregates it on the fly.
 
-The loop steps in Liouville space (conventions in `master`): a state is a
-row vector vec_r(rho) of d^2 entries, and the linear work of a step is one
-per-row product, (N, 1, d^2) @ (d^2, w), so that trajectory i of a batch
-is bit for bit the trajectory run alone.  The loop tests no measurement
-kind; each kind's `_STEPS` entry gives its maps, its dY draw and the rest
-of its step.  Quadrature steps through [drift | gain], w = 2 d^2, whose
+The loop steps in Liouville space on real coordinates (conventions in
+`master`): a state is a row vector x(rho) of d^2 reals, and the linear
+work of a step is one real per-row product, (N, 1, d^2) @ (d^2, w), so
+that trajectory i of a batch is bit for bit the trajectory run alone.
+The loop tests no measurement kind; each kind's `_STEPS` entry gives its
+maps, its dY draw and the rest of its step.  Quadrature steps through [drift | gain], w = 2 d^2, whose
 gain trace is the pre-step intensity m, and draws dY = dI + m dt.
 Counting steps through [no-jump drift | rate], w = d^2 + 1, whose last
 column gives r = tr(L^b rho L^b†), and draws a Bernoulli(r dt) click; a
 row that clicked jumps in matrix form, L^b rho L^b† / r, with L^b built
-for those rows only, and then takes its no-jump drift through the same
-matrix.  The matrix is recombined from its four affine pieces in beta
-when beta(t) changes.  `quad_step_arrays` and `count_step_arrays` are the
-reference Euler kernels the loop is tested against.  Every step ends
-with a Hermitian projection and trace renormalization.
+for those rows only and the jump projected onto the Hermitian matrices,
+and then takes its no-jump drift through the same matrix.  The matrix is
+recombined from its four affine pieces in beta when beta(t) changes.
+`quad_step_arrays` and `count_step_arrays` are the reference Euler
+kernels the loop is tested against.  Every step ends with a trace
+renormalization of the coordinates; the states yielded are their
+Hermitian matrices, so Hermitian by construction, with no projection.
 
 The unnormalized (Zakai) state is kept in factorized form: the normalized
 filter state plus an accumulated log-normalization, whose per-step
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import NumericalError, dagger
-from .master import TimeGrid, affine_superoperator
+from .master import TimeGrid, affine_superoperator, coordinates, hermitian
 from .model import CoherentInput, HPModel, lindblad_adjoint, modulated_coupling
 
 JUMP_RATE_FLOOR = 1e-12
@@ -161,9 +163,9 @@ def _counting_maps(lb: np.ndarray, hb: np.ndarray, rho: np.ndarray):
 
 
 def _right_trace(out: np.ndarray, d2: int) -> np.ndarray:
-    """Real trace of the block right of column d2 of (B, 1, w) rows, shape (B, 1, 1):
-    vec_r of the quadrature gain, or the one counting rate column."""
-    return out[..., d2 :: math.isqrt(d2) + 1].real.sum(axis=-1, keepdims=True)
+    """Trace of the block right of column d2 of (B, 1, w) rows, shape (B, 1, 1):
+    the coordinates of the quadrature gain, or the one counting rate column."""
+    return out[..., d2 :: math.isqrt(d2) + 1].sum(axis=-1, keepdims=True)
 
 
 def _rows(x) -> np.ndarray:
@@ -202,12 +204,15 @@ def _counting_finish(v, out, r, dy, dt, sup, model, b):
             raise _row_error(JumpRateError, bad, msg)
     d2 = v.shape[-1]
     r = _rows(r)
-    new = v + (out[..., :d2] + r * v) * dt
+    new = r * v  # v + (out + r v) dt, in place from here on
+    new += out[..., :d2]
+    new *= dt
+    new += v
     jumped = np.flatnonzero(dy != 0.0)
     if jumped.size:
         lb = modulated_coupling(model, b)
-        jump = lb @ v[jumped].reshape((-1,) + lb.shape) @ dagger(lb)
-        post = (jump / r[jumped]).reshape(-1, 1, d2)
+        jump = lb @ hermitian(v[jumped].reshape((-1,) + lb.shape)) @ dagger(lb)
+        post = coordinates(0.5 * (jump + dagger(jump))).reshape(-1, 1, d2) / r[jumped]
         post_out = post @ sup
         new[jumped] = post + (post_out[..., :d2] + _right_trace(post_out, d2) * post) * dt
     return new
@@ -248,8 +253,10 @@ def propagate(
         raise ValueError(f"unknown measurement kind {kind!r}")
     maps, draw, finish = _STEPS[kind]
     step_map = affine_superoperator(model, maps)
-    rho = np.asarray(rho0, dtype=complex)
-    shape = rho.shape
+    x = coordinates(np.asarray(rho0, dtype=complex))
+    shape = x.shape
+    d = shape[-1]
+    x = x.reshape(-1, 1, d * d)
     dt = grid.dt
     b_prev = None
     for k in range(grid.steps):
@@ -258,15 +265,19 @@ def propagate(
             b = beta.value(t)
             if b != b_prev:
                 sup, b_prev = step_map.at(b), b
-            v = rho.reshape(-1, 1, shape[-1] ** 2)
-            out = v @ sup
-            intensity = _right_trace(out, v.shape[-1]).reshape(shape[:-2])
+            out = x @ sup
+            intensity = _right_trace(out, d * d).reshape(shape[:-2])
             dy = increments[k] if increments is not None else draw(noise[k], intensity, dt)
-            new = finish(v, out, intensity, dy, dt, sup, model, b)
-            rho = _hermitize_normalize(new.reshape(shape))
+            new = finish(x, out, intensity, dy, dt, sup, model, b)
+            tr = new[..., :: d + 1].sum(axis=-1, keepdims=True)
+            bad = ~np.isfinite(tr) | (np.abs(tr) < TRACE_UNDERFLOW)
+            if np.any(bad):
+                msg = "state trace underflow during renormalization"
+                raise _row_error(TraceUnderflowError, bad.reshape(shape[:-2]), msg)
+            x = new / tr
         except NumericalError as exc:
             raise type(exc)(f"step {k}, t={t:g}: {exc}") from exc
-        yield rho, dy, intensity
+        yield hermitian(x.reshape(shape)), dy, intensity
 
 
 def _filter_path(steps, rho0: np.ndarray, grid: TimeGrid):

@@ -36,10 +36,21 @@ def test_master_command(tmp_path):
     assert len(lines) == 302
 
 
-def test_simulate_then_filter_round_trip_is_byte_identical(tmp_path):
-    cfg = write_config(tmp_path)
+COUNTING_SINUSOID = {
+    "measurement": "counting",
+    "beta": {"kind": "sinusoid", "amplitude": [1.0, 0.5], "frequency": 20.0, "offset": [3.0, 0.0]},
+}
+
+
+@pytest.mark.parametrize(
+    "overrides", [{}, COUNTING_SINUSOID], ids=["quadrature", "counting-sinusoid"]
+)
+def test_simulate_then_filter_round_trip_is_byte_identical(tmp_path, overrides):
+    cfg = write_config(tmp_path, **overrides)
     sim_dir, flt_dir = tmp_path / "sim", tmp_path / "flt"
     assert main(["simulate", "--config", str(cfg), "--seed", "11", "--out", str(sim_dir)]) == EXIT_OK
+    if overrides:  # the replay takes the jump branch
+        assert "1" in (sim_dir / "record.csv").read_text().splitlines()[2:]
     flt_dir.mkdir()
     (flt_dir / "record.csv").write_bytes((sim_dir / "record.csv").read_bytes())
     assert main(["filter", "--config", str(cfg), "--out", str(flt_dir)]) == EXIT_OK

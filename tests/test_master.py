@@ -4,7 +4,6 @@ import pytest
 from conftest import EXCITED, decay_model
 from qfilter.linalg import (
     NumericalError,
-    dagger,
     max_norm,
     random_density,
     random_hermitian,
@@ -12,7 +11,13 @@ from qfilter.linalg import (
     random_unitary,
     trace_distance,
 )
-from qfilter.master import StepSizeError, TimeGrid, drift_superoperator, integrate_master
+from qfilter.master import (
+    StepSizeError,
+    TimeGrid,
+    drift_superoperator,
+    hermitian,
+    integrate_master,
+)
 from qfilter.model import CoherentInput, HPModel, adjoint_generator
 
 GROUND = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -25,17 +30,15 @@ class DegenerateSteadyStateError(NumericalError):
 
 def steady_state(model: HPModel, beta_value: complex) -> np.ndarray:
     """Unique stationary density matrix of the constant-beta generator."""
-    # vec_r(rho) is the left null vector of the row-form generator.
+    # The coordinates of rho are the left null vector of the row-form generator.
     _, svals, vh = np.linalg.svd(drift_superoperator(model).at(beta_value).T)
     if len(svals) > 1 and svals[-2] <= GAP_TOL:
         raise DegenerateSteadyStateError(
             f"null space is degenerate (second singular value {svals[-2]:.3e})"
         )
     d = model.dim
-    rho = vh[-1].conj().reshape(d, d)
-    rho = 0.5 * (rho + dagger(rho))
-    rho = rho / np.trace(rho)
-    return rho
+    rho = hermitian(vh[-1].reshape(d, d))
+    return rho / np.trace(rho)
 
 
 def test_time_grid():

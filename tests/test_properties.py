@@ -4,8 +4,11 @@ Each example draws a model with d in {2, 3, 4} (also 8 against the
 reference kernels), a constant or sinusoid beta, a measurement kind and a
 seed.  L is scaled, as the benchmark's random models are, so that (||L||_2 + max|beta|)^2 dt, a bound on the
 per-step jump probability, stays within 0.05.  Examples are derandomized
-so that every run checks the same models.  The step superoperators'
-`AffineSuperoperator.apply` is checked against `at` on random models too.
+so that every run checks the same models.  On random models too, the
+real coordinates of Hermitian matrices round-trip exactly, the states the
+filter loop and the master equation yield are Hermitian bit for bit, and
+the step superoperators' `at` and `apply` agree with the maps they are
+built from.
 """
 
 import numpy as np
@@ -14,9 +17,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qfilter.ensemble import mix_seed
-from qfilter.linalg import max_norm, random_density
-from qfilter.master import TimeGrid, affine_superoperator, drift_superoperator
-from qfilter.model import CoherentInput, HPModel, modulated_operators
+from qfilter.linalg import dagger, max_norm, random_density, random_hermitian
+from qfilter.master import (
+    TimeGrid,
+    affine_superoperator,
+    coordinates,
+    drift_superoperator,
+    hermitian,
+    integrate_master,
+)
+from qfilter.model import CoherentInput, HPModel, lindblad_adjoint, modulated_operators
 from qfilter.trajectory import (
     _STEPS,
     COUNTING,
@@ -144,8 +154,74 @@ def test_apply_equals_the_product_with_the_recombined_maps(seed, dim, maps):
     width = {"drift": dim * dim, QUADRATURE: 2 * dim * dim, COUNTING: dim * dim + 1}[maps]
     assert sup.pieces.shape == (4, dim * dim, width)
     b = complex(rng.standard_normal(), rng.standard_normal())
-    v = random_density(rng, dim).reshape(dim * dim)
+    v = coordinates(random_density(rng, dim)).reshape(dim * dim)
     assert max_norm(sup.apply(v, b) - v @ sup.at(b)) <= REFERENCE_TOL
+
+
+def drift_maps(lb, hb, rho):
+    return (lindblad_adjoint(lb, hb, rho),)
+
+
+MAPS = {"drift": drift_maps, **{kind: _STEPS[kind][0] for kind in KINDS}}
+
+
+@exact
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 4, 8]), st.sampled_from(list(MAPS)))
+def test_at_equals_the_coordinates_of_the_maps_evaluated_at_beta(seed, dim, maps):
+    # x(F_b(rho)) = x(rho) @ at(b), with F_b the maps at L^b, H^b on random states.
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, dim)
+    sup = affine_superoperator(model, MAPS[maps])
+    assert sup.pieces.dtype == float
+    b = complex(rng.standard_normal(), rng.standard_normal())
+    rhos = np.array([random_density(rng, dim) for _ in range(5)])
+    direct = [
+        (coordinates(m) if m.ndim == 3 else m.real).reshape(len(rhos), -1)
+        for m in MAPS[maps](*modulated_operators(model, b), rhos)
+    ]
+    expected = np.concatenate(direct, axis=1)
+    got = coordinates(rhos).reshape(len(rhos), dim * dim) @ sup.at(b)
+    assert max_norm(got - expected) <= REFERENCE_TOL * max(1.0, max_norm(expected))
+
+
+@exact
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 4, 8]))
+def test_coordinates_round_trip_exactly(seed, dim):
+    rng = np.random.default_rng(seed)
+    h = np.array([random_hermitian(rng, dim) for _ in range(3)])
+    x = coordinates(h)
+    assert x.dtype == float and x.shape == h.shape
+    assert np.array_equal(hermitian(x), h)
+    assert np.array_equal(np.diagonal(x, axis1=1, axis2=2), np.diagonal(h, axis1=1, axis2=2).real)
+    y = rng.standard_normal((3, dim, dim))
+    assert np.array_equal(coordinates(hermitian(y)), y)
+    assert np.array_equal(hermitian(y), dagger(hermitian(y)))
+
+
+def assert_density_path(states):
+    """Each state exactly Hermitian, with trace within 1e-12 of 1."""
+    for rho in states:
+        assert np.array_equal(rho, dagger(rho))
+        assert np.all(np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0) <= 1e-12)
+
+
+@exact
+@given(case_tuples([2, 3, 4, 8]))
+def test_propagate_yields_exactly_hermitian_unit_trace_states(case):
+    seed, dim, kind, beta_kind = case
+    model, beta, rho0 = random_case(seed, dim, beta_kind)
+    rngs = [np.random.default_rng([seed, i]) for i in range(3)]
+    noise = np.stack([draw_noise(rng, kind, GRID) for rng in rngs], axis=1)
+    stack = np.broadcast_to(rho0, (3, dim, dim))
+    assert_density_path(rho for rho, _, _ in propagate(model, beta, stack, kind, GRID, noise=noise))
+
+
+@exact
+@given(case_tuples([2, 3, 4, 8]))
+def test_integrate_master_yields_exactly_hermitian_unit_trace_states(case):
+    seed, dim, _, beta_kind = case
+    model, beta, rho0 = random_case(seed, dim, beta_kind)
+    assert_density_path(integrate_master(model, beta, rho0, GRID))
 
 
 def zakai_log_norm_reference(model, beta, rho0, record):

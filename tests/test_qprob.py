@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qfilter import linalg, qprob
 from qfilter.linalg import (
     SIGMA_X,
     SIGMA_Z,
@@ -43,6 +44,40 @@ def test_conditional_expectation_diagonal_case():
 def test_conditional_expectation_rejects_noncommutant():
     with pytest.raises(ValueError):
         conditional_expectation(SIGMA_X, diagonal_algebra(), np.eye(2, dtype=complex) / 2)
+
+
+def test_each_operand_is_validated_once_per_call(monkeypatch):
+    calls, as_operator = [], linalg.as_operator
+
+    def counted(a):
+        calls.append(a)
+        return as_operator(a)
+
+    monkeypatch.setattr(qprob, "as_operator", counted)
+    monkeypatch.setattr(linalg, "as_operator", counted)
+    alg = MeasurementAlgebra((SIGMA_Z, np.diag([1.0, 1.0])))
+    assert len(calls) == 2
+    rho = np.diag([0.7, 0.3])
+    calls.clear()
+    conditional_expectation(np.diag([2.0, -1.0]), alg, rho)
+    assert len(calls) == 2
+    calls.clear()
+    bayes_conditional(np.diag([2.0, -1.0]), np.eye(2), alg, rho)
+    assert len(calls) == 3
+    with pytest.raises(ValueError, match="non-finite"):
+        conditional_expectation(np.diag([np.nan, 1.0]), alg, rho)
+    with pytest.raises(ValueError, match="non-finite"):
+        conditional_expectation(SIGMA_Z, alg, np.diag([np.inf, 0.0]))
+    with pytest.raises(ValueError, match="square"):
+        conditional_expectation(np.ones((2, 3)), alg, rho)
+    with pytest.raises(ValueError, match="commutant"):
+        conditional_expectation(SIGMA_X, alg, rho)
+    with pytest.raises(ValueError, match="F is not in the commutant"):
+        bayes_conditional(SIGMA_Z, SIGMA_X, alg, rho)
+    with pytest.raises(ValueError, match="square"):
+        MeasurementAlgebra((np.ones((2, 3)),))
+    with pytest.raises(ValueError, match="non-finite"):
+        MeasurementAlgebra((np.diag([np.nan, 1.0]),))
 
 
 def test_zero_weight_branch_gets_zero_coefficient():
