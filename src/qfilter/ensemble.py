@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import trace_distance, validate_density
-from .master import TimeGrid, integrate_master
+from .master import TimeGrid, hermitian, integrate_master
 from .model import CoherentInput, HPModel
 from .trajectory import KINDS, draw_noise, propagate
 
@@ -79,10 +79,11 @@ def run_ensemble(
     innov_cum = np.zeros(n_traj)
     rows = []
     steps = propagate(model, beta, rhos, kind, grid, noise=noise)
-    for k, (rho, dy, intensity) in enumerate(steps, start=1):
+    for k, (x, dy, intensity) in enumerate(steps, start=1):
         innov_cum += dy - intensity * grid.dt
         if k != checkpoints[len(rows)]:
             continue
+        rho = hermitian(x)
         row = []
         for op in observables.values():
             row += _mean_stderr(np.einsum("nij,ji->n", rho, op).real)

@@ -34,7 +34,7 @@ from .linalg import NumericalError, validate_density
 from .model import CoherentInput, HPModel, lindblad_adjoint, modulated_operators
 
 TRACE_DRIFT_LIMIT = 1e-6
-STATE_BLOCK = 256  # states turned from coordinates to matrices at a time
+STATE_BLOCK = 256  # states made Hermitian in place at a time, bounding the copy this takes
 
 
 @dataclass(frozen=True)
@@ -96,6 +96,13 @@ def hermitian(x: np.ndarray) -> np.ndarray:
     flat = x.reshape(x.shape[:-2] + (d * d,))
     signed = np.concatenate([flat, -flat, np.zeros(flat.shape[:-1] + (1,))], axis=-1)
     return signed.take(_hermitian_gather(d), axis=-1).view(complex).reshape(x.shape)
+
+
+def hermitian_in_place(states: np.ndarray) -> np.ndarray:
+    """Complex (n, d, d) states whose real parts hold their coordinates, made Hermitian."""
+    for block in np.split(states, range(STATE_BLOCK, len(states), STATE_BLOCK)):
+        block[...] = hermitian(block.real)
+    return states
 
 
 @dataclass(frozen=True)
@@ -180,18 +187,15 @@ def integrate_master(
     row-form generator.  A step whose three stage values of beta agree is
     one product with the RK4 polynomial of that generator (exactly RK4),
     kept while beta is unchanged; otherwise each stage applies the pieces
-    to its vector at its beta (`AffineSuperoperator.apply`).  The
-    coordinates are kept in the first half of each state's row of the
-    returned array, seen as reals, and turned into the Hermitian states in
-    place, a block of rows at a time, so no second copy of the path is held.
+    to its vector at its beta (`AffineSuperoperator.apply`); the real
+    parts of the states hold the coordinates until `hermitian_in_place`.
     """
     rho = validate_density(rho0)
     d = rho.shape[0]
-    d2 = d * d
     generator = drift_superoperator(model)
     states = np.empty((grid.steps + 1, d, d), dtype=complex)
-    path = states.reshape(grid.steps + 1, d2).view(float)[:, :d2]
-    path[0] = v = coordinates(rho).reshape(d2)
+    path = states.real.reshape(grid.steps + 1, d * d)
+    path[0] = v = coordinates(rho).reshape(d * d)
     dt = grid.dt
     b_poly = poly = None
     for k in range(grid.steps):
@@ -213,7 +217,4 @@ def integrate_master(
                 f"trace drift {drift:.3e} at step {k}: dt={dt} too large for this generator"
             )
         path[k + 1] = v
-    for start in range(0, grid.steps + 1, STATE_BLOCK):
-        block = slice(start, start + STATE_BLOCK)
-        states[block] = hermitian(path[block].reshape(-1, d, d))
-    return states
+    return hermitian_in_place(states)

@@ -21,8 +21,8 @@ and then takes its no-jump drift through the same matrix.  The matrix is
 recombined from its four affine pieces in beta when beta(t) changes.
 `quad_step_arrays` and `count_step_arrays` are the reference Euler
 kernels the loop is tested against.  Every step ends with a trace
-renormalization of the coordinates; the states yielded are their
-Hermitian matrices, so Hermitian by construction, with no projection.
+renormalization of the coordinates, which the loop yields; consumers
+form the states, Hermitian by construction, only where they need them.
 
 The unnormalized (Zakai) state is kept in factorized form: the normalized
 filter state plus an accumulated log-normalization, whose per-step
@@ -33,13 +33,12 @@ discrete level and avoids likelihood overflow on long records.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import NumericalError, dagger
-from .master import TimeGrid, affine_superoperator, coordinates, hermitian
+from .linalg import NumericalError, dagger, validate_density
+from .master import TimeGrid, affine_superoperator, coordinates, hermitian, hermitian_in_place
 from .model import CoherentInput, HPModel, lindblad_adjoint, modulated_coupling
 
 JUMP_RATE_FLOOR = 1e-12
@@ -162,10 +161,10 @@ def _counting_maps(lb: np.ndarray, hb: np.ndarray, rho: np.ndarray):
     return lindblad_adjoint(lb, hb, rho) - jump, _btrace(jump)
 
 
-def _right_trace(out: np.ndarray, d2: int) -> np.ndarray:
-    """Trace of the block right of column d2 of (B, 1, w) rows, shape (B, 1, 1):
+def _right_trace(out: np.ndarray, d: int) -> np.ndarray:
+    """Trace of the block right of column d^2 of (B, 1, w) rows, shape (B, 1, 1):
     the coordinates of the quadrature gain, or the one counting rate column."""
-    return out[..., d2 :: math.isqrt(d2) + 1].sum(axis=-1, keepdims=True)
+    return out[..., d * d :: d + 1].sum(axis=-1, keepdims=True)
 
 
 def _rows(x) -> np.ndarray:
@@ -182,7 +181,9 @@ def _quadrature_finish(v, out, m, dy, dt, *_):
     """rho + L'rho dt + (L^b rho + rho L^b† - m rho)(dY - m dt), in rows."""
     d2 = v.shape[-1]
     m, dy = _rows(m), _rows(dy)
-    return v + out[..., :d2] * dt + (out[..., d2:] - m * v) * (dy - m * dt)
+    new = v + out[..., :d2] * dt
+    new += (out[..., d2:] - m * v) * (dy - m * dt)
+    return new
 
 
 def _counting_draw(u, r, dt):
@@ -214,7 +215,7 @@ def _counting_finish(v, out, r, dy, dt, sup, model, b):
         jump = lb @ hermitian(v[jumped].reshape((-1,) + lb.shape)) @ dagger(lb)
         post = coordinates(0.5 * (jump + dagger(jump))).reshape(-1, 1, d2) / r[jumped]
         post_out = post @ sup
-        new[jumped] = post + (post_out[..., :d2] + _right_trace(post_out, d2) * post) * dt
+        new[jumped] = post + (post_out[..., :d2] + _right_trace(post_out, len(lb)) * post) * dt
     return new
 
 
@@ -242,10 +243,11 @@ def propagate(
     increments=None,
     noise=None,
 ):
-    """The filter loop: yield (rho after step k, dY_k, intensity before step k).
+    """The filter loop: yield (x after step k, dY_k, intensity before step k).
 
-    rho0 has shape (d, d) or (N, d, d).  Replays `increments` when given,
-    else the kind's draw takes dY from `noise` (pre-drawn, step index
+    rho0, (d, d) or (N, d, d), is not validated; x, a fresh real array of its
+    shape, holds the coordinates of the state `master.hermitian(x)`.  Replays
+    `increments` if given, else draws dY from `noise` (pre-drawn, step index
     first) and the pre-step intensity.  A numerical failure names its step
     and time, and, over a batch, the first failing trajectory.
     """
@@ -266,31 +268,33 @@ def propagate(
             if b != b_prev:
                 sup, b_prev = step_map.at(b), b
             out = x @ sup
-            intensity = _right_trace(out, d * d).reshape(shape[:-2])
+            intensity = _right_trace(out, d).reshape(shape[:-2])
             dy = increments[k] if increments is not None else draw(noise[k], intensity, dt)
             new = finish(x, out, intensity, dy, dt, sup, model, b)
             tr = new[..., :: d + 1].sum(axis=-1, keepdims=True)
-            bad = ~np.isfinite(tr) | (np.abs(tr) < TRACE_UNDERFLOW)
-            if np.any(bad):
+            size = np.abs(tr)
+            if not (size.min() >= TRACE_UNDERFLOW and size.max() < np.inf):  # false on nan
+                bad = ~np.isfinite(tr) | (size < TRACE_UNDERFLOW)
                 msg = "state trace underflow during renormalization"
                 raise _row_error(TraceUnderflowError, bad.reshape(shape[:-2]), msg)
             x = new / tr
         except NumericalError as exc:
             raise type(exc)(f"step {k}, t={t:g}: {exc}") from exc
-        yield hermitian(x.reshape(shape)), dy, intensity
+        yield x.reshape(shape), dy, intensity
 
 
-def _filter_path(steps, rho0: np.ndarray, grid: TimeGrid):
-    """(states, dY, pre-step intensities) arrays of a single-trajectory run."""
-    rho0 = np.asarray(rho0, dtype=complex)
+def _filter_path(model, beta, rho0, kind, grid, **source):
+    """(states, dY, pre-step intensities) of a `propagate` run from one valid rho0 on source."""
+    rho0 = validate_density(rho0)  # as given, as a complex array
     states = np.empty((grid.steps + 1,) + rho0.shape, dtype=complex)
     states[0] = rho0
     dys = np.empty(grid.steps)
     intensities = np.empty(grid.steps)
-    for k, (rho, dy, intensity) in enumerate(steps):
-        states[k + 1] = rho
+    for k, (x, dy, intensity) in enumerate(propagate(model, beta, rho0, kind, grid, **source)):
+        states.real[k + 1] = x
         dys[k] = dy
         intensities[k] = intensity
+    hermitian_in_place(states[1:])
     return states, dys, intensities
 
 
@@ -310,16 +314,13 @@ def simulate_record(
     the very record being generated.
     """
     noise = draw_noise(np.random.default_rng(seed), kind, grid)
-    states, dys, intensities = _filter_path(
-        propagate(model, beta, rho0, kind, grid, noise=noise), rho0, grid
-    )
+    states, dys, intensities = _filter_path(model, beta, rho0, kind, grid, noise=noise)
     record = MeasurementRecord(kind=kind, grid=grid, increments=dys)
     return record, states, dys - intensities * grid.dt
 
 
 def _replay(model: HPModel, beta: CoherentInput, rho0: np.ndarray, record: MeasurementRecord):
-    steps = propagate(model, beta, rho0, record.kind, record.grid, increments=record.increments)
-    return _filter_path(steps, rho0, record.grid)
+    return _filter_path(model, beta, rho0, record.kind, record.grid, increments=record.increments)
 
 
 def filter_record(

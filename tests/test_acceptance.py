@@ -31,7 +31,7 @@ from qfilter.linalg import (
     random_hermitian,
     trace_distance,
 )
-from qfilter.master import TimeGrid, integrate_master
+from qfilter.master import TimeGrid, hermitian, integrate_master
 from qfilter.model import (
     CoherentInput,
     HPModel,
@@ -308,9 +308,10 @@ def test_criterion_8_purity_and_convergence():
         signs = np.random.default_rng(seed).integers(0, 2, size=(grid.steps, n_traj)) * 2.0 - 1.0
         rho0 = np.broadcast_to(EXCITED, (n_traj, 2, 2))
         acc = np.zeros(n_traj)
-        for rho, _, _ in propagate(
+        for x, _, _ in propagate(
             model, CoherentInput.vacuum(), rho0, QUADRATURE, grid, noise=signs * np.sqrt(dt)
         ):
+            rho = hermitian(x)
             acc += np.abs(1.0 - np.einsum("nij,nji->n", rho, rho).real)
         return float((acc / grid.steps).mean())
 

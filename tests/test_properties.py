@@ -16,9 +16,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qfilter.ensemble import mix_seed
-from qfilter.linalg import dagger, max_norm, random_density, random_hermitian
+from qfilter.ensemble import _checkpoint_steps, mix_seed, run_ensemble
+from qfilter.linalg import dagger, max_norm, random_density, random_hermitian, trace_distance
 from qfilter.master import (
+    STATE_BLOCK,
     TimeGrid,
     affine_superoperator,
     coordinates,
@@ -95,7 +96,7 @@ def batched_run(master_seed, model, beta, rho0, kind, n_traj):
     noise = np.stack([draw_noise(np.random.default_rng(s), kind, GRID) for s in seeds], axis=1)
     stack = np.broadcast_to(rho0, (n_traj, dim, dim)).copy()
     steps = list(propagate(model, beta, stack, kind, GRID, noise=noise))
-    return np.stack([rho for rho, _, _ in steps]), np.stack([dy for _, dy, _ in steps]), seeds
+    return np.stack([hermitian(x) for x, _, _ in steps]), np.stack([dy for _, dy, _ in steps]), seeds
 
 
 @exact
@@ -133,9 +134,10 @@ def test_propagate_matches_reference_kernels(case):
     else:  # more jumps than the model would give, so the jump branch is exercised
         increments, step = (rng.random(GRID.steps) < 0.2).astype(float), count_step_arrays
     ref = rho0
-    for k, (rho, _, intensity) in enumerate(
+    for k, (x, _, intensity) in enumerate(
         propagate(model, beta, rho0, kind, GRID, increments=increments)
     ):
+        rho = hermitian(x)
         lb, hb = modulated_operators(model, beta.value(k * DT))
         ref, ref_intensity = step(ref, increments[k], lb, hb, DT)
         assert max_norm(rho - ref) <= REFERENCE_TOL
@@ -213,7 +215,8 @@ def test_propagate_yields_exactly_hermitian_unit_trace_states(case):
     rngs = [np.random.default_rng([seed, i]) for i in range(3)]
     noise = np.stack([draw_noise(rng, kind, GRID) for rng in rngs], axis=1)
     stack = np.broadcast_to(rho0, (3, dim, dim))
-    assert_density_path(rho for rho, _, _ in propagate(model, beta, stack, kind, GRID, noise=noise))
+    steps = propagate(model, beta, stack, kind, GRID, noise=noise)
+    assert_density_path(hermitian(x) for x, _, _ in steps)
 
 
 @exact
@@ -222,6 +225,53 @@ def test_integrate_master_yields_exactly_hermitian_unit_trace_states(case):
     seed, dim, _, beta_kind = case
     model, beta, rho0 = random_case(seed, dim, beta_kind)
     assert_density_path(integrate_master(model, beta, rho0, GRID))
+
+
+BLOCK_GRID = TimeGrid(dt=DT, steps=2 * STATE_BLOCK + 3)
+
+
+def mean_stderr(values):
+    return [float(values.mean()), float(values.std(ddof=1) / np.sqrt(len(values)))]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("dim", [2, 8])
+@settings(max_examples=3, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["constant", "sinusoid"]))
+def test_states_are_the_yielded_coordinates_across_state_blocks(dim, kind, seed, beta_kind):
+    # The collectors turn coordinates into states STATE_BLOCK at a time, and
+    # the ensemble only at its checkpoints: neither may change a bit.
+    model, beta, rho0 = random_case(seed, dim, beta_kind)
+    noise = draw_noise(np.random.default_rng(seed), kind, BLOCK_GRID)
+    xs = [x for x, _, _ in propagate(model, beta, rho0, kind, BLOCK_GRID, noise=noise)]
+    _, states, _ = simulate_record(model, beta, rho0, kind, BLOCK_GRID, seed)
+    assert states[0].tobytes() == rho0.tobytes()
+    assert states[1:].tobytes() == np.stack([hermitian(x) for x in xs]).tobytes()
+
+    n_traj = 7
+    obs = random_hermitian(np.random.default_rng(seed), dim)
+    columns = run_ensemble(model, beta, rho0, kind, BLOCK_GRID, n_traj, seed, {"o": obs})
+    rngs = [np.random.default_rng(mix_seed(seed, i)) for i in range(n_traj)]
+    noise = np.stack([draw_noise(rng, kind, BLOCK_GRID) for rng in rngs], axis=1)
+    stack = np.broadcast_to(rho0, (n_traj, dim, dim))
+    master = integrate_master(model, beta, rho0, BLOCK_GRID)
+    checkpoints = _checkpoint_steps(BLOCK_GRID.steps)
+    innov_cum, rows = np.zeros(n_traj), []
+    steps = propagate(model, beta, stack, kind, BLOCK_GRID, noise=noise)
+    for k, (x, dy, intensity) in enumerate(steps, start=1):
+        innov_cum += dy - intensity * DT
+        if k in checkpoints:
+            rho = hermitian(x)
+            rows.append(
+                mean_stderr(np.einsum("nij,ji->n", rho, obs).real)
+                + mean_stderr(innov_cum)
+                + [trace_distance(rho.sum(axis=0) / n_traj, master[k])]
+                + [float(np.mean(np.einsum("nij,nji->n", rho, rho).real))]
+            )
+    assert columns["t"].tobytes() == (checkpoints * DT).tobytes()
+    assert np.stack([columns[name] for name in list(columns)[1:]], axis=1).tobytes() == (
+        np.array(rows).tobytes()
+    )
 
 
 def zakai_log_norm_reference(model, beta, rho0, record):

@@ -199,8 +199,29 @@ def test_failures_name_step_and_time():
         simulate_record(model, CoherentInput.vacuum(), EXCITED, COUNTING, grid, seed=0)
     record = MeasurementRecord(kind=QUADRATURE, grid=grid, increments=np.zeros(10))
     nan_state = np.full((2, 2), np.nan, dtype=complex)
+    steps = propagate(
+        decay_model(), CoherentInput.vacuum(), nan_state, QUADRATURE, grid, increments=record.increments
+    )
     with pytest.raises(TraceUnderflowError, match="step 0, t=0: state trace underflow"):
+        next(steps)
+    with pytest.raises(ValueError, match="non-finite"):
         filter_record(decay_model(), CoherentInput.vacuum(), nan_state, record)
+
+
+@pytest.mark.parametrize("run", ["simulate", "filter", "zakai"])
+def test_single_trajectory_runs_reject_an_invalid_initial_state(run):
+    # Unit trace, but neither Hermitian nor positive.
+    invalid = np.array([[2, 1], [0, -1]], dtype=complex)
+    model, vacuum = decay_model(), CoherentInput.vacuum()
+    grid = TimeGrid(dt=1e-3, steps=10)
+    record = MeasurementRecord(kind=QUADRATURE, grid=grid, increments=np.zeros(10))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        if run == "simulate":
+            simulate_record(model, vacuum, invalid, QUADRATURE, grid, seed=0)
+        elif run == "filter":
+            filter_record(model, vacuum, invalid, record)
+        else:
+            zakai_filter(model, vacuum, invalid, record)
 
 
 GROUND = np.array([[0, 0], [0, 1]], dtype=complex)
