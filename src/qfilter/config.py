@@ -34,24 +34,21 @@ def _require(data: dict, key: str, path: str):
     return data[key]
 
 
-def parse_complex(value, path: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) for v in value)
-    ):
-        return complex(value[0], value[1])
-    raise ConfigError(path, f"expected [re, im], got {value!r}")
-
-
 def parse_real(value, path: str) -> float:
     # abs(x) <= max is False for nan, inf and ints too large for a float.
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if not (number and abs(value) <= sys.float_info.max):
         raise ConfigError(path, f"expected a finite number, got {value!r}")
     return float(value)
+
+
+def parse_complex(value, path: str) -> complex:
+    """A finite real, or a pair [re, im] of them (each checked by parse_real)."""
+    if not isinstance(value, (list, tuple)):
+        return complex(parse_real(value, path))
+    if len(value) != 2:
+        raise ConfigError(path, f"expected [re, im], got {value!r}")
+    return complex(*(parse_real(v, f"{path}[{i}]") for i, v in enumerate(value)))
 
 
 def parse_matrix(value, dim: int, path: str) -> np.ndarray:
@@ -96,8 +93,8 @@ def parse_model(data, path: str = "model") -> HPModel:
     if not isinstance(data, dict):
         raise ConfigError(path, "expected an object")
     dim = _require(data, "dim", path)
-    if not isinstance(dim, int) or dim < 1:
-        raise ConfigError(f"{path}.dim", "expected a positive integer")
+    if type(dim) is not int or dim < 1:
+        raise ConfigError(f"{path}.dim", f"expected a positive integer, got {dim!r}")
     s = parse_matrix(_require(data, "S", path), dim, f"{path}.S")
     l = parse_matrix(_require(data, "L", path), dim, f"{path}.L")
     h = parse_matrix(_require(data, "H", path), dim, f"{path}.H")

@@ -1,15 +1,19 @@
 """Numeric-symbolic quantum Ito calculus.
 
-Increment polynomials carry concrete matrix coefficients over the basis
-{dt, dB, dB†, dLambda}.  Products follow the quantum Ito table
+An increment polynomial a dt + b dB + c dB† + e dLambda is held as its
+complex coefficient array of shape (4, ..., d, d), in the symbol order
+dt, dB, dB†, dLambda; `polynomial` builds one from its four coefficients
+and `single` from one symbol.  Array +, - and the broadcast products
+a @ p and p @ a act on it coefficient by coefficient.  Products of
+polynomials follow the quantum Ito table
 
         dB dB† = dt,   dB dLambda = dB,
         dLambda dLambda = dLambda,   dLambda dB† = dB†,
 
 with every other increment pair (and anything involving dt) vanishing.
 Identities are verified numerically at machine precision rather than by
-term rewriting.  Every function here also takes stacks: a polynomial with
-(n, d, d) coefficients, or a model of stacked (S, L, H), is n instances,
+term rewriting.  Every function here also takes stacks: a polynomial of
+shape (4, n, d, d), or a model of stacked (S, L, H), is n instances,
 and beta is then a scalar or an (n, 1, 1) stack.  `qfilter verify` checks
 each identity once per dimension on its random instances stacked as
 (n, d, d) arrays; a given seed draws the same instances.
@@ -40,96 +44,62 @@ _ITO_TABLE = {
 }
 
 
-class IncrementPolynomial:
-    """Matrix-coefficient polynomial a dt + b dB + c dB† + e dLambda.
+def polynomial(coeff_dt, coeff_dB, coeff_dBdag, coeff_dLambda) -> np.ndarray:
+    """The polynomial a dt + b dB + c dB† + e dLambda as its (4, ..., d, d) coefficients.
 
-    `coeffs` holds the four coefficients as one (4, ..., d, d) array in the
-    symbol order dt, dB, dB†, dLambda.  The constructor validates its
-    arguments; polynomials derived from valid ones (`_of`) are not
-    validated again.
+    The one validating constructor: each coefficient must be a finite
+    square operator, and the four broadcast to one shape.
     """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeff_dt, coeff_dB, coeff_dBdag, coeff_dLambda):
-        coeffs = [as_operator(c) for c in (coeff_dt, coeff_dB, coeff_dBdag, coeff_dLambda)]
-        check_dims(*coeffs)
-        self.coeffs = np.stack(np.broadcast_arrays(*coeffs))
-
-    @classmethod
-    def _of(cls, coeffs: np.ndarray) -> "IncrementPolynomial":
-        p = object.__new__(cls)
-        p.coeffs = coeffs
-        return p
-
-    def coeff(self, symbol: str) -> np.ndarray:
-        return self.coeffs[_INDEX[symbol]]
-
-    @classmethod
-    def single(cls, symbol: str, coeff: np.ndarray) -> "IncrementPolynomial":
-        coeff = as_operator(coeff)
-        coeffs = np.zeros((4, *coeff.shape), dtype=complex)
-        coeffs[_INDEX[symbol]] = coeff
-        return cls._of(coeffs)
-
-    def adjoint(self) -> "IncrementPolynomial":
-        """Adjoint polynomial: dB <-> dB†, dt and dLambda self-adjoint."""
-        return self._of(dagger(self.coeffs[[0, 2, 1, 3]]))
-
-    def left_mul(self, a: np.ndarray) -> "IncrementPolynomial":
-        return self._of(a @ self.coeffs)
-
-    def right_mul(self, a: np.ndarray) -> "IncrementPolynomial":
-        return self._of(self.coeffs @ a)
-
-    def __add__(self, other: "IncrementPolynomial") -> "IncrementPolynomial":
-        return self._of(self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "IncrementPolynomial") -> "IncrementPolynomial":
-        return self._of(self.coeffs - other.coeffs)
+    coeffs = [as_operator(c) for c in (coeff_dt, coeff_dB, coeff_dBdag, coeff_dLambda)]
+    check_dims(*coeffs)
+    return np.stack(np.broadcast_arrays(*coeffs))
 
 
-def ito_product(p: IncrementPolynomial, q: IncrementPolynomial) -> IncrementPolynomial:
+def single(symbol: str, coeff) -> np.ndarray:
+    """The polynomial coeff d(symbol)."""
+    coeff = as_operator(coeff)
+    p = np.zeros((4, *coeff.shape), dtype=complex)
+    p[_INDEX[symbol]] = coeff
+    return p
+
+
+def adjoint(p: np.ndarray) -> np.ndarray:
+    """Adjoint polynomial: dB <-> dB†, dt and dLambda self-adjoint."""
+    return dagger(p[[0, 2, 1, 3]])
+
+
+def ito_product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Product of two increment polynomials routed by the quantum Ito table.
 
     One gather of the left and right coefficients of the table entries, one
     stacked product, and one scatter into the entries' result symbols.
     """
-    check_dims(p.coeffs, q.coeffs)
+    check_dims(p, q)
     entries = [(_INDEX[a], _INDEX[b], _INDEX[t]) for (a, b), t in _ITO_TABLE.items()]
     left, right, target = (list(i) for i in zip(*entries))
-    products = p.coeffs[left] @ q.coeffs[right]
+    products = p[left] @ q[right]
     out = np.zeros((4, *products.shape[1:]), dtype=complex)
     out[target] = products
-    return IncrementPolynomial._of(out)
-
-
-def ito_product_many(*polys: IncrementPolynomial) -> IncrementPolynomial:
-    """Left-to-right fold of ito_product."""
-    out = polys[0]
-    for p in polys[1:]:
-        out = ito_product(out, p)
     return out
 
 
-def coherent_expectation(p: IncrementPolynomial, beta) -> np.ndarray:
+def coherent_expectation(p: np.ndarray, beta) -> np.ndarray:
     """dt-rate of the polynomial on a coherent state with amplitude beta.
 
     Uses dB Psi(beta) = beta dt Psi(beta) and dLambda Psi(beta) = beta dB† Psi(beta),
     which compose to the rates (1, beta, beta*, |beta|^2) on (dt, dB, dB†, dLambda).
     """
-    c = p.coeffs
-    return c[0] + beta * c[1] + np.conj(beta) * c[2] + abs(beta) ** 2 * c[3]
+    return p[0] + beta * p[1] + np.conj(beta) * p[2] + abs(beta) ** 2 * p[3]
 
 
-def langevin_increment(model: HPModel, x: np.ndarray) -> IncrementPolynomial:
+def langevin_increment(model: HPModel, x: np.ndarray) -> np.ndarray:
     """dj_t(X) with its four Evans-Hudson coefficients."""
     indices = ((0, 0), (0, 1), (1, 0), (1, 1))  # dt, dB, dB†, dLambda
-    return IncrementPolynomial._of(np.stack([evans_hudson(model, i, x) for i in indices]))
+    return np.stack([evans_hudson(model, i, x) for i in indices])
 
 
 def output_increments(model: HPModel):
-    """(dB_out, dLambda_out) as increment polynomials.
+    """(dB_out, dLambda_out) as (4, ..., d, d) increment polynomials.
 
     dB_out = S dB + L dt;
     dLambda_out = dLambda + L†S dB + S†L dB† + L†L dt.
@@ -137,10 +107,8 @@ def output_increments(model: HPModel):
     s, l = model.S, model.L
     zero = np.zeros_like(s)
     eye = np.broadcast_to(np.eye(model.dim, dtype=complex), s.shape)
-    db_out = IncrementPolynomial._of(np.stack([l, s, zero, zero]))
-    dlambda_out = IncrementPolynomial._of(
-        np.stack([dagger(l) @ l, dagger(l) @ s, dagger(s) @ l, eye])
-    )
+    db_out = np.stack([l, s, zero, zero])
+    dlambda_out = np.stack([dagger(l) @ l, dagger(l) @ s, dagger(s) @ l, eye])
     return db_out, dlambda_out
 
 
@@ -190,18 +158,18 @@ def zakai_expansion(model: HPModel, b, x: np.ndarray, kind: str):
         coeffs = [k_c, np.zeros_like(k_c), np.zeros_like(k_c), coeff]
     else:
         raise ValueError(f"unknown measurement kind {kind!r}")
-    df = IncrementPolynomial._of(np.stack(coeffs))
+    df = np.stack(coeffs)
 
-    dfx = df.adjoint().right_mul(x)
-    total = dfx + df.left_mul(x) + ito_product(dfx, df)
+    dfx = adjoint(df) @ x
+    total = dfx + x @ df + ito_product(dfx, df)
     if kind == "quadrature":
         # dY = dB + dB†: both coefficients must agree, instance by instance, and form the gain.
-        gain = total.coeff("dB")
-        mismatch = np.abs(gain - total.coeff("dBdag")).max(axis=(-2, -1))
+        gain = total[_INDEX["dB"]]
+        mismatch = np.abs(gain - total[_INDEX["dBdag"]]).max(axis=(-2, -1))
         if np.any(mismatch > 1e-12 * (1 + np.abs(gain).max(axis=(-2, -1)))):
             raise AssertionError("quadrature expansion is not a dY polynomial")
-        return gain, total.coeff("dt")
-    return total.coeff("dLambda"), total.coeff("dt")
+        return gain, total[_INDEX["dt"]]
+    return total[_INDEX["dLambda"]], total[_INDEX["dt"]]
 
 
 def nondemolition_residual(x: np.ndarray) -> float:

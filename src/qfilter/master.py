@@ -45,8 +45,10 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < np.inf:  # also False for nan
+            raise ValueError(f"dt must be finite and positive, got {self.dt!r}")
+        if isinstance(self.steps, bool) or not isinstance(self.steps, (int, np.integer)):
+            raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
 

@@ -159,10 +159,10 @@ def ito_suite(seed: int = 0, dims=(2, 3, 4), instances: int = 100):
 
     # Fixed spot identities of the Ito table at dim 2.
     eye = np.eye(2, dtype=complex)
-    db = ito.IncrementPolynomial.single("dB", eye)
-    dbdag = ito.IncrementPolynomial.single("dBdag", eye)
-    dlam = ito.IncrementPolynomial.single("dLambda", eye)
-    dt_poly = ito.IncrementPolynomial.single("dt", eye)
+    db = ito.single("dB", eye)
+    dbdag = ito.single("dBdag", eye)
+    dlam = ito.single("dLambda", eye)
+    dt_poly = ito.single("dt", eye)
     spots = [
         ito.ito_product(db, dbdag) - dt_poly,
         ito.ito_product(dbdag, db),
@@ -172,7 +172,7 @@ def ito_suite(seed: int = 0, dims=(2, 3, 4), instances: int = 100):
         ito.ito_product(dt_poly, db),
         ito.ito_product(db, dt_poly),
     ]
-    res["ito/table-identities"] = [max_norm(p.coeffs) for p in spots]
+    res["ito/table-identities"] = [max_norm(p) for p in spots]
 
     # Draw every instance in order, as beta and one (17, d, d) array of its
     # matrices: S, L, H, X, rho and the coefficients of three polynomials.
@@ -196,10 +196,10 @@ def ito_suite(seed: int = 0, dims=(2, 3, 4), instances: int = 100):
         del matrices
         model = HPModel(S=s, L=l, H=h)
 
-        p, q, r = (ito.IncrementPolynomial(*coeffs[i : i + 4]) for i in (0, 4, 8))
+        p, q, r = (ito.polynomial(*coeffs[i : i + 4]) for i in (0, 4, 8))
         left = ito.ito_product(ito.ito_product(p, q), r)
         right = ito.ito_product(p, ito.ito_product(q, r))
-        res["ito/associativity"].append(max_norm(left.coeffs - right.coeffs))
+        res["ito/associativity"].append(max_norm(left - right))
 
         res["ito/coherent-generator"].append(ito.verify_generator(model, b, x))
 

@@ -1,3 +1,6 @@
+import copy
+import re
+
 import numpy as np
 import pytest
 
@@ -201,6 +204,48 @@ def test_real_valued_keys_reject_non_numbers_naming_the_key(section, body, key, 
     data = base_config()
     data[section] = {**body, key: bad}
     with pytest.raises(ConfigError, match=rf"^{section}\.{key}: expected a finite number"):
+        parse_config_dict(data)
+
+
+MODEL = {"dim": 2, "S": EYE2, "L": matrix_to_json(np.zeros((2, 2))), "H": ZERO2}
+SINUSOID = {"kind": "sinusoid", "amplitude": [0.5, 0], "frequency": 1.0, "offset": [0.1, 0]}
+COMPLEX_ENTRIES = [
+    ("beta", {"kind": "constant", "value": [0.5, 0]}, ("value",), "beta.value"),
+    ("beta", SINUSOID, ("amplitude",), "beta.amplitude"),
+    ("beta", SINUSOID, ("offset",), "beta.offset"),
+    ("beta", {"kind": "samples", "dt": 0.1, "values": [[0.5, 0], [0.2, 0]]}, ("values", 1), "beta.values[1]"),
+    ("model", MODEL, ("S", 0), "model.S[0]"),
+    ("model", MODEL, ("L", 2), "model.L[2]"),
+    ("model", MODEL, ("H", 3), "model.H[3]"),
+    ("rho0", {"matrix": [[1, 0], [0, 0], [0, 0], [0, 0]]}, ("matrix", 0), "rho0.matrix[0]"),
+    ("observables", [{"name": "n", "matrix": EYE2}], (0, "matrix", 1), "observables[0].matrix[1]"),
+]
+
+
+@pytest.mark.parametrize(
+    "section, body, entry, path", COMPLEX_ENTRIES, ids=[e[-1] for e in COMPLEX_ENTRIES]
+)
+@pytest.mark.parametrize(
+    "bad",
+    [float("nan"), float("inf"), True, [float("nan"), 0], [0, True], [0, 10**400]],
+    ids=["nan", "inf", "true", "[nan,0]", "[0,true]", "[0,1e400]"],
+)
+def test_complex_valued_entries_reject_non_finite_numbers_naming_the_key(
+    section, body, entry, path, bad
+):
+    data = base_config()
+    data[section] = target = copy.deepcopy(body)
+    for key in entry[:-1]:
+        target = target[key]
+    target[entry[-1]] = bad
+    with pytest.raises(ConfigError, match=rf"^{re.escape(path)}(\[[01]\])?: expected a finite number"):
+        parse_config_dict(data)
+
+
+def test_boolean_dim_is_rejected_naming_the_key():
+    data = base_config()
+    data["model"]["dim"] = True
+    with pytest.raises(ConfigError, match=r"^model\.dim: expected a positive integer"):
         parse_config_dict(data)
 
 

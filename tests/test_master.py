@@ -49,6 +49,13 @@ def test_time_grid():
         TimeGrid(dt=-0.1, steps=10)
     with pytest.raises(ValueError):
         TimeGrid(dt=0.1, steps=0)
+    for dt in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            TimeGrid(dt=dt, steps=3)
+    for steps in (2.5, 3.0, True, "3"):
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            TimeGrid(dt=0.1, steps=steps)
+    assert TimeGrid(dt=0.1, steps=np.int64(3)).times()[-1] == pytest.approx(0.3)
 
 
 def test_vacuum_decay_matches_exponential():

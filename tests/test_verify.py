@@ -112,3 +112,20 @@ def test_stacked_calls_equal_per_instance_calls():
             assert max_norm(gain[i] - gain_i) <= 1e-12
             assert max_norm(drift[i] - drift_i) <= 1e-12
     assert ito.verify_generator(stacked, b, x) <= 1e-12
+
+    # Polynomials of shape (4, n, d, d): products, adjoints, rates and the
+    # broadcast x @ p, p @ x agree with the per-instance calls.
+    p, (_, q) = ito.langevin_increment(stacked, x), ito.output_increments(stacked)
+    pq, p_adj, rate = ito.ito_product(p, q), ito.adjoint(p), ito.coherent_expectation(p, b)
+    xp, qx = x @ p, q @ x
+    for i, (m, bi, xi) in enumerate(zip(models, betas, xs)):
+        p_i, (_, q_i) = ito.langevin_increment(m, xi), ito.output_increments(m)
+        for stacked_value, value in [
+            (p[:, i], p_i),
+            (pq[:, i], ito.ito_product(p_i, q_i)),
+            (p_adj[:, i], ito.adjoint(p_i)),
+            (rate[i], ito.coherent_expectation(p_i, bi)),
+            (xp[:, i], xi @ p_i),
+            (qx[:, i], q_i @ xi),
+        ]:
+            assert max_norm(stacked_value - value) <= 1e-12
