@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: master, simulate, filter, ensemble, classical, verify.
-Exit codes: 0 success, 1 validation or usage error, 2 numerical failure.
+Exit codes: 0 success, 1 validation, usage or out-of-memory error, 2 numerical failure.
 All randomness flows from --seed (default 0); outputs land under --out.
 """
 
@@ -177,6 +177,10 @@ def main(argv=None) -> int:
         return dispatch(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:
+        # The size that fails depends on d, N and the machine, so no config key is named.
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (NumericalError, ZeroDivisionError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -1,8 +1,9 @@
 """The system model: (S, L, H) triple, coherent input, modulated operators.
 
 S is the scattering unitary, L the coupling (units time^-1/2), H the
-Hamiltonian (units time^-1).  The coherent input amplitude beta(t) carries
-units time^-1/2, so all generator terms scale as time^-1.
+Hamiltonian (units time^-1).  The coherent input is the amplitude beta(t)
+alone, a function of time built by one of `CoherentInput`'s constructors;
+it carries units time^-1/2, so all generator terms scale as time^-1.
 
 A model may hold stacks (n, d, d) of n triples; the operator functions
 below then act instance by instance, with beta a scalar or a stack
@@ -12,6 +13,7 @@ below then act instance by instance, with beta a scalar or a stack
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -53,58 +55,39 @@ class HPModel:
 
 @dataclass(frozen=True)
 class CoherentInput:
-    """Coherent-state amplitude beta(t).
+    """Coherent-state amplitude beta(t), held as the function `value`: t -> beta(t).
 
-    kind is one of "constant", "samples" (piecewise constant on a uniform
-    grid, left endpoints) or "sinusoid" (a * exp(i omega t) + c).  A time
-    within rounding of a sample boundary j * sample_dt takes sample j.
+    Build it with `constant`, `sinusoid` (a * exp(i omega t) + c) or
+    `piecewise` (piecewise constant on a uniform grid, left endpoints).  A
+    time within rounding of a sample boundary j * sample_dt takes sample j.
     """
 
-    kind: str
-    value_const: complex = 0.0
-    amplitude: complex = 0.0
-    frequency: float = 0.0
-    offset: complex = 0.0
-    t0: float = 0.0
-    sample_dt: float = 0.0
-    samples: tuple = ()
+    value: Callable[[float], complex]
 
     @classmethod
     def constant(cls, value: complex) -> "CoherentInput":
-        return cls(kind="constant", value_const=complex(value))
-
-    @classmethod
-    def vacuum(cls) -> "CoherentInput":
-        return cls.constant(0.0)
+        value = complex(value)
+        return cls(lambda t: value)
 
     @classmethod
     def sinusoid(cls, amplitude: complex, frequency: float, offset: complex = 0.0) -> "CoherentInput":
-        return cls(
-            kind="sinusoid",
-            amplitude=complex(amplitude),
-            frequency=float(frequency),
-            offset=complex(offset),
-        )
+        a, w, c = complex(amplitude), float(frequency), complex(offset)
+        return cls(lambda t: a * np.exp(1j * w * t) + c)
 
     @classmethod
     def piecewise(cls, t0: float, sample_dt: float, samples) -> "CoherentInput":
         samples = tuple(complex(v) for v in samples)
         if sample_dt <= 0 or not samples:
             raise ValueError("piecewise input needs sample_dt > 0 and samples")
-        return cls(kind="samples", t0=float(t0), sample_dt=float(sample_dt), samples=samples)
+        t0, sample_dt, last = float(t0), float(sample_dt), len(samples) - 1
 
-    def value(self, t: float) -> complex:
-        if self.kind == "constant":
-            return self.value_const
-        if self.kind == "sinusoid":
-            return self.amplitude * np.exp(1j * self.frequency * t) + self.offset
-        if self.kind == "samples":
+        def value(t: float) -> complex:
             # Within 1e-9 sample intervals of a boundary (float rounding) is on it.
-            x = (t - self.t0) / self.sample_dt
+            x = (t - t0) / sample_dt
             idx = int(np.floor(x + 1e-9 * max(1.0, abs(x))))
-            idx = min(max(idx, 0), len(self.samples) - 1)
-            return self.samples[idx]
-        raise ValueError(f"unknown coherent input kind {self.kind!r}")
+            return samples[min(max(idx, 0), last)]
+
+        return cls(value)
 
 
 def modulated_coupling(model: HPModel, b: complex) -> np.ndarray:

@@ -55,15 +55,15 @@ def _traces(a: np.ndarray) -> np.ndarray:
     return a.trace(axis1=-2, axis2=-1)
 
 
-def in_commutant(x: np.ndarray, algebra: MeasurementAlgebra, tol: float = COMMUTE_TOL) -> bool:
-    """Whether X commutes with every joint projection of the algebra."""
-    return _commutes(as_operator(x), algebra, tol)
+def in_commutant(x: np.ndarray, algebra: MeasurementAlgebra) -> bool:
+    """Whether X commutes, within COMMUTE_TOL, with every joint projection of the algebra."""
+    return _commutes(as_operator(x), algebra)
 
 
-def _commutes(x: np.ndarray, algebra: MeasurementAlgebra, tol: float = COMMUTE_TOL) -> bool:
+def _commutes(x: np.ndarray, algebra: MeasurementAlgebra) -> bool:
     """`in_commutant` for an X that `as_operator` has already validated."""
     check_dims(x, *algebra.generators)
-    return max_norm(commutator(x, algebra.projections)) <= tol
+    return max_norm(commutator(x, algebra.projections)) <= COMMUTE_TOL
 
 
 def _branch_means(algebra: MeasurementAlgebra, rho: np.ndarray, a: np.ndarray):

@@ -61,23 +61,19 @@ def _random_triple(rng: np.random.Generator, dim: int):
     return random_unitary(rng, dim), random_matrix(rng, dim), random_hermitian(rng, dim)
 
 
-def random_model(rng: np.random.Generator, dim: int) -> HPModel:
-    return HPModel(*_random_triple(rng, dim))
-
-
 def random_beta(rng: np.random.Generator) -> complex:
     return rng.standard_normal() + 1j * rng.standard_normal()
 
 
-def _random_commuting_instance(rng: np.random.Generator, dim: int, n_generators: int = 2):
-    """Commuting Hermitian generators with a commutant element and a state.
+def _random_commuting_instance(rng: np.random.Generator, dim: int):
+    """Two commuting Hermitian generators with a commutant element and a state.
 
     Generators share an eigenbasis; the commutant element is block-diagonal
     with respect to the joint eigenprojections.
     """
     u = random_unitary(rng, dim)
     gens = []
-    for _ in range(n_generators):
+    for _ in range(2):
         # Repeat an eigenvalue now and then so degenerate blocks occur.
         vals = rng.integers(-2, 3, size=dim).astype(float)
         gens.append(u @ np.diag(vals).astype(complex) @ dagger(u))

@@ -1,6 +1,7 @@
 """Shared test helpers and pytest hooks.
 
-`decay_model` and `EXCITED` are the decaying qubit most test files use.
+`decay_model` and `EXCITED` are the decaying qubit most test files use;
+`random_model` draws a random (S, L, H).
 `martingale_test` and `bias_ensemble_records` are the innovations check
 and its negative control; `riccati_steady_state` is the Kalman-Bucy
 oracle.
@@ -12,7 +13,7 @@ output capturing is on.
 import numpy as np
 
 from qfilter import ensemble, trajectory
-from qfilter.linalg import SIGMA_MINUS
+from qfilter.linalg import SIGMA_MINUS, random_hermitian, random_matrix, random_unitary
 from qfilter.model import HPModel
 
 ACCEPTANCE_LINES = []
@@ -26,6 +27,11 @@ def decay_model(gamma=1.0):
         L=np.sqrt(gamma) * SIGMA_MINUS,
         H=np.zeros((2, 2), dtype=complex),
     )
+
+
+def random_model(rng: np.random.Generator, dim: int) -> HPModel:
+    """S, L and H drawn in that order: random unitary, matrix and Hermitian."""
+    return HPModel(random_unitary(rng, dim), random_matrix(rng, dim), random_hermitian(rng, dim))
 
 
 def martingale_test(columns: dict, n_traj: int, z_max: float = 4.0):

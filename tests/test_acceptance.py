@@ -13,6 +13,7 @@ from conftest import (
     bias_ensemble_records,
     decay_model,
     martingale_test,
+    random_model,
     record_acceptance,
     riccati_steady_state,
 )
@@ -51,7 +52,7 @@ from qfilter.trajectory import (
     simulate_record,
     zakai_filter,
 )
-from qfilter.verify import qprob_suite, random_beta, random_model
+from qfilter.verify import qprob_suite, random_beta
 
 HALF_MIXED = 0.5 * np.eye(2, dtype=complex)
 
@@ -309,7 +310,7 @@ def test_criterion_8_purity_and_convergence():
         rho0 = np.broadcast_to(EXCITED, (n_traj, 2, 2))
         acc = np.zeros(n_traj)
         for x, _, _ in propagate(
-            model, CoherentInput.vacuum(), rho0, QUADRATURE, grid, noise=signs * np.sqrt(dt)
+            model, CoherentInput.constant(0.0), rho0, QUADRATURE, grid, noise=signs * np.sqrt(dt)
         ):
             rho = hermitian(x)
             acc += np.abs(1.0 - np.einsum("nij,nji->n", rho, rho).real)
@@ -397,7 +398,7 @@ def test_criterion_10_no_jump_conditioning_oracle():
     dt = 1e-4
     grid = TimeGrid(dt=dt, steps=int(round(3.0 / dt)))
     record = MeasurementRecord(kind=COUNTING, grid=grid, increments=np.zeros(grid.steps))
-    states, _ = filter_record(model, CoherentInput.vacuum(), HALF_MIXED, record)
+    states, _ = filter_record(model, CoherentInput.constant(0.0), HALF_MIXED, record)
     pe = states[:, 0, 0].real
     t = grid.times()
     p0 = 0.5

@@ -40,16 +40,21 @@ COUNTING_SINUSOID = {
     "measurement": "counting",
     "beta": {"kind": "sinusoid", "amplitude": [1.0, 0.5], "frequency": 20.0, "offset": [3.0, 0.0]},
 }
+QUADRATURE_SAMPLES = {
+    "beta": {"kind": "samples", "dt": 0.05, "values": [[0.5, 0], [0.1, 0.2], [1.0, -0.3]]},
+}
 
 
 @pytest.mark.parametrize(
-    "overrides", [{}, COUNTING_SINUSOID], ids=["quadrature", "counting-sinusoid"]
+    "overrides",
+    [{}, COUNTING_SINUSOID, QUADRATURE_SAMPLES],
+    ids=["quadrature", "counting-sinusoid", "quadrature-samples"],
 )
 def test_simulate_then_filter_round_trip_is_byte_identical(tmp_path, overrides):
     cfg = write_config(tmp_path, **overrides)
     sim_dir, flt_dir = tmp_path / "sim", tmp_path / "flt"
     assert main(["simulate", "--config", str(cfg), "--seed", "11", "--out", str(sim_dir)]) == EXIT_OK
-    if overrides:  # the replay takes the jump branch
+    if "measurement" in overrides:  # the counting replay takes the jump branch
         assert "1" in (sim_dir / "record.csv").read_text().splitlines()[2:]
     flt_dir.mkdir()
     (flt_dir / "record.csv").write_bytes((sim_dir / "record.csv").read_bytes())
@@ -262,6 +267,19 @@ def test_output_name_with_a_nul_byte_fails_validation_before_running(tmp_path, c
     out = tmp_path / "m"
     assert main(["master", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
     assert "output.master: expected a bare file name" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_out_of_memory_fails_validation_without_a_traceback(tmp_path, capsys, monkeypatch):
+    def too_large(*args):
+        raise MemoryError("Unable to allocate 1.46 TiB for an array with shape (100000000001, 1, 1)")
+
+    monkeypatch.setattr("qfilter.cli.integrate_master", too_large)
+    out = tmp_path / "out"
+    assert main(["master", "--config", str(write_config(tmp_path)), "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Unable to allocate 1.46 TiB" in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 

@@ -3,6 +3,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from conftest import random_model
 from qfilter.ito import (
     adjoint,
     coherent_expectation,
@@ -23,7 +24,7 @@ from qfilter.linalg import (
     random_matrix,
 )
 from qfilter.model import heisenberg_generator
-from qfilter.verify import ito_suite, random_model
+from qfilter.verify import ito_suite
 
 
 def poly_norm(p):

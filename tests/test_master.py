@@ -61,7 +61,7 @@ def test_time_grid():
 def test_vacuum_decay_matches_exponential():
     gamma = 1.3
     grid = TimeGrid.from_duration(dt=1e-3, duration=2.0)
-    states = integrate_master(decay_model(gamma), CoherentInput.vacuum(), EXCITED, grid)
+    states = integrate_master(decay_model(gamma), CoherentInput.constant(0.0), EXCITED, grid)
     pe = np.trace(states @ EXCITED, axis1=1, axis2=2).real
     exact = np.exp(-gamma * grid.times())
     assert np.max(np.abs(pe - exact)) < 1e-9
@@ -87,7 +87,7 @@ def test_step_size_error():
     model = decay_model(200.0)
     grid = TimeGrid(dt=0.5, steps=10)
     with pytest.raises(StepSizeError):
-        integrate_master(model, CoherentInput.vacuum(), EXCITED, grid)
+        integrate_master(model, CoherentInput.constant(0.0), EXCITED, grid)
 
 
 def test_step_size_error_names_its_step():
@@ -96,7 +96,7 @@ def test_step_size_error_names_its_step():
     # depends on the rounding of the BLAS kernels.
     grid = TimeGrid(dt=0.5, steps=10)
     with pytest.raises(StepSizeError, match=r"^trace drift \S+ at step [1-9]: dt=0.5 too large"):
-        integrate_master(decay_model(200.0), CoherentInput.vacuum(), EXCITED, grid)
+        integrate_master(decay_model(200.0), CoherentInput.constant(0.0), EXCITED, grid)
 
 
 def test_non_finite_trace_counts_as_drift():
@@ -104,7 +104,7 @@ def test_non_finite_trace_counts_as_drift():
     grid = TimeGrid(dt=1.0, steps=10)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(StepSizeError, match=r"^trace drift (nan|inf) at step 0"):
-            integrate_master(decay_model(1e80), CoherentInput.vacuum(), EXCITED, grid)
+            integrate_master(decay_model(1e80), CoherentInput.constant(0.0), EXCITED, grid)
 
 
 def rk4_reference(model, beta, rho0, grid):

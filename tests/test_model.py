@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import decay_model
+from conftest import decay_model, random_model
 from qfilter.linalg import (
     SIGMA_MINUS,
     dagger,
@@ -21,7 +21,6 @@ from qfilter.model import (
     modulated_coupling,
     modulated_hamiltonian,
 )
-from qfilter.verify import random_model
 
 
 def test_model_validation():
@@ -37,7 +36,7 @@ def test_coherent_input_kinds():
     const = CoherentInput.constant(1 + 2j)
     assert const.value(0.0) == 1 + 2j
     assert const.value(17.3) == 1 + 2j
-    assert CoherentInput.vacuum().value(1.0) == 0
+    assert CoherentInput.constant(0.0).value(1.0) == 0
 
     sin = CoherentInput.sinusoid(amplitude=2.0, frequency=np.pi, offset=1j)
     assert sin.value(0.0) == pytest.approx(2.0 + 1j)

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import random_model
 from qfilter.ensemble import _checkpoint_steps, mix_seed, run_ensemble
 from qfilter.linalg import dagger, max_norm, random_density, random_hermitian, trace_distance
 from qfilter.master import (
@@ -42,7 +43,6 @@ from qfilter.trajectory import (
     simulate_record,
     zakai_filter,
 )
-from qfilter.verify import random_model
 
 DT = 1e-3
 JUMP_PROBABILITY_BUDGET = 0.05

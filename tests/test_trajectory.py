@@ -167,7 +167,7 @@ def test_counting_zakai_requires_nonvanishing_beta():
     grid = TimeGrid(dt=1e-3, steps=10)
     record = MeasurementRecord(kind=COUNTING, grid=grid, increments=np.zeros(10))
     with pytest.raises(ValueError):
-        zakai_filter(decay_model(), CoherentInput.vacuum(), EXCITED, record)
+        zakai_filter(decay_model(), CoherentInput.constant(0.0), EXCITED, record)
 
 
 def test_zakai_underflow_names_step_and_time():
@@ -186,7 +186,7 @@ def test_zakai_underflow_names_step_and_time():
 def test_jump_probability_bound_enforced():
     # A huge coupling makes r dt exceed the single-jump validity bound.
     model = decay_model(2000.0)
-    beta = CoherentInput.vacuum()
+    beta = CoherentInput.constant(0.0)
     grid = TimeGrid(dt=1e-3, steps=10)
     with pytest.raises(JumpRateError):
         simulate_record(model, beta, EXCITED, COUNTING, grid, seed=0)
@@ -196,23 +196,23 @@ def test_failures_name_step_and_time():
     model = decay_model(2000.0)
     grid = TimeGrid(dt=1e-3, steps=10)
     with pytest.raises(JumpRateError, match="step 0, t=0: jump probability"):
-        simulate_record(model, CoherentInput.vacuum(), EXCITED, COUNTING, grid, seed=0)
+        simulate_record(model, CoherentInput.constant(0.0), EXCITED, COUNTING, grid, seed=0)
     record = MeasurementRecord(kind=QUADRATURE, grid=grid, increments=np.zeros(10))
     nan_state = np.full((2, 2), np.nan, dtype=complex)
     steps = propagate(
-        decay_model(), CoherentInput.vacuum(), nan_state, QUADRATURE, grid, increments=record.increments
+        decay_model(), CoherentInput.constant(0.0), nan_state, QUADRATURE, grid, increments=record.increments
     )
     with pytest.raises(TraceUnderflowError, match="step 0, t=0: state trace underflow"):
         next(steps)
     with pytest.raises(ValueError, match="non-finite"):
-        filter_record(decay_model(), CoherentInput.vacuum(), nan_state, record)
+        filter_record(decay_model(), CoherentInput.constant(0.0), nan_state, record)
 
 
 @pytest.mark.parametrize("run", ["simulate", "filter", "zakai"])
 def test_single_trajectory_runs_reject_an_invalid_initial_state(run):
     # Unit trace, but neither Hermitian nor positive.
     invalid = np.array([[2, 1], [0, -1]], dtype=complex)
-    model, vacuum = decay_model(), CoherentInput.vacuum()
+    model, vacuum = decay_model(), CoherentInput.constant(0.0)
     grid = TimeGrid(dt=1e-3, steps=10)
     record = MeasurementRecord(kind=QUADRATURE, grid=grid, increments=np.zeros(10))
     with pytest.raises(ValueError, match="not Hermitian"):
@@ -232,13 +232,13 @@ def test_batched_jump_bound_names_the_trajectory():
     rho = np.stack([GROUND, EXCITED, GROUND])
     grid = TimeGrid(dt=1e-3, steps=10)
     noise = np.random.default_rng(0).random((grid.steps, 3))
-    steps = propagate(decay_model(200.0), CoherentInput.vacuum(), rho, COUNTING, grid, noise=noise)
+    steps = propagate(decay_model(200.0), CoherentInput.constant(0.0), rho, COUNTING, grid, noise=noise)
     with pytest.raises(JumpRateError, match=r"step 0, t=0: trajectory 1: jump probability 0\.2 "):
         next(steps)
 
 
 def test_batched_replay_failures_name_the_trajectory():
-    model, vacuum = decay_model(), CoherentInput.vacuum()
+    model, vacuum = decay_model(), CoherentInput.constant(0.0)
     grid = TimeGrid(dt=1e-3, steps=1)
     single = propagate(model, vacuum, GROUND, COUNTING, grid, increments=np.ones(1))
     with pytest.raises(JumpRateError, match="step 0, t=0: detection event"):

@@ -6,10 +6,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from conftest import random_model
 from qfilter import ito, qprob, verify
 from qfilter.cli import EXIT_NUMERICAL, main
 from qfilter.linalg import dagger, max_norm, random_hermitian
-from qfilter.verify import full_suite, ito_suite, qprob_suite, random_beta, random_model
+from qfilter.verify import full_suite, ito_suite, qprob_suite, random_beta
 
 
 def by_name(results):
