@@ -182,7 +182,7 @@ def main(argv=None) -> int:
         # The size that fails depends on d, N and the machine, so no config key is named.
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (NumericalError, ZeroDivisionError) as exc:
+    except (NumericalError, ArithmeticError) as exc:  # a float overflow or division by zero too
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

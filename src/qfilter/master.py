@@ -17,16 +17,17 @@ x(F(h_ab)) for h_ab = hermitian(e_ab), the preimage of the coordinate unit
 vector e_ab; a scalar-valued map takes the real part.  Since
 L^beta = L + beta S and H^beta is affine in (beta, beta*), every map built
 from them is M(beta) = M0 + Re(beta) M1 + Im(beta) M2 + |beta|^2 M3 with
-real pieces, built once per run (`affine_superoperator`).  `at` forms
-M(beta); `apply` gives x @ M(beta) from one product of x with the four
-pieces side by side, so RK4 under a time-varying beta forms no d^2 x d^2
-matrix per stage.
+real pieces, built once per run as one (4, d^2, w) array
+(`affine_superoperator`).  `at` forms M(beta) in one product of the weights
+(1, Re beta, Im beta, |beta|^2) with the pieces; RK4 under a time-varying
+beta multiplies x by the pieces side by side and weights the four products,
+so it forms no d^2 x d^2 matrix per stage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -107,49 +108,27 @@ def hermitian_in_place(states: np.ndarray) -> np.ndarray:
     return states
 
 
-@dataclass(frozen=True)
-class AffineSuperoperator:
-    """Real row-form maps M(beta) = M0 + Re(beta) M1 + Im(beta) M2 + |beta|^2 M3.
-
-    pieces has shape (4, d*d, w): the maps side by side, row-form on real
-    coordinates as in the module docstring, a matrix-valued map taking d*d
-    columns and a scalar-valued one (a trace) one column.
-    """
-
-    pieces: np.ndarray
-
-    @cached_property
-    def side_by_side(self) -> np.ndarray:
-        """The pieces as one (d*d, 4w) matrix [M0 M1 M2 M3], built on first use."""
-        n, rows, width = self.pieces.shape
-        return self.pieces.transpose(1, 0, 2).reshape(rows, n * width)
-
-    def at(self, b: complex) -> np.ndarray:
-        b = complex(b)
-        p0, p1, p2, p3 = self.pieces
-        out = p1 * b.real  # in place from here on: at d = 8 each temporary is 33 kB
-        out += p0
-        term = p2 * b.imag
-        out += term
-        out += np.multiply(p3, b.real**2 + b.imag**2, out=term)
-        return out
-
-    def apply(self, v: np.ndarray, b: complex) -> np.ndarray:
-        """v @ at(b) for a row vector v, from the one product v @ side_by_side."""
-        b = complex(b)
-        products = (v @ self.side_by_side).reshape(4, -1)
-        return np.array([1.0, b.real, b.imag, b.real**2 + b.imag**2]) @ products
+def _beta_weights(b: complex) -> np.ndarray:
+    """The weights of the pieces M0, M1, M2, M3 at beta = b."""
+    b = complex(b)  # Python floats: a square past float range raises OverflowError, not inf
+    return np.array([1.0, b.real, b.imag, b.real**2 + b.imag**2])
 
 
-def affine_superoperator(model: HPModel, maps) -> AffineSuperoperator:
-    """The real pieces of the row-form maps `maps(L^beta, H^beta, units)`.
+def at(pieces: np.ndarray, b: complex) -> np.ndarray:
+    """M(b) = M0 + Re(b) M1 + Im(b) M2 + |b|^2 M3 from the (4, d*d, w) pieces."""
+    return (_beta_weights(b) @ pieces.reshape(4, -1)).reshape(pieces.shape[1:])
+
+
+def affine_superoperator(model: HPModel, maps) -> np.ndarray:
+    """The real (4, d*d, w) pieces of the row-form maps `maps(L^beta, H^beta, units)`, side by side.
 
     `maps` returns a tuple of arrays, each one Hermitian-preserving map
     applied to the stack of the d*d preimages h_ab of the coordinate unit
     vectors: (d*d, d, d) for a matrix-valued map, of which the coordinates
-    are taken, and (d*d,) for a scalar-valued one, of which the real part
-    is taken.  The maps are evaluated at beta = 0, 1, -1, i and the four
-    pieces solved for, so each map keeps its one definition.
+    are taken (d*d columns), and (d*d,) for a scalar-valued one, of which
+    the real part is taken (one column).  The maps are evaluated at
+    beta = 0, 1, -1, i and the four pieces solved for, so each map keeps
+    its one definition.
     """
     d = model.dim
     units = hermitian(np.eye(d * d).reshape(d * d, d, d))
@@ -163,11 +142,11 @@ def affine_superoperator(model: HPModel, maps) -> AffineSuperoperator:
 
     f0, f_plus, f_minus, f_i = (evaluate(b) for b in (0j, 1 + 0j, -1 + 0j, 1j))
     p3 = 0.5 * (f_plus + f_minus) - f0
-    return AffineSuperoperator(np.stack([f0, 0.5 * (f_plus - f_minus), f_i - f0 - p3, p3]))
+    return np.stack([f0, 0.5 * (f_plus - f_minus), f_i - f0 - p3, p3])
 
 
-def drift_superoperator(model: HPModel) -> AffineSuperoperator:
-    """The generator L'^beta in row form."""
+def drift_superoperator(model: HPModel) -> np.ndarray:
+    """The pieces of the generator L'^beta in row form."""
     return affine_superoperator(model, lambda lb, hb, units: (lindblad_adjoint(lb, hb, units),))
 
 
@@ -188,13 +167,19 @@ def integrate_master(
     The state steps as a row vector of real coordinates through the
     row-form generator.  A step whose three stage values of beta agree is
     one product with the RK4 polynomial of that generator (exactly RK4),
-    kept while beta is unchanged; otherwise each stage applies the pieces
-    to its vector at its beta (`AffineSuperoperator.apply`); the real
-    parts of the states hold the coordinates until `hermitian_in_place`.
+    kept while beta is unchanged; otherwise each stage multiplies its
+    vector by the pieces laid side by side once per run and weights the
+    four products by its beta; the real parts of the states hold the
+    coordinates until `hermitian_in_place`.
     """
     rho = validate_density(rho0)
     d = rho.shape[0]
     generator = drift_superoperator(model)
+    side = generator.transpose(1, 0, 2).reshape(d * d, -1)  # [M0 M1 M2 M3]
+
+    def stage(u, b):
+        return _beta_weights(b) @ (u @ side).reshape(4, -1)
+
     states = np.empty((grid.steps + 1, d, d), dtype=complex)
     path = states.real.reshape(grid.steps + 1, d * d)
     path[0] = v = coordinates(rho).reshape(d * d)
@@ -205,13 +190,13 @@ def integrate_master(
         b1, b2, b3 = beta.value(t), beta.value(t + 0.5 * dt), beta.value(t + dt)
         if b1 == b2 == b3:
             if b1 != b_poly:
-                b_poly, poly = b1, _rk4_polynomial(dt * generator.at(b1))
+                b_poly, poly = b1, _rk4_polynomial(dt * at(generator, b1))
             v = v @ poly
         else:
-            k1 = generator.apply(v, b1)
-            k2 = generator.apply(v + 0.5 * dt * k1, b2)
-            k3 = generator.apply(v + 0.5 * dt * k2, b2)
-            k4 = generator.apply(v + dt * k3, b3)
+            k1 = stage(v, b1)
+            k2 = stage(v + 0.5 * dt * k1, b2)
+            k3 = stage(v + 0.5 * dt * k2, b2)
+            k4 = stage(v + dt * k3, b3)
             v = v + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         drift = abs(v[:: d + 1].sum() - 1.0)
         if not drift <= TRACE_DRIFT_LIMIT:  # a non-finite trace counts as drift

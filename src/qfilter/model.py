@@ -82,10 +82,10 @@ class CoherentInput:
         t0, sample_dt, last = float(t0), float(sample_dt), len(samples) - 1
 
         def value(t: float) -> complex:
-            # Within 1e-9 sample intervals of a boundary (float rounding) is on it.
-            x = (t - t0) / sample_dt
-            idx = int(np.floor(x + 1e-9 * max(1.0, abs(x))))
-            return samples[min(max(idx, 0), last)]
+            # Clamped first, so a quotient that overflows to +-inf takes an end
+            # sample; within 1e-9 sample intervals of a boundary (float rounding) is on it.
+            x = min(max((t - t0) / sample_dt, 0.0), last)
+            return samples[int(np.floor(x + 1e-9 * max(1.0, x)))]
 
         return cls(value)
 

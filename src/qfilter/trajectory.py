@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import NumericalError, dagger, validate_density
-from .master import TimeGrid, affine_superoperator, coordinates, hermitian, hermitian_in_place
+from .master import TimeGrid, affine_superoperator, at, coordinates, hermitian, hermitian_in_place
 from .model import CoherentInput, HPModel, lindblad_adjoint, modulated_coupling
 
 JUMP_RATE_FLOOR = 1e-12
@@ -266,7 +266,7 @@ def propagate(
         try:
             b = beta.value(t)
             if b != b_prev:
-                sup, b_prev = step_map.at(b), b
+                sup, b_prev = at(step_map, b), b
             out = x @ sup
             intensity = _right_trace(out, d).reshape(shape[:-2])
             dy = increments[k] if increments is not None else draw(noise[k], intensity, dt)

@@ -162,6 +162,28 @@ def test_classical_numerical_failure_exit_code(tmp_path, capsys):
     assert "numerical failure: covariance" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("master", {"beta": {"kind": "sinusoid", "amplitude": [1e300, 0], "frequency": 1}}),
+        ("classical", {"classical": {"preset": "linear", "prior_std": 1e200}}),
+    ],
+    ids=["beta-squared", "prior-variance"],
+)
+def test_float_overflow_is_a_numerical_failure_without_a_traceback(tmp_path, capsys, command, overrides):
+    cfg = write_config(tmp_path, **overrides)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("beta", [{"t0": 1e308, "dt": 0.05}, {"dt": 1e-320}], ids=["far-t0", "tiny-dt"])
+def test_samples_beta_far_from_its_start_runs(tmp_path, beta):
+    cfg = write_config(tmp_path, beta={"kind": "samples", "values": [[0.5, 0], [1.0, 0]], **beta})
+    assert main(["master", "--config", str(cfg), "--out", str(tmp_path / "m")]) == EXIT_OK
+
+
 def test_ensemble_command(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "ens"

@@ -14,6 +14,7 @@ from qfilter.linalg import (
 from qfilter.master import (
     StepSizeError,
     TimeGrid,
+    at,
     drift_superoperator,
     hermitian,
     integrate_master,
@@ -31,7 +32,7 @@ class DegenerateSteadyStateError(NumericalError):
 def steady_state(model: HPModel, beta_value: complex) -> np.ndarray:
     """Unique stationary density matrix of the constant-beta generator."""
     # The coordinates of rho are the left null vector of the row-form generator.
-    _, svals, vh = np.linalg.svd(drift_superoperator(model).at(beta_value).T)
+    _, svals, vh = np.linalg.svd(at(drift_superoperator(model), beta_value).T)
     if len(svals) > 1 and svals[-2] <= GAP_TOL:
         raise DegenerateSteadyStateError(
             f"null space is degenerate (second singular value {svals[-2]:.3e})"

@@ -48,6 +48,9 @@ def test_coherent_input_kinds():
     assert pw.value(0.5) == 2.0
     assert pw.value(100.0) == 3.0  # clamped to the last sample
     assert pw.value(-1.0) == 1.0  # clamped to the first
+    # (t - t0) / sample_dt overflows to -inf and to +inf: still the end samples.
+    assert CoherentInput.piecewise(t0=1e308, sample_dt=0.05, samples=[1.0, 2.0]).value(0.0) == 1.0
+    assert CoherentInput.piecewise(t0=0.0, sample_dt=1e-320, samples=[1.0, 2.0]).value(1.0) == 2.0
 
     with pytest.raises(ValueError):
         CoherentInput.piecewise(t0=0.0, sample_dt=0.0, samples=[1.0])

@@ -7,8 +7,8 @@ per-step jump probability, stays within 0.05.  Examples are derandomized
 so that every run checks the same models.  On random models too, the
 real coordinates of Hermitian matrices round-trip exactly, the states the
 filter loop and the master equation yield are Hermitian bit for bit, and
-the step superoperators' `at` and `apply` agree with the maps they are
-built from.
+the step superoperators formed by `at` agree with the maps they are built
+from.
 """
 
 import numpy as np
@@ -23,8 +23,8 @@ from qfilter.master import (
     STATE_BLOCK,
     TimeGrid,
     affine_superoperator,
+    at,
     coordinates,
-    drift_superoperator,
     hermitian,
     integrate_master,
 )
@@ -144,22 +144,6 @@ def test_propagate_matches_reference_kernels(case):
         assert abs(intensity - ref_intensity) <= REFERENCE_TOL
 
 
-@exact
-@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 4, 8]), st.sampled_from(["drift", *KINDS]))
-def test_apply_equals_the_product_with_the_recombined_maps(seed, dim, maps):
-    rng = np.random.default_rng(seed)
-    model = random_model(rng, dim)
-    if maps == "drift":
-        sup = drift_superoperator(model)
-    else:
-        sup = affine_superoperator(model, _STEPS[maps][0])
-    width = {"drift": dim * dim, QUADRATURE: 2 * dim * dim, COUNTING: dim * dim + 1}[maps]
-    assert sup.pieces.shape == (4, dim * dim, width)
-    b = complex(rng.standard_normal(), rng.standard_normal())
-    v = coordinates(random_density(rng, dim)).reshape(dim * dim)
-    assert max_norm(sup.apply(v, b) - v @ sup.at(b)) <= REFERENCE_TOL
-
-
 def drift_maps(lb, hb, rho):
     return (lindblad_adjoint(lb, hb, rho),)
 
@@ -174,7 +158,9 @@ def test_at_equals_the_coordinates_of_the_maps_evaluated_at_beta(seed, dim, maps
     rng = np.random.default_rng(seed)
     model = random_model(rng, dim)
     sup = affine_superoperator(model, MAPS[maps])
-    assert sup.pieces.dtype == float
+    width = {"drift": dim * dim, QUADRATURE: 2 * dim * dim, COUNTING: dim * dim + 1}[maps]
+    assert sup.shape == (4, dim * dim, width)
+    assert sup.dtype == float
     b = complex(rng.standard_normal(), rng.standard_normal())
     rhos = np.array([random_density(rng, dim) for _ in range(5)])
     direct = [
@@ -182,7 +168,7 @@ def test_at_equals_the_coordinates_of_the_maps_evaluated_at_beta(seed, dim, maps
         for m in MAPS[maps](*modulated_operators(model, b), rhos)
     ]
     expected = np.concatenate(direct, axis=1)
-    got = coordinates(rhos).reshape(len(rhos), dim * dim) @ sup.at(b)
+    got = coordinates(rhos).reshape(len(rhos), dim * dim) @ at(sup, b)
     assert max_norm(got - expected) <= REFERENCE_TOL * max(1.0, max_norm(expected))
 
 
