@@ -136,8 +136,8 @@ def kalman_bucy_step(
     """
     new_mean = mean + a * mean * dt + cov * c * (dy - c * mean * dt)
     new_cov = cov + (2 * a * cov + sigma**2 - c**2 * cov**2) * dt
-    if new_cov < -1e-10:
-        raise NumericalError(f"covariance {new_cov} went negative")
+    if not -1e-10 <= new_cov < np.inf:  # also true for nan
+        raise NumericalError(f"covariance {new_cov} went negative or non-finite")
     return new_mean, new_cov
 
 

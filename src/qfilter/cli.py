@@ -174,7 +174,8 @@ def dispatch(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return dispatch(args)
+        with np.errstate(all="ignore"):  # each loop rejects non-finite values, naming the step
+            return dispatch(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -11,14 +11,14 @@ The loop steps in Liouville space on real coordinates (conventions in
 work of a step is one real per-row product, (N, 1, d^2) @ (d^2, w), so
 that trajectory i of a batch is bit for bit the trajectory run alone.
 The loop tests no measurement kind; each kind's `_STEPS` entry gives its
-maps, its dY draw and the rest of its step.  Quadrature steps through [drift | gain], w = 2 d^2, whose
-gain trace is the pre-step intensity m, and draws dY = dI + m dt.
-Counting steps through [no-jump drift | rate], w = d^2 + 1, whose last
-column gives r = tr(L^b rho L^b†), and draws a Bernoulli(r dt) click; a
-row that clicked jumps in matrix form, L^b rho L^b† / r, with L^b built
-for those rows only and the jump projected onto the Hermitian matrices,
-and then takes its no-jump drift through the same matrix.  The matrix is
-recombined from its four affine pieces in beta when beta(t) changes.
+maps, its dY draw and the rest of its step.  Each step matrix ends in
+the pre-step intensity.  Quadrature steps through [drift | gain | m],
+w = 2 d^2 + 1, m = tr(gain), and draws dY = dI + m dt; counting through
+[no-jump drift | r], w = d^2 + 1, r = tr(L^b rho L^b†), and draws a
+Bernoulli(r dt) click.  A row that clicked jumps through the row-form map
+of L^b rho L^b†, over r, then takes its no-jump drift like any other row.
+Each map is formed from its four affine pieces in beta, built once per
+run: the step matrix when beta(t) changes, the jump map when a row clicks.
 `quad_step_arrays` and `count_step_arrays` are the reference Euler
 kernels the loop is tested against.  Every step ends with a trace
 renormalization of the coordinates, which the loop yields; consumers
@@ -38,8 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import NumericalError, dagger, validate_density
-from .master import TimeGrid, affine_superoperator, at, coordinates, hermitian, hermitian_in_place
-from .model import CoherentInput, HPModel, lindblad_adjoint, modulated_coupling
+from .master import TimeGrid, affine_superoperator, at, coordinates, hermitian_in_place
+from .model import CoherentInput, HPModel, lindblad_adjoint
 
 JUMP_RATE_FLOOR = 1e-12
 TRACE_UNDERFLOW = 1e-12
@@ -151,20 +151,20 @@ def count_step_arrays(rho: np.ndarray, dy, lb: np.ndarray, hb: np.ndarray, dt: f
 
 
 def _quadrature_maps(lb: np.ndarray, hb: np.ndarray, rho: np.ndarray):
-    """[drift | gain]: L'rho and L^b rho + rho L^b†."""
-    return lindblad_adjoint(lb, hb, rho), lb @ rho + rho @ dagger(lb)
+    """[drift | gain | m]: L'rho, L^b rho + rho L^b† and its trace m."""
+    gain = lb @ rho + rho @ dagger(lb)
+    return lindblad_adjoint(lb, hb, rho), gain, _btrace(gain)
 
 
 def _counting_maps(lb: np.ndarray, hb: np.ndarray, rho: np.ndarray):
-    """[no-jump drift | rate]: L'rho - L^b rho L^b† and tr(L^b rho L^b†)."""
+    """[no-jump drift | r]: L'rho - L^b rho L^b† and r = tr(L^b rho L^b†)."""
     jump = lb @ rho @ dagger(lb)
     return lindblad_adjoint(lb, hb, rho) - jump, _btrace(jump)
 
 
-def _right_trace(out: np.ndarray, d: int) -> np.ndarray:
-    """Trace of the block right of column d^2 of (B, 1, w) rows, shape (B, 1, 1):
-    the coordinates of the quadrature gain, or the one counting rate column."""
-    return out[..., d * d :: d + 1].sum(axis=-1, keepdims=True)
+def _jump_map(lb: np.ndarray, hb: np.ndarray, rho: np.ndarray):
+    """L^b rho L^b†, the unnormalized state after a click."""
+    return (lb @ rho @ dagger(lb),)
 
 
 def _rows(x) -> np.ndarray:
@@ -182,7 +182,7 @@ def _quadrature_finish(v, out, m, dy, dt, *_):
     d2 = v.shape[-1]
     m, dy = _rows(m), _rows(dy)
     new = v + out[..., :d2] * dt
-    new += (out[..., d2:] - m * v) * (dy - m * dt)
+    new += (out[..., d2:-1] - m * v) * (dy - m * dt)
     return new
 
 
@@ -196,33 +196,30 @@ def _counting_draw(u, r, dt):
     return (u < prob).astype(float)
 
 
-def _counting_finish(v, out, r, dy, dt, sup, model, b):
+def _no_jump(v, out, dt):
+    """rho + (L'rho - L^b rho L^b† + r rho) dt, in rows, from out = v @ [no-jump drift | r]."""
+    return v + (out[..., :-1] + out[..., -1:] * v) * dt
+
+
+def _counting_finish(v, out, r, dy, dt, sup, b, jump):
     """No-jump drift step of each row; a row that clicked, at r >= JUMP_RATE_FLOOR, first jumps."""
     if np.min(r) < JUMP_RATE_FLOOR:
         bad = (dy != 0.0) & (r < JUMP_RATE_FLOOR)
         if np.any(bad):
             msg = "detection event in a state with vanishing jump rate"
             raise _row_error(JumpRateError, bad, msg)
-    d2 = v.shape[-1]
-    r = _rows(r)
-    new = r * v  # v + (out + r v) dt, in place from here on
-    new += out[..., :d2]
-    new *= dt
-    new += v
+    new = _no_jump(v, out, dt)
     jumped = np.flatnonzero(dy != 0.0)
     if jumped.size:
-        lb = modulated_coupling(model, b)
-        jump = lb @ hermitian(v[jumped].reshape((-1,) + lb.shape)) @ dagger(lb)
-        post = coordinates(0.5 * (jump + dagger(jump))).reshape(-1, 1, d2) / r[jumped]
-        post_out = post @ sup
-        new[jumped] = post + (post_out[..., :d2] + _right_trace(post_out, len(lb)) * post) * dt
+        post = v[jumped] @ at(jump, b) / _rows(r)[jumped]
+        new[jumped] = _no_jump(post, post @ sup, dt)
     return new
 
 
-# kind -> (the maps side by side in the step matrix, the dY draw, the rest of the step)
+# kind -> (the step matrix's maps, then those whose pieces finish takes; dY draw; rest of step)
 _STEPS = {
-    QUADRATURE: (_quadrature_maps, _quadrature_draw, _quadrature_finish),
-    COUNTING: (_counting_maps, _counting_draw, _counting_finish),
+    QUADRATURE: ((_quadrature_maps,), _quadrature_draw, _quadrature_finish),
+    COUNTING: ((_counting_maps, _jump_map), _counting_draw, _counting_finish),
 }
 
 
@@ -254,7 +251,7 @@ def propagate(
     if kind not in _STEPS:
         raise ValueError(f"unknown measurement kind {kind!r}")
     maps, draw, finish = _STEPS[kind]
-    step_map = affine_superoperator(model, maps)
+    step_map, *extra = (affine_superoperator(model, m) for m in maps)
     x = coordinates(np.asarray(rho0, dtype=complex))
     shape = x.shape
     d = shape[-1]
@@ -268,9 +265,9 @@ def propagate(
             if b != b_prev:
                 sup, b_prev = at(step_map, b), b
             out = x @ sup
-            intensity = _right_trace(out, d).reshape(shape[:-2])
+            intensity = out[..., -1].reshape(shape[:-2])
             dy = increments[k] if increments is not None else draw(noise[k], intensity, dt)
-            new = finish(x, out, intensity, dy, dt, sup, model, b)
+            new = finish(x, out, intensity, dy, dt, sup, b, *extra)
             tr = new[..., :: d + 1].sum(axis=-1, keepdims=True)
             size = np.abs(tr)
             if not (size.min() >= TRACE_UNDERFLOW and size.max() < np.inf):  # false on nan

@@ -101,6 +101,10 @@ def test_kalman_bucy_step_rejects_negative_covariance():
     assert kalman_bucy_step(0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0) == (0.0, 0.0)
     with pytest.raises(NumericalError, match="covariance"):
         kalman_bucy_step(0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 2.0)
+    # A nan or infinite covariance, given or reached, is rejected too.
+    for cov, sigma in ((np.nan, 0.0), (np.inf, 0.0), (1.0, np.inf)):
+        with pytest.raises(NumericalError, match="covariance"):
+            kalman_bucy_step(0.0, cov, 0.0, 0.0, 1.0, sigma, 1.0)
 
 
 def test_double_well_drift_sign():

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -167,12 +168,24 @@ def test_classical_numerical_failure_exit_code(tmp_path, capsys):
     [
         ("master", {"beta": {"kind": "sinusoid", "amplitude": [1e300, 0], "frequency": 1}}),
         ("classical", {"classical": {"preset": "linear", "prior_std": 1e200}}),
+        ("classical", {"classical": {"preset": "linear", "c": 1e200}}),
+        ("classical", {"classical": {"preset": "linear", "sigma": 1e200}}),
+        ("classical", {"classical": {"preset": "linear", "a": 1e200}}),
+        ("master", {"beta": {"kind": "constant", "value": [1e150, 0]}}),
+        ("ensemble", {"beta": {"kind": "constant", "value": [1e150, 0]}}),
     ],
-    ids=["beta-squared", "prior-variance"],
+    ids=[
+        "beta-squared", "prior-variance", "classical-c", "classical-sigma", "classical-a",
+        "master-huge-beta", "ensemble-huge-beta",
+    ],
 )
 def test_float_overflow_is_a_numerical_failure_without_a_traceback(tmp_path, capsys, command, overrides):
     cfg = write_config(tmp_path, **overrides)
-    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == EXIT_NUMERICAL
+    assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: ") and len(err.splitlines()) == 1
     assert "Traceback" not in err

@@ -148,7 +148,11 @@ def drift_maps(lb, hb, rho):
     return (lindblad_adjoint(lb, hb, rho),)
 
 
-MAPS = {"drift": drift_maps, **{kind: _STEPS[kind][0] for kind in KINDS}}
+MAPS = {
+    "drift": drift_maps,
+    **{kind: _STEPS[kind][0][0] for kind in KINDS},
+    "jump": _STEPS[COUNTING][0][1],
+}
 
 
 @exact
@@ -158,7 +162,9 @@ def test_at_equals_the_coordinates_of_the_maps_evaluated_at_beta(seed, dim, maps
     rng = np.random.default_rng(seed)
     model = random_model(rng, dim)
     sup = affine_superoperator(model, MAPS[maps])
-    width = {"drift": dim * dim, QUADRATURE: 2 * dim * dim, COUNTING: dim * dim + 1}[maps]
+    width = {
+        "drift": dim * dim, QUADRATURE: 2 * dim * dim + 1, COUNTING: dim * dim + 1, "jump": dim * dim
+    }[maps]
     assert sup.shape == (4, dim * dim, width)
     assert sup.dtype == float
     b = complex(rng.standard_normal(), rng.standard_normal())
