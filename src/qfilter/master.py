@@ -111,7 +111,10 @@ def hermitian_in_place(states: np.ndarray) -> np.ndarray:
 def _beta_weights(b: complex) -> np.ndarray:
     """The weights of the pieces M0, M1, M2, M3 at beta = b."""
     b = complex(b)  # Python floats: a square past float range raises OverflowError, not inf
-    return np.array([1.0, b.real, b.imag, b.real**2 + b.imag**2])
+    try:
+        return np.array([1.0, b.real, b.imag, b.real**2 + b.imag**2])
+    except OverflowError:
+        raise NumericalError(f"|beta|^2 overflows a float at beta = {b}") from None
 
 
 def at(pieces: np.ndarray, b: complex) -> np.ndarray:
@@ -170,7 +173,7 @@ def integrate_master(
     kept while beta is unchanged; otherwise each stage multiplies its
     vector by the pieces laid side by side once per run and weights the
     four products by its beta; the real parts of the states hold the
-    coordinates until `hermitian_in_place`.
+    coordinates until `hermitian_in_place`.  A failure names its step and time.
     """
     rho = validate_density(rho0)
     d = rho.shape[0]
@@ -188,16 +191,19 @@ def integrate_master(
     for k in range(grid.steps):
         t = k * dt
         b1, b2, b3 = beta.value(t), beta.value(t + 0.5 * dt), beta.value(t + dt)
-        if b1 == b2 == b3:
-            if b1 != b_poly:
-                b_poly, poly = b1, _rk4_polynomial(dt * at(generator, b1))
-            v = v @ poly
-        else:
-            k1 = stage(v, b1)
-            k2 = stage(v + 0.5 * dt * k1, b2)
-            k3 = stage(v + 0.5 * dt * k2, b2)
-            k4 = stage(v + dt * k3, b3)
-            v = v + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        try:
+            if b1 == b2 == b3:
+                if b1 != b_poly:
+                    b_poly, poly = b1, _rk4_polynomial(dt * at(generator, b1))
+                v = v @ poly
+            else:
+                k1 = stage(v, b1)
+                k2 = stage(v + 0.5 * dt * k1, b2)
+                k3 = stage(v + 0.5 * dt * k2, b2)
+                k4 = stage(v + dt * k3, b3)
+                v = v + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        except NumericalError as exc:
+            raise type(exc)(f"step {k}, t={t:g}: {exc}") from exc
         drift = abs(v[:: d + 1].sum() - 1.0)
         if not drift <= TRACE_DRIFT_LIMIT:  # a non-finite trace counts as drift
             raise StepSizeError(

@@ -11,18 +11,18 @@ The loop steps in Liouville space on real coordinates (conventions in
 work of a step is one real per-row product, (N, 1, d^2) @ (d^2, w), so
 that trajectory i of a batch is bit for bit the trajectory run alone.
 The loop tests no measurement kind; each kind's `_STEPS` entry gives its
-maps, its dY draw and the rest of its step.  Each step matrix ends in
-the pre-step intensity.  Quadrature steps through [drift | gain | m],
-w = 2 d^2 + 1, m = tr(gain), and draws dY = dI + m dt; counting through
-[no-jump drift | r], w = d^2 + 1, r = tr(L^b rho L^b†), and draws a
-Bernoulli(r dt) click.  A row that clicked jumps through the row-form map
-of L^b rho L^b†, over r, then takes its no-jump drift like any other row.
-Each map is formed from its four affine pieces in beta, built once per
-run: the step matrix when beta(t) changes, the jump map when a row clicks.
-`quad_step_arrays` and `count_step_arrays` are the reference Euler
-kernels the loop is tested against.  Every step ends with a trace
-renormalization of the coordinates, which the loop yields; consumers
-form the states, Hermitian by construction, only where they need them.
+maps, its dY draw and the rest of its step.  The step matrix is the Euler
+step, a = tr(A x), tau = tr x and the pre-step intensity: for quadrature
+[A | gain | a | tau | m], w = 2 d^2 + 3, A = I + L' dt, m = tr(gain),
+dY = dI + m dt; for counting [A | a | tau | r], w = d^2 + 3,
+A = I + (L' - J) dt, J rho = L^b rho L^b†, r = tr(J rho), dY a
+Bernoulli(r dt) click, and a row that clicked first jumps by J / r.
+The loop yields each new row over its trace, formed from these scalars,
+a + (m - m tau)(dY - m dt) or a + r dt tau; consumers form the states,
+Hermitian by construction, where needed.  Each map is formed from its
+four affine pieces in beta, built once per run: the step matrix when
+beta(t) changes, the jump map when a row clicks.  `quad_step_arrays` and
+`count_step_arrays` are the reference Euler kernels it is tested against.
 
 The unnormalized (Zakai) state is kept in factorized form: the normalized
 filter state plus an accumulated log-normalization, whose per-step
@@ -167,9 +167,12 @@ def _jump_map(lb: np.ndarray, hb: np.ndarray, rho: np.ndarray):
     return (lb @ rho @ dagger(lb),)
 
 
-def _rows(x) -> np.ndarray:
-    """A per-trajectory scalar, () or (N,), as (B, 1, 1) to scale (B, 1, w) rows."""
-    return np.reshape(x, (-1, 1, 1))
+def _step_pieces(pieces: np.ndarray, d: int, dt: float) -> np.ndarray:
+    """A map's pieces [drift | ... | intensity] as [I + dt drift | ... | a | tau | intensity]."""
+    tau = np.multiply.outer([1.0, 0.0, 0.0, 0.0], np.eye(d).reshape(-1, 1))  # x @ tau[0] = tr x
+    a = dt * pieces[..., : d * d]
+    a[0] += np.eye(d * d)  # in piece 0, of beta-weight 1
+    return np.concatenate([a, pieces[..., d * d : -1], a @ tau[0], tau, pieces[..., -1:]], axis=-1)
 
 
 def _quadrature_draw(di, m, dt):
@@ -178,12 +181,11 @@ def _quadrature_draw(di, m, dt):
 
 
 def _quadrature_finish(v, out, m, dy, dt, *_):
-    """rho + L'rho dt + (L^b rho + rho L^b† - m rho)(dY - m dt), in rows."""
+    """rho + L'rho dt + (L^b rho + rho L^b† - m rho)(dY - m dt) and its trace, in rows."""
     d2 = v.shape[-1]
-    m, dy = _rows(m), _rows(dy)
-    new = v + out[..., :d2] * dt
-    new += (out[..., d2:-1] - m * v) * (dy - m * dt)
-    return new
+    m, a, tau = out[..., -1:], out[..., -3:-2], out[..., -2:-1]
+    innov = dy.reshape(-1, 1, 1) - m * dt
+    return out[..., :d2] + (out[..., d2:-3] - m * v) * innov, a + (m - m * tau) * innov
 
 
 def _counting_draw(u, r, dt):
@@ -197,23 +199,24 @@ def _counting_draw(u, r, dt):
 
 
 def _no_jump(v, out, dt):
-    """rho + (L'rho - L^b rho L^b† + r rho) dt, in rows, from out = v @ [no-jump drift | r]."""
-    return v + (out[..., :-1] + out[..., -1:] * v) * dt
+    """rho + (L'rho - L^b rho L^b† + r rho) dt and its trace, from out = v @ [A | a | tau | r]."""
+    rdt = out[..., -1:] * dt
+    return out[..., :-3] + rdt * v, out[..., -3:-2] + rdt * out[..., -2:-1]
 
 
 def _counting_finish(v, out, r, dy, dt, sup, b, jump):
-    """No-jump drift step of each row; a row that clicked, at r >= JUMP_RATE_FLOOR, first jumps."""
+    """Each row's no-jump step and trace; a row that clicked (r >= JUMP_RATE_FLOOR) first jumps."""
     if np.min(r) < JUMP_RATE_FLOOR:
         bad = (dy != 0.0) & (r < JUMP_RATE_FLOOR)
         if np.any(bad):
             msg = "detection event in a state with vanishing jump rate"
             raise _row_error(JumpRateError, bad, msg)
-    new = _no_jump(v, out, dt)
+    new, tr = _no_jump(v, out, dt)
     jumped = np.flatnonzero(dy != 0.0)
     if jumped.size:
-        post = v[jumped] @ at(jump, b) / _rows(r)[jumped]
-        new[jumped] = _no_jump(post, post @ sup, dt)
-    return new
+        post = v[jumped] @ at(jump, b) / out[jumped, :, -1:]
+        new[jumped], tr[jumped] = _no_jump(post, post @ sup, dt)
+    return new, tr
 
 
 # kind -> (the step matrix's maps, then those whose pieces finish takes; dY draw; rest of step)
@@ -245,8 +248,9 @@ def propagate(
     rho0, (d, d) or (N, d, d), is not validated; x, a fresh real array of its
     shape, holds the coordinates of the state `master.hermitian(x)`.  Replays
     `increments` if given, else draws dY from `noise` (pre-drawn, step index
-    first) and the pre-step intensity.  A numerical failure names its step
-    and time, and, over a batch, the first failing trajectory.
+    first) and the pre-step intensity.  A trace, formed per row from the step
+    product, that is not finite or below TRACE_UNDERFLOW fails the step; a
+    numerical failure names its step, time and, over a batch, trajectory.
     """
     if kind not in _STEPS:
         raise ValueError(f"unknown measurement kind {kind!r}")
@@ -257,6 +261,7 @@ def propagate(
     d = shape[-1]
     x = x.reshape(-1, 1, d * d)
     dt = grid.dt
+    step_map = _step_pieces(step_map, d, dt)
     b_prev = None
     for k in range(grid.steps):
         t = k * dt
@@ -267,8 +272,7 @@ def propagate(
             out = x @ sup
             intensity = out[..., -1].reshape(shape[:-2])
             dy = increments[k] if increments is not None else draw(noise[k], intensity, dt)
-            new = finish(x, out, intensity, dy, dt, sup, b, *extra)
-            tr = new[..., :: d + 1].sum(axis=-1, keepdims=True)
+            new, tr = finish(x, out, intensity, dy, dt, sup, b, *extra)
             size = np.abs(tr)
             if not (size.min() >= TRACE_UNDERFLOW and size.max() < np.inf):  # false on nan
                 bad = ~np.isfinite(tr) | (size < TRACE_UNDERFLOW)

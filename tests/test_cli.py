@@ -191,6 +191,25 @@ def test_float_overflow_is_a_numerical_failure_without_a_traceback(tmp_path, cap
     assert "Traceback" not in err
 
 
+HUGE_BETA = {  # the dim-1 config of the CI entry-point check
+    "model": {"dim": 1, "S": [[1, 0]], "L": [[0, 0]], "H": [[0, 0]]},
+    "beta": {"kind": "sinusoid", "amplitude": [1e300, 0], "frequency": 1},
+    "rho0": {"matrix": [[1, 0]]},
+    "grid": {"dt": 0.1, "T": 1},
+    "measurement": "quadrature",
+}
+
+
+@pytest.mark.parametrize("command", ["master", "simulate", "ensemble"])
+def test_beta_whose_square_overflows_names_beta_and_the_step(tmp_path, capsys, command):
+    cfg = tmp_path / "huge_beta.json"
+    cfg.write_text(json.dumps(HUGE_BETA))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("numerical failure: step 0, t=0: ") and "beta" in err
+
+
 @pytest.mark.parametrize("beta", [{"t0": 1e308, "dt": 0.05}, {"dt": 1e-320}], ids=["far-t0", "tiny-dt"])
 def test_samples_beta_far_from_its_start_runs(tmp_path, beta):
     cfg = write_config(tmp_path, beta={"kind": "samples", "values": [[0.5, 0], [1.0, 0]], **beta})

@@ -6,9 +6,10 @@ seed.  L is scaled, as the benchmark's random models are, so that (||L||_2 + max
 per-step jump probability, stays within 0.05.  Examples are derandomized
 so that every run checks the same models.  On random models too, the
 real coordinates of Hermitian matrices round-trip exactly, the states the
-filter loop and the master equation yield are Hermitian bit for bit, and
-the step superoperators formed by `at` agree with the maps they are built
-from.
+filter loop and the master equation yield are Hermitian bit for bit, the
+step superoperators formed by `at` agree with the maps they are built
+from, and the filter's step matrix adds to them the identity, dt and the
+trace columns whose per-row trace keeps every state at unit trace.
 """
 
 import numpy as np
@@ -31,6 +32,7 @@ from qfilter.master import (
 from qfilter.model import CoherentInput, HPModel, lindblad_adjoint, modulated_operators
 from qfilter.trajectory import (
     _STEPS,
+    _step_pieces,
     COUNTING,
     COUNTING_BETA_MIN,
     KINDS,
@@ -155,6 +157,14 @@ MAPS = {
 }
 
 
+def blocks_at(maps, model, b, rhos):
+    """The coordinates of each map at L^b, H^b on the states rhos, one (n, width) block each."""
+    return [
+        (coordinates(m) if m.ndim == 3 else m.real).reshape(len(rhos), -1)
+        for m in maps(*modulated_operators(model, b), rhos)
+    ]
+
+
 @exact
 @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 4, 8]), st.sampled_from(list(MAPS)))
 def test_at_equals_the_coordinates_of_the_maps_evaluated_at_beta(seed, dim, maps):
@@ -169,12 +179,27 @@ def test_at_equals_the_coordinates_of_the_maps_evaluated_at_beta(seed, dim, maps
     assert sup.dtype == float
     b = complex(rng.standard_normal(), rng.standard_normal())
     rhos = np.array([random_density(rng, dim) for _ in range(5)])
-    direct = [
-        (coordinates(m) if m.ndim == 3 else m.real).reshape(len(rhos), -1)
-        for m in MAPS[maps](*modulated_operators(model, b), rhos)
-    ]
-    expected = np.concatenate(direct, axis=1)
+    expected = np.concatenate(blocks_at(MAPS[maps], model, b, rhos), axis=1)
     got = coordinates(rhos).reshape(len(rhos), dim * dim) @ at(sup, b)
+    assert max_norm(got - expected) <= REFERENCE_TOL * max(1.0, max_norm(expected))
+
+
+@exact
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 4, 8]), st.sampled_from(KINDS))
+def test_step_matrix_is_the_maps_with_identity_dt_and_trace_columns(seed, dim, kind):
+    # x @ at(step pieces, b) = [A | gain | tr A | tr x | m], A = x + dt drift
+    # (counting: [A | tr A | tr x | r], A = x + dt no-jump drift), at L^b, H^b.
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, dim)
+    b = complex(rng.standard_normal(), rng.standard_normal())
+    rhos = np.array([random_density(rng, dim) for _ in range(5)])
+    x = coordinates(rhos).reshape(len(rhos), dim * dim)
+    drift, *rest, intensity = blocks_at(MAPS[kind], model, b, rhos)
+    a = x + DT * drift
+    traces = [y[:, :: dim + 1].sum(axis=1, keepdims=True) for y in (a, x)]
+    expected = np.concatenate([a, *rest, *traces, intensity], axis=1)
+    got = x @ at(_step_pieces(affine_superoperator(model, MAPS[kind]), dim, DT), b)
+    assert got.shape == expected.shape
     assert max_norm(got - expected) <= REFERENCE_TOL * max(1.0, max_norm(expected))
 
 
@@ -209,6 +234,22 @@ def test_propagate_yields_exactly_hermitian_unit_trace_states(case):
     stack = np.broadcast_to(rho0, (3, dim, dim))
     steps = propagate(model, beta, stack, kind, GRID, noise=noise)
     assert_density_path(hermitian(x) for x, _, _ in steps)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("dim", [2, 8])
+def test_column_trace_does_not_drift_over_long_runs(dim, kind):
+    # The renormalization trace comes from per-row columns, not from the new
+    # state's diagonal: its rounding must not build up over 10^4 steps.
+    model, beta, rho0 = random_case(5, dim, "sinusoid")
+    grid = TimeGrid(dt=DT, steps=10_000)
+    rngs = [np.random.default_rng([5, i]) for i in range(3)]
+    noise = np.stack([draw_noise(rng, kind, grid) for rng in rngs], axis=1)
+    stack = np.broadcast_to(rho0, (3, dim, dim))
+    steps = propagate(model, beta, stack, kind, grid, noise=noise)
+    traces = np.array([np.trace(x, axis1=1, axis2=2) for x, _, _ in steps])
+    assert traces.shape == (grid.steps, 3)
+    assert np.max(np.abs(traces - 1.0)) <= 1e-12
 
 
 @exact
