@@ -10,7 +10,9 @@ systematic resampling, and a scalar Kalman-Bucy oracle for the
 linear-Gaussian case.  Observation noise is normalized to unity.
 
 The filter states are plain values: (N,) arrays of particle positions
-and log-weights, and a Kalman-Bucy (mean, covariance) pair.
+and log-weights, and a Kalman-Bucy (mean, covariance) pair.  The weighted
+moments and the effective sample size are dot products with the weights,
+and the innovations read pi(h) from the posterior means already computed.
 """
 
 from __future__ import annotations
@@ -119,7 +121,7 @@ def particle_step(
     h = cm.c * moved
     log_w = log_weights + h * dy - 0.5 * h**2 * dt
     w = normalized_weights(log_w)
-    if 1.0 / float(np.sum(w**2)) < RESAMPLE_THRESHOLD * n:
+    if 1.0 / float(w @ w) < RESAMPLE_THRESHOLD * n:
         moved = systematic_resample(moved, w, rng)
         log_w = np.zeros(n)
         w = normalized_weights(log_w)
@@ -163,16 +165,14 @@ def run_benchmark(
     mean, cov = x0, prior_std**2
     pf = np.empty((grid.steps + 1, 2))  # posterior mean, variance
     kb = np.empty((grid.steps + 1, 2))
-    h_means = np.empty(grid.steps)
 
     def moments(x, w):
-        m = float(np.sum(w * x))
-        return m, float(np.sum(w * x**2)) - m**2
+        m = float(w @ x)
+        return m, float(w @ (x * x)) - m**2
 
     pf[0] = moments(positions, weights)
     kb[0] = mean, cov
     for k in range(grid.steps):
-        h_means[k] = float(np.sum(weights * (model.c * positions)))
         positions, log_weights, weights = particle_step(
             positions, log_weights, dys[k], model, grid.dt, rng
         )
@@ -180,7 +180,8 @@ def run_benchmark(
         if linear:
             mean, cov = kalman_bucy_step(mean, cov, dys[k], a, c, sigma, grid.dt)
             kb[k + 1] = mean, cov
-    innov = np.concatenate([[0.0], np.cumsum(dys - h_means * grid.dt)])
+    # pi(h) before step k is c times the posterior mean in pf[k].
+    innov = np.concatenate([[0.0], np.cumsum(dys - model.c * pf[:-1, 0] * grid.dt)])
     columns = {"x_true": xs, "pf_mean": pf[:, 0], "pf_var": pf[:, 1], "innovations": innov}
     if linear:
         columns["kalman_mean"], columns["kalman_var"] = kb[:, 0], kb[:, 1]

@@ -3,11 +3,17 @@
 Conditional expectation onto a commutative measurement algebra, the
 unitary-rotation identity and the quantum Bayes formula, all realized
 through the joint spectral projections of the generating observables.
+
+Every function also takes a stack of instances: operands of shape
+(..., d, d) and an algebra whose arrays carry the same leading axes.  A
+stacked algebra pads each instance to k = d projections with zero
+projections; a zero projection has weight 0 in every state, so its branch
+is not live, gets coefficient 0 and commutes with everything.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,31 +30,55 @@ from .linalg import (
 ZERO_WEIGHT_TOL = 1e-12
 
 
+class ZeroDenominatorError(ZeroDivisionError):
+    """E[F†F | M] vanishes on a live branch; `index` names the instance in a stack, () for one."""
+
+    def __init__(self, index: tuple = ()):
+        where = f"instance {index}: " if index else ""
+        super().__init__(where + "zero denominator coefficient on a projection with nonzero weight")
+        self.index = index
+
+
 @dataclass(frozen=True)
 class MeasurementAlgebra:
     """Commutative von Neumann algebra vN{Y_1, ..., Y_n} of Hermitian generators.
 
-    Represented by the joint spectral projections of the generators, held
-    as one (k, d, d) array; in finite dimension this carries the full
-    algebra.
+    Held as its (..., n, d, d) generators and (..., k, d, d) joint spectral
+    projections, which in finite dimension carry the full algebra.  Given
+    generators alone (a sequence of (d, d) matrices, or a stacked array),
+    the projections are found per instance and a stack is padded to k = d;
+    projections given with them are kept as they are.
     """
 
-    generators: tuple
-    projections: np.ndarray = field(init=False)
+    generators: np.ndarray
+    projections: np.ndarray | None = None
 
     def __post_init__(self):
-        gens = tuple(np.asarray(g, dtype=complex) for g in self.generators)
-        # joint_spectral_projections validates each generator (`as_operator`).
-        object.__setattr__(self, "projections", np.array(joint_spectral_projections(gens)[1]))
-        object.__setattr__(self, "generators", gens)
+        gens = self.generators
+        if self.projections is None:
+            # joint_spectral_projections validates each generator (`as_operator`).
+            if isinstance(gens, np.ndarray) and gens.ndim > 3:
+                found = np.zeros(gens.shape[:-3] + gens.shape[-1:] * 3, dtype=complex)
+                for i in np.ndindex(gens.shape[:-3]):
+                    p = joint_spectral_projections(gens[i])[1]
+                    found[i][: len(p)] = p
+            else:
+                found = np.array(joint_spectral_projections(gens)[1])
+            object.__setattr__(self, "projections", found)
+        object.__setattr__(self, "generators", np.asarray(gens, dtype=complex))
 
     @property
     def dim(self) -> int:
-        return self.generators[0].shape[0]
+        return self.generators.shape[-1]
+
+    def __getitem__(self, index) -> "MeasurementAlgebra":
+        """The instances `index` of a stacked algebra."""
+        return MeasurementAlgebra(self.generators[index], self.projections[index])
 
     def rotated(self, u: np.ndarray) -> "MeasurementAlgebra":
-        """U† M U."""
-        return MeasurementAlgebra(tuple(dagger(u) @ g @ u for g in self.generators))
+        """U† M U, its projections found afresh from the rotated generators."""
+        u = u[..., None, :, :]
+        return MeasurementAlgebra(dagger(u) @ self.generators @ u)
 
 
 def _traces(a: np.ndarray) -> np.ndarray:
@@ -62,8 +92,8 @@ def in_commutant(x: np.ndarray, algebra: MeasurementAlgebra) -> bool:
 
 def _commutes(x: np.ndarray, algebra: MeasurementAlgebra) -> bool:
     """`in_commutant` for an X that `as_operator` has already validated."""
-    check_dims(x, *algebra.generators)
-    return max_norm(commutator(x, algebra.projections)) <= COMMUTE_TOL
+    check_dims(x, algebra.projections)
+    return max_norm(commutator(x[..., None, :, :], algebra.projections)) <= COMMUTE_TOL
 
 
 def _branch_means(algebra: MeasurementAlgebra, rho: np.ndarray, a: np.ndarray):
@@ -71,15 +101,16 @@ def _branch_means(algebra: MeasurementAlgebra, rho: np.ndarray, a: np.ndarray):
 
     A branch whose weight tr(rho P_k) vanishes is not live and gets c_k = 0.
     """
-    weights = _traces(rho @ algebra.projections)
+    weighted = rho[..., None, :, :] @ algebra.projections
+    weights = _traces(weighted)
     live = np.abs(weights) > ZERO_WEIGHT_TOL
-    num = _traces(rho @ algebra.projections @ a)
+    num = _traces(weighted @ a[..., None, :, :])
     return np.divide(num, weights, out=np.zeros_like(num), where=live), live
 
 
 def _combine(coefficients: np.ndarray, algebra: MeasurementAlgebra) -> np.ndarray:
     """sum_k c_k P_k."""
-    return (coefficients[:, None, None] * algebra.projections).sum(axis=0)
+    return (coefficients[..., None, None] * algebra.projections).sum(axis=-3)
 
 
 def conditional_expectation(
@@ -99,19 +130,27 @@ def conditional_expectation(
 
 def _monomials(algebra: MeasurementAlgebra) -> np.ndarray:
     """Monomials in the generators up to degree 2, including identity, as one stack."""
-    gens = np.array(algebra.generators)
-    d = algebra.dim
-    products = (gens[:, None] @ gens[None, :]).reshape(-1, d, d)
-    return np.concatenate([np.eye(d, dtype=complex)[None], gens, products])
+    gens, d = algebra.generators, algebra.dim
+    lead = gens.shape[:-3]
+    products = (gens[..., :, None, :, :] @ gens[..., None, :, :, :]).reshape(lead + (-1, d, d))
+    eye = np.broadcast_to(np.eye(d, dtype=complex), lead + (1, d, d))
+    return np.concatenate([eye, gens, products], axis=-3)
 
 
 def verify_defining_property(
     x: np.ndarray, algebra: MeasurementAlgebra, rho: np.ndarray
 ) -> float:
-    """max_Y |tr(rho E[X|M] Y) - tr(rho X Y)| over generator monomials up to degree 2."""
+    """max_Y |tr(rho E[X|M] Y) - tr(rho X Y)| over generator monomials up to degree 2.
+
+    Over a stack, the worst of its instances.
+    """
     cond = conditional_expectation(x, algebra, rho)
     monomials = _monomials(algebra)
-    return max_norm(_traces(rho @ cond @ monomials) - _traces(rho @ x @ monomials))
+    rho = rho[..., None, :, :]
+    return max_norm(
+        _traces(rho @ cond[..., None, :, :] @ monomials)
+        - _traces(rho @ x[..., None, :, :] @ monomials)
+    )
 
 
 def rotated_conditional(
@@ -123,8 +162,7 @@ def rotated_conditional(
     rhs = U† E[X | M]_{U rho U†} U; the two agree for unitary U.
     """
     u = as_operator(u)
-    d = u.shape[0]
-    if max_norm(dagger(u) @ u - np.eye(d)) > 1e-9:
+    if max_norm(dagger(u) @ u - np.eye(u.shape[-1])) > 1e-9:
         raise ValueError("U is not unitary within tolerance")
     rotated_algebra = algebra.rotated(u)
     lhs = conditional_expectation(dagger(u) @ x @ u, rotated_algebra, rho)
@@ -139,7 +177,8 @@ def bayes_conditional(
     """Quantum Bayes formula: E_F[X | M] = E[F†XF | M] / E[F†F | M].
 
     F must lie in the commutant of M with tr(rho F†F) = 1; the division is
-    coefficient-wise over the joint projections.
+    coefficient-wise over the joint projections.  A zero denominator on a
+    live branch raises ZeroDenominatorError naming the first such instance.
     """
     x = as_operator(x)
     f = as_operator(f)
@@ -148,14 +187,14 @@ def bayes_conditional(
         raise ValueError("F is not in the commutant of the algebra")
     if not _commutes(x, algebra):
         raise ValueError("observable is not in the commutant of the algebra")
-    norm = np.trace(rho @ dagger(f) @ f)
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError(f"tr(rho F†F) = {norm} is not 1 within tolerance")
+    norm = np.ravel(_traces(rho @ dagger(f) @ f))
+    off = np.abs(norm - 1.0)
+    if np.max(off) > 1e-9:
+        raise ValueError(f"tr(rho F†F) = {norm[np.argmax(off)]} is not 1 within tolerance")
 
     den, live = _branch_means(algebra, rho, dagger(f) @ f)
-    if np.any(live & (np.abs(den) <= ZERO_WEIGHT_TOL)):
-        raise ZeroDivisionError(
-            "zero denominator coefficient on a projection with nonzero weight"
-        )
+    killed = np.any(live & (np.abs(den) <= ZERO_WEIGHT_TOL), axis=-1)
+    if np.any(killed):
+        raise ZeroDenominatorError(tuple(int(i) for i in np.argwhere(killed)[0]))
     num, _ = _branch_means(algebra, rho, dagger(f) @ x @ f)
     return _combine(np.divide(num, den, out=np.zeros_like(num), where=live), algebra)

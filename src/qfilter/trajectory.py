@@ -93,12 +93,20 @@ def _row_error(error, bad: np.ndarray, message: str) -> NumericalError:
     return error(where + message)
 
 
+def _underflow_error(bad: np.ndarray, tr: np.ndarray) -> TraceUnderflowError:
+    """TraceUnderflowError naming the first bad row, its trace and whether that is finite."""
+    value = np.ravel(tr)[np.argmax(bad)]
+    cause = f"below {TRACE_UNDERFLOW:g}" if np.isfinite(value) else "non-finite"
+    msg = f"state trace underflow during renormalization: trace {value:.3g} ({cause})"
+    return _row_error(TraceUnderflowError, bad, msg)
+
+
 def _hermitize_normalize(rho: np.ndarray) -> np.ndarray:
     rho = 0.5 * (rho + dagger(rho))
     tr = _btrace(rho).real
     bad = ~np.isfinite(tr) | (np.abs(tr) < TRACE_UNDERFLOW)
     if np.any(bad):
-        raise _row_error(TraceUnderflowError, bad, "state trace underflow during renormalization")
+        raise _underflow_error(bad, tr)
     return rho / tr[..., None, None]
 
 
@@ -276,8 +284,7 @@ def propagate(
             size = np.abs(tr)
             if not (size.min() >= TRACE_UNDERFLOW and size.max() < np.inf):  # false on nan
                 bad = ~np.isfinite(tr) | (size < TRACE_UNDERFLOW)
-                msg = "state trace underflow during renormalization"
-                raise _row_error(TraceUnderflowError, bad.reshape(shape[:-2]), msg)
+                raise _underflow_error(bad.reshape(shape[:-2]), tr)
             x = new / tr
         except NumericalError as exc:
             raise type(exc)(f"step {k}, t={t:g}: {exc}") from exc

@@ -4,10 +4,10 @@ Each check runs over randomized instances and reports its worst residual;
 the CLI `verify` command prints one line per check and fails if any
 residual exceeds the reporting threshold, or is NaN.  A suite draws its
 instances one after another from `numpy.random.default_rng(seed)`, so the
-same seed draws the same instances.  The ito suite then stacks them per
-dimension as (n, d, d) arrays and checks each identity once per
-dimension; the qprob suite checks each instance's algebra on its stack of
-joint projections.
+same seed draws the same instances.  It stacks the instances of one
+dimension as (n, d, d) arrays, at most CHECK_BLOCK at a time, and checks
+each identity once per stack through the library functions; the qprob
+suite stacks the algebras too, each padded to d joint projections.
 """
 
 from __future__ import annotations
@@ -36,6 +36,10 @@ from .model import (
 
 REPORT_TOL = 1e-9
 
+# Each suite checks at most this many instances of one dimension at a time,
+# so it holds no more than this many draws per dimension.
+CHECK_BLOCK = 12
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -57,72 +61,89 @@ def _worst(residuals) -> float:
     return float(np.max(residuals, initial=0.0))
 
 
-def _random_triple(rng: np.random.Generator, dim: int):
-    return random_unitary(rng, dim), random_matrix(rng, dim), random_hermitian(rng, dim)
-
-
 def random_beta(rng: np.random.Generator) -> complex:
     return rng.standard_normal() + 1j * rng.standard_normal()
 
 
-def _random_commuting_instance(rng: np.random.Generator, dim: int):
-    """Two commuting Hermitian generators with a commutant element and a state.
+def _blocks(rng: np.random.Generator, dims, instances: int, draw):
+    """Draw `instances` instances in order, each as draw(rng, dim) after its dimension.
 
-    Generators share an eigenbasis; the commutant element is block-diagonal
-    with respect to the joint eigenprojections.
+    Yields the draws of one dimension CHECK_BLOCK at a time, each block as
+    soon as it fills, and then what is left of each dimension.
     """
-    u = random_unitary(rng, dim)
-    gens = []
-    for _ in range(2):
-        # Repeat an eigenvalue now and then so degenerate blocks occur.
-        vals = rng.integers(-2, 3, size=dim).astype(float)
-        gens.append(u @ np.diag(vals).astype(complex) @ dagger(u))
-    algebra = qprob.MeasurementAlgebra(tuple(gens))
-    p = algebra.projections
+    pending = {dim: [] for dim in dims}
+    for _ in range(instances):
+        dim = int(rng.choice(dims))
+        pending[dim].append(draw(rng, dim))
+        if len(pending[dim]) == CHECK_BLOCK:
+            yield pending.pop(dim)
+            pending[dim] = []
+    yield from (pending.pop(dim) for dim in list(pending) if pending[dim])
+
+
+def _qprob_draw(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """One qprob instance as a (7 + dim, dim, dim) array.
+
+    It holds two commuting Hermitian generators, which share an eigenbasis
+    and now and then repeat an eigenvalue so that degenerate blocks occur;
+    X, block-diagonal in their joint projections; rho; the least-squares
+    rival Y, a random algebra element; the rotation U; the Bayes factor F,
+    block-diagonal and not yet normalized; and the joint projections,
+    padded to dim with zero projections.
+    """
+    v = random_unitary(rng, dim)
+    spectra = (rng.integers(-2, 3, size=dim) for _ in range(2))
+    gens = [v @ np.diag(e).astype(complex) @ dagger(v) for e in spectra]
+    p = qprob.MeasurementAlgebra(tuple(gens)).projections
     x = np.sum(p @ random_matrix(rng, dim) @ p, axis=0)
     rho = random_density(rng, dim)
-    return algebra, x, rho
+    y = np.sum(rng.standard_normal(len(p))[:, None, None] * p, axis=0)
+    u = random_unitary(rng, dim)
+    f = np.sum(p @ random_matrix(rng, dim) @ p, axis=0)
+    return np.concatenate([gens, [x, rho, y, u, f], p, np.zeros((dim - len(p), dim, dim))])
+
+
+def _state_norm(rho: np.ndarray, op: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.abs(np.trace(rho @ dagger(op) @ op, axis1=-2, axis2=-1)))
+
+
+def _bayes_residual(x, f, algebra: qprob.MeasurementAlgebra, rho) -> float:
+    """Worst |E_F[X|M] - E[X|M] in the state F rho F†| over a stack, F normalized in rho.
+
+    An instance with tr(rho F†F) < 1e-6, or whose F kills a live branch, is
+    skipped alone; 0 if every instance is.
+    """
+    norm = np.trace(rho @ dagger(f) @ f, axis1=-2, axis2=-1).real
+    keep = np.flatnonzero(norm >= 1e-6)
+    while keep.size:
+        fk = f[keep] / np.sqrt(norm[keep])[:, None, None]
+        try:
+            bayes = qprob.bayes_conditional(x[keep], fk, algebra[keep], rho[keep])
+        except qprob.ZeroDenominatorError as exc:
+            keep = np.delete(keep, exc.index[0])
+            continue
+        direct = qprob.conditional_expectation(x[keep], algebra[keep], fk @ rho[keep] @ dagger(fk))
+        return max_norm(bayes - direct)
+    return 0.0
 
 
 def qprob_suite(seed: int = 0, dims=(2, 4, 8), instances: int = 100):
     """Defining property, projection, least squares, and the two lemmas."""
     rng = np.random.default_rng(seed)
     res_def, res_proj, res_lsq, res_l1, res_l2 = [], [], [], [], []
-    for _ in range(instances):
-        dim = int(rng.choice(dims))
-        algebra, x, rho = _random_commuting_instance(rng, dim)
-        p = algebra.projections
-
+    for rows in _blocks(rng, dims, instances, _qprob_draw):
+        packed = np.array(rows)
+        del rows
+        x, rho, y, u, f = np.moveaxis(packed[:, 2:7], 1, 0)
+        algebra = qprob.MeasurementAlgebra(packed[:, :2], packed[:, 7:])
         res_def.append(qprob.verify_defining_property(x, algebra, rho))
-
         cond = qprob.conditional_expectation(x, algebra, rho)
         twice = qprob.conditional_expectation(cond, algebra, rho)
         res_proj.append(max_norm(twice - cond))
-
-        # Least squares against a random algebra element.
-        y = np.sum(rng.standard_normal(len(p))[:, None, None] * p, axis=0)
-
-        def state_norm(op):
-            return np.sqrt(abs(np.trace(rho @ dagger(op) @ op)))
-
-        res_lsq.append(state_norm(x - cond) - state_norm(x - y))
-
-        u = random_unitary(rng, dim)
+        res_lsq.append(np.max(_state_norm(rho, x - cond) - _state_norm(rho, x - y)))
         lhs, rhs = qprob.rotated_conditional(x, algebra, rho, u)
         res_l1.append(max_norm(lhs - rhs))
-
-        # Quantum Bayes: F block-diagonal in the commutant, normalized in rho.
-        f = np.sum(p @ random_matrix(rng, dim) @ p, axis=0)
-        norm = np.trace(rho @ dagger(f) @ f).real
-        if norm < 1e-6:
-            continue
-        f = f / np.sqrt(norm)
-        try:
-            bayes = qprob.bayes_conditional(x, f, algebra, rho)
-        except ZeroDivisionError:
-            continue
-        direct = qprob.conditional_expectation(x, algebra, f @ rho @ dagger(f))
-        res_l2.append(max_norm(bayes - direct))
+        res_l2.append(_bayes_residual(x, f, algebra, rho))
 
     return [
         CheckResult("qprob/defining-property", _worst(res_def), REPORT_TOL),
@@ -131,6 +152,15 @@ def qprob_suite(seed: int = 0, dims=(2, 4, 8), instances: int = 100):
         CheckResult("qprob/unitary-rotation-lemma", _worst(res_l1), REPORT_TOL),
         CheckResult("qprob/quantum-bayes-lemma", _worst(res_l2), REPORT_TOL),
     ]
+
+
+def _ito_draw(rng: np.random.Generator, dim: int):
+    """One ito instance: beta and one (17, dim, dim) array of S, L, H, X, rho
+    and the coefficients of three polynomials."""
+    s, l, h = random_unitary(rng, dim), random_matrix(rng, dim), random_hermitian(rng, dim)
+    b = random_beta(rng)
+    x, rho = random_hermitian(rng, dim), random_density(rng, dim)
+    return b, np.array([s, l, h, x, rho, *(random_matrix(rng, dim) for _ in range(12))])
 
 
 def ito_suite(seed: int = 0, dims=(2, 3, 4), instances: int = 100):
@@ -170,21 +200,7 @@ def ito_suite(seed: int = 0, dims=(2, 3, 4), instances: int = 100):
     ]
     res["ito/table-identities"] = [max_norm(p) for p in spots]
 
-    # Draw every instance in order, as beta and one (17, d, d) array of its
-    # matrices: S, L, H, X, rho and the coefficients of three polynomials.
-    drawn = {dim: [] for dim in dims}
-    for _ in range(instances):
-        dim = int(rng.choice(dims))
-        s, l, h = _random_triple(rng, dim)
-        b = random_beta(rng)
-        x, rho = random_hermitian(rng, dim), random_density(rng, dim)
-        coeffs = [random_matrix(rng, dim) for _ in range(12)]
-        drawn[dim].append((b, np.array([s, l, h, x, rho, *coeffs])))
-
-    for dim in list(drawn):
-        rows = drawn.pop(dim)  # the draws are freed dimension by dimension
-        if not rows:
-            continue
+    for rows in _blocks(rng, dims, instances, _ito_draw):
         betas, matrices = zip(*rows)
         del rows
         b = np.array(betas)[:, None, None]
@@ -219,7 +235,7 @@ def ito_suite(seed: int = 0, dims=(2, 3, 4), instances: int = 100):
         c = b + np.conj(b)
         res["ito/zakai-quadrature-rearranged"].append(max_norm(drift + c * gain - generator))
 
-        # Counting needs beta away from 0; a dimension may select none.
+        # Counting needs beta away from 0; a block may select none.
         bright = np.abs(b[:, 0, 0]) > 0.1
         bb = b[bright]
         cgain, cdrift = ito.zakai_expansion(

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import riccati_steady_state
 from qfilter.classical import (
+    RESAMPLE_THRESHOLD,
     bistable_double_well,
     kalman_bucy_step,
     linear_model,
@@ -134,3 +135,63 @@ def test_run_benchmark_columns(preset):
     assert columns["x_true"][0] == spec["x0"] and columns["innovations"][0] == 0.0
     again = run_benchmark(grid, 4, **spec)
     assert all(np.array_equal(columns[k], again[k]) for k in columns)
+
+
+def first_form_benchmark(grid, seed, *, preset, a, c, sigma, particles, x0, prior_std):
+    """run_benchmark's loop in its first form, as the reference.
+
+    Moments and the effective sample size are np.sum reductions, and pi(h)
+    is recomputed from the particles before each step.
+    """
+    linear = preset == "linear"
+    if linear:
+        model = linear_model(a=a, sigma=sigma, c=c)
+    else:
+        model = bistable_double_well(sigma=sigma, c=c)
+    xs, dys = simulate_pair(model, x0, grid, seed)
+    rng = np.random.default_rng(seed + 1)
+    x = x0 + prior_std * rng.standard_normal(particles)
+    log_w = np.zeros(particles)
+    w = normalized_weights(log_w)
+    mean, cov = x0, prior_std**2
+    pf, kb, h_means = [], [(mean, cov)], []
+    for k in range(grid.steps):
+        pf.append((np.sum(w * x), np.sum(w * x**2) - np.sum(w * x) ** 2))
+        h_means.append(np.sum(w * (model.c * x)))
+        noise = rng.standard_normal(particles) * np.sqrt(grid.dt)
+        x = x + model.drift(x) * grid.dt + model.sigma * noise
+        h = model.c * x
+        log_w = log_w + h * dys[k] - 0.5 * h**2 * grid.dt
+        w = normalized_weights(log_w)
+        if 1.0 / np.sum(w**2) < RESAMPLE_THRESHOLD * particles:
+            x = systematic_resample(x, w, rng)
+            log_w = np.zeros(particles)
+            w = normalized_weights(log_w)
+        if linear:
+            mean, cov = kalman_bucy_step(mean, cov, dys[k], a, c, sigma, grid.dt)
+            kb.append((mean, cov))
+    pf.append((np.sum(w * x), np.sum(w * x**2) - np.sum(w * x) ** 2))
+    pf = np.array(pf)
+    columns = {
+        "x_true": xs,
+        "pf_mean": pf[:, 0],
+        "pf_var": pf[:, 1],
+        "innovations": np.concatenate([[0.0], np.cumsum(dys - np.array(h_means) * grid.dt)]),
+    }
+    if linear:
+        columns["kalman_mean"], columns["kalman_var"] = np.array(kb).T
+    return columns
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("preset", ["linear", "bistable-double-well"])
+def test_run_benchmark_matches_its_first_form(preset, seed):
+    grid = TimeGrid(dt=1e-3, steps=500)
+    spec = {**CLASSICAL_DEFAULTS, "preset": preset}
+    columns, reference = run_benchmark(grid, seed, **spec), first_form_benchmark(grid, seed, **spec)
+    assert list(columns) == list(reference)
+    for name, values in columns.items():
+        if name.startswith("pf_") or name == "innovations":
+            assert np.max(np.abs(values - reference[name])) <= 1e-12, name
+        else:
+            assert np.array_equal(values, reference[name]), name

@@ -253,6 +253,22 @@ def test_batched_replay_failures_name_the_trajectory():
         next(underflow)
 
 
+@pytest.mark.parametrize(
+    "row, cause", [(np.nan, r"trace nan \(non-finite\)"), (0.0, r"trace 0 \(below 1e-12\)")]
+)
+def test_underflow_names_the_trajectory_and_its_trace(row, cause):
+    # Row 1 is all NaN (a non-finite trace) or all zero (a finite underflow).
+    pair = np.stack([EXCITED, np.full((2, 2), row, dtype=complex)])
+    for kind in (QUADRATURE, COUNTING):
+        steps = propagate(
+            decay_model(), CoherentInput.constant(0.0), pair, kind, TimeGrid(dt=1e-3, steps=1),
+            increments=np.zeros((1, 2)),
+        )
+        message = "^step 0, t=0: trajectory 1: state trace underflow during renormalization: "
+        with pytest.raises(TraceUnderflowError, match=message + cause):
+            next(steps)
+
+
 def test_trace_underflow_detected():
     model = decay_model()
     lb, hb = modulated_operators(model, 0j)

@@ -9,7 +9,14 @@ import pytest
 from conftest import random_model
 from qfilter import ito, qprob, verify
 from qfilter.cli import EXIT_NUMERICAL, main
-from qfilter.linalg import dagger, max_norm, random_hermitian
+from qfilter.linalg import (
+    dagger,
+    max_norm,
+    random_density,
+    random_hermitian,
+    random_matrix,
+    random_unitary,
+)
 from qfilter.verify import full_suite, ito_suite, qprob_suite, random_beta
 
 
@@ -85,7 +92,7 @@ def test_instances_per_dimension_are_pinned(monkeypatch, seed, dims_check):
     verify_generator = ito.verify_generator
 
     def count_qprob(x, algebra, rho):
-        qprob_counts[x.shape[-1]] += 1
+        qprob_counts[x.shape[-1]] += x.shape[0]
         return defining_property(x, algebra, rho)
 
     def count_ito(model, b, x):
@@ -130,3 +137,68 @@ def test_stacked_calls_equal_per_instance_calls():
             (qx[:, i], q_i @ xi),
         ]:
             assert max_norm(stacked_value - value) <= 1e-12
+
+
+def test_stacked_qprob_calls_equal_per_instance_calls(monkeypatch):
+    # Three d = 4 algebras with 1, 2 and 4 joint projections, so the stack
+    # pads the first two with zero projections.
+    rng = np.random.default_rng(4)
+    spectra = [([1.0] * 4, [2.0] * 4), ([1, 1, -1, -1], [0.0] * 4), ([0, 0, 1, 1], [0, 1, 0, 1])]
+    algebras, xs, rhos, us, fs = [], [], [], [], []
+    for first, second in spectra:
+        v = random_unitary(rng, 4)
+        gens = tuple(v @ np.diag(e) @ dagger(v) for e in (first, second))
+        algebras.append(qprob.MeasurementAlgebra(gens))
+        p = algebras[-1].projections
+        xs.append(np.sum(p @ random_matrix(rng, 4) @ p, axis=0))
+        rhos.append(random_density(rng, 4))
+        us.append(random_unitary(rng, 4))
+        f = np.sum(p @ random_matrix(rng, 4) @ p, axis=0)
+        fs.append(f / np.sqrt(np.trace(rhos[-1] @ dagger(f) @ f).real))
+    assert [len(a.projections) for a in algebras] == [1, 2, 4]
+    stacked = qprob.MeasurementAlgebra(np.array([a.generators for a in algebras]))
+    x, rho, u, f = (np.array(v) for v in (xs, rhos, us, fs))
+
+    means, live = qprob._branch_means(stacked, rho, x)
+    lhs, rhs = qprob.rotated_conditional(x, stacked, rho, u)
+    stacked_values = [
+        qprob.conditional_expectation(x, stacked, rho),
+        lhs,
+        rhs,
+        qprob.bayes_conditional(x, f, stacked, rho),
+    ]
+    for i, (alg, xi, rhoi, ui, fi) in enumerate(zip(algebras, xs, rhos, us, fs)):
+        k = len(alg.projections)
+        assert max_norm(stacked.projections[i, :k] - alg.projections) == 0
+        assert not np.any(stacked.projections[i, k:]) and not np.any(live[i, k:])
+        assert not np.any(means[i, k:])
+        values = [
+            qprob.conditional_expectation(xi, alg, rhoi),
+            *qprob.rotated_conditional(xi, alg, rhoi, ui),
+            qprob.bayes_conditional(xi, fi, alg, rhoi),
+        ]
+        for stacked_value, value in zip(stacked_values, values):
+            assert max_norm(stacked_value[i] - value) <= 1e-12
+    per_instance = [qprob.verify_defining_property(*args) for args in zip(xs, algebras, rhos)]
+    assert abs(qprob.verify_defining_property(x, stacked, rho) - max(per_instance)) <= 1e-12
+
+    # F = the first projection of instance 1 kills its live second branch:
+    # the stacked Bayes call names that instance, and the suite skips it alone.
+    p0 = algebras[1].projections[0]
+    f[1] = p0 / np.sqrt(np.trace(rhos[1] @ p0).real)
+    with pytest.raises(qprob.ZeroDenominatorError, match=r"instance \(1,\)") as caught:
+        qprob.bayes_conditional(x, f, stacked, rho)
+    assert caught.value.index == (1,)
+    kept = []
+    for i in (0, 2):
+        direct = qprob.conditional_expectation(xs[i], algebras[i], fs[i] @ rhos[i] @ dagger(fs[i]))
+        kept.append(max_norm(qprob.bayes_conditional(xs[i], fs[i], algebras[i], rhos[i]) - direct))
+    calls, bayes_conditional = [], qprob.bayes_conditional
+
+    def counted(x, *args):
+        calls.append(len(x))
+        return bayes_conditional(x, *args)
+
+    monkeypatch.setattr(qprob, "bayes_conditional", counted)
+    assert abs(verify._bayes_residual(x, f, stacked, rho) - max(kept)) <= 1e-12
+    assert calls == [3, 2]
