@@ -208,6 +208,7 @@ def integrate_master(
         if not drift <= TRACE_DRIFT_LIMIT:  # a non-finite trace counts as drift
             raise StepSizeError(
                 f"trace drift {drift:.3e} at step {k}: dt={dt} too large for this generator"
+                f" at t={t:g}, beta = {b1}"
             )
         path[k + 1] = v
     return hermitian_in_place(states)

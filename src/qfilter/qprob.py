@@ -23,6 +23,7 @@ from .linalg import (
     check_dims,
     commutator,
     dagger,
+    is_unitary,
     joint_spectral_projections,
     max_norm,
 )
@@ -162,7 +163,7 @@ def rotated_conditional(
     rhs = U† E[X | M]_{U rho U†} U; the two agree for unitary U.
     """
     u = as_operator(u)
-    if max_norm(dagger(u) @ u - np.eye(u.shape[-1])) > 1e-9:
+    if not is_unitary(u):
         raise ValueError("U is not unitary within tolerance")
     rotated_algebra = algebra.rotated(u)
     lhs = conditional_expectation(dagger(u) @ x @ u, rotated_algebra, rho)

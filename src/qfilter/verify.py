@@ -5,9 +5,9 @@ the CLI `verify` command prints one line per check and fails if any
 residual exceeds the reporting threshold, or is NaN.  A suite draws its
 instances one after another from `numpy.random.default_rng(seed)`, so the
 same seed draws the same instances.  It stacks the instances of one
-dimension as (n, d, d) arrays, at most CHECK_BLOCK at a time, and checks
-each identity once per stack through the library functions; the qprob
-suite stacks the algebras too, each padded to d joint projections.
+dimension as (n, d, d) arrays and checks each identity once per dimension
+through the library functions; the qprob suite stacks the algebras too,
+each padded to d joint projections.
 """
 
 from __future__ import annotations
@@ -36,10 +36,6 @@ from .model import (
 
 REPORT_TOL = 1e-9
 
-# Each suite checks at most this many instances of one dimension at a time,
-# so it holds no more than this many draws per dimension.
-CHECK_BLOCK = 12
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -65,31 +61,26 @@ def random_beta(rng: np.random.Generator) -> complex:
     return rng.standard_normal() + 1j * rng.standard_normal()
 
 
-def _blocks(rng: np.random.Generator, dims, instances: int, draw):
+def _stacks(rng: np.random.Generator, dims, instances: int, draw):
     """Draw `instances` instances in order, each as draw(rng, dim) after its dimension.
 
-    Yields the draws of one dimension CHECK_BLOCK at a time, each block as
-    soon as it fills, and then what is left of each dimension.
+    Returns, for each dimension drawn, its draws stacked field by field.
     """
-    pending = {dim: [] for dim in dims}
+    rows = {dim: [] for dim in dims}
     for _ in range(instances):
         dim = int(rng.choice(dims))
-        pending[dim].append(draw(rng, dim))
-        if len(pending[dim]) == CHECK_BLOCK:
-            yield pending.pop(dim)
-            pending[dim] = []
-    yield from (pending.pop(dim) for dim in list(pending) if pending[dim])
+        rows[dim].append(draw(rng, dim))
+    return [[np.array(f) for f in zip(*r)] for r in rows.values() if r]
 
 
-def _qprob_draw(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """One qprob instance as a (7 + dim, dim, dim) array.
+def _qprob_draw(rng: np.random.Generator, dim: int):
+    """One qprob instance: (generators, X, rho, Y, U, F, projections).
 
-    It holds two commuting Hermitian generators, which share an eigenbasis
-    and now and then repeat an eigenvalue so that degenerate blocks occur;
-    X, block-diagonal in their joint projections; rho; the least-squares
-    rival Y, a random algebra element; the rotation U; the Bayes factor F,
-    block-diagonal and not yet normalized; and the joint projections,
-    padded to dim with zero projections.
+    The two commuting Hermitian generators share an eigenbasis and now and
+    then repeat an eigenvalue so that degenerate blocks occur.  X and F, the
+    Bayes factor (not yet normalized), are block-diagonal in their joint
+    projections, which are padded to dim with zero projections; Y, the
+    least-squares rival, is a random algebra element.
     """
     v = random_unitary(rng, dim)
     spectra = (rng.integers(-2, 3, size=dim) for _ in range(2))
@@ -100,7 +91,7 @@ def _qprob_draw(rng: np.random.Generator, dim: int) -> np.ndarray:
     y = np.sum(rng.standard_normal(len(p))[:, None, None] * p, axis=0)
     u = random_unitary(rng, dim)
     f = np.sum(p @ random_matrix(rng, dim) @ p, axis=0)
-    return np.concatenate([gens, [x, rho, y, u, f], p, np.zeros((dim - len(p), dim, dim))])
+    return gens, x, rho, y, u, f, np.concatenate([p, np.zeros((dim - len(p), dim, dim))])
 
 
 def _state_norm(rho: np.ndarray, op: np.ndarray) -> np.ndarray:
@@ -131,11 +122,8 @@ def qprob_suite(seed: int = 0, dims=(2, 4, 8), instances: int = 100):
     """Defining property, projection, least squares, and the two lemmas."""
     rng = np.random.default_rng(seed)
     res_def, res_proj, res_lsq, res_l1, res_l2 = [], [], [], [], []
-    for rows in _blocks(rng, dims, instances, _qprob_draw):
-        packed = np.array(rows)
-        del rows
-        x, rho, y, u, f = np.moveaxis(packed[:, 2:7], 1, 0)
-        algebra = qprob.MeasurementAlgebra(packed[:, :2], packed[:, 7:])
+    for gens, x, rho, y, u, f, p in _stacks(rng, dims, instances, _qprob_draw):
+        algebra = qprob.MeasurementAlgebra(gens, p)
         res_def.append(qprob.verify_defining_property(x, algebra, rho))
         cond = qprob.conditional_expectation(x, algebra, rho)
         twice = qprob.conditional_expectation(cond, algebra, rho)
@@ -155,12 +143,11 @@ def qprob_suite(seed: int = 0, dims=(2, 4, 8), instances: int = 100):
 
 
 def _ito_draw(rng: np.random.Generator, dim: int):
-    """One ito instance: beta and one (17, dim, dim) array of S, L, H, X, rho
-    and the coefficients of three polynomials."""
+    """One ito instance: (beta, S, L, H, X, rho, *the coefficients of three polynomials)."""
     s, l, h = random_unitary(rng, dim), random_matrix(rng, dim), random_hermitian(rng, dim)
     b = random_beta(rng)
     x, rho = random_hermitian(rng, dim), random_density(rng, dim)
-    return b, np.array([s, l, h, x, rho, *(random_matrix(rng, dim) for _ in range(12))])
+    return b, s, l, h, x, rho, *(random_matrix(rng, dim) for _ in range(12))
 
 
 def ito_suite(seed: int = 0, dims=(2, 3, 4), instances: int = 100):
@@ -200,12 +187,8 @@ def ito_suite(seed: int = 0, dims=(2, 3, 4), instances: int = 100):
     ]
     res["ito/table-identities"] = [max_norm(p) for p in spots]
 
-    for rows in _blocks(rng, dims, instances, _ito_draw):
-        betas, matrices = zip(*rows)
-        del rows
-        b = np.array(betas)[:, None, None]
-        s, l, h, x, rho, *coeffs = np.stack(matrices, axis=1)
-        del matrices
+    for b, s, l, h, x, rho, *coeffs in _stacks(rng, dims, instances, _ito_draw):
+        b = b[:, None, None]
         model = HPModel(S=s, L=l, H=h)
 
         p, q, r = (ito.polynomial(*coeffs[i : i + 4]) for i in (0, 4, 8))
@@ -235,7 +218,7 @@ def ito_suite(seed: int = 0, dims=(2, 3, 4), instances: int = 100):
         c = b + np.conj(b)
         res["ito/zakai-quadrature-rearranged"].append(max_norm(drift + c * gain - generator))
 
-        # Counting needs beta away from 0; a block may select none.
+        # Counting needs beta away from 0; a dimension may select none.
         bright = np.abs(b[:, 0, 0]) > 0.1
         bb = b[bright]
         cgain, cdrift = ito.zakai_expansion(

@@ -210,6 +210,16 @@ def test_beta_whose_square_overflows_names_beta_and_the_step(tmp_path, capsys, c
     assert err.startswith("numerical failure: step 0, t=0: ") and "beta" in err
 
 
+@pytest.mark.parametrize("command", ["master", "ensemble"])
+def test_beta_whose_products_overflow_names_beta_and_the_time(tmp_path, capsys, command):
+    # The qubit config of the CI entry-point check `overflow_master`.
+    cfg = write_config(tmp_path, beta={"kind": "constant", "value": [1e150, 0]})
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("numerical failure: trace drift ") and "at t=0, beta = " in err
+
+
 @pytest.mark.parametrize("beta", [{"t0": 1e308, "dt": 0.05}, {"dt": 1e-320}], ids=["far-t0", "tiny-dt"])
 def test_samples_beta_far_from_its_start_runs(tmp_path, beta):
     cfg = write_config(tmp_path, beta={"kind": "samples", "values": [[0.5, 0], [1.0, 0]], **beta})

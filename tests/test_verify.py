@@ -1,5 +1,5 @@
 """The verify suites: injected faults fail their checks, NaN residuals fail,
-and each seed draws a fixed number of instances per dimension."""
+and each seed draws a fixed number of instances per dimension, checked in one stack."""
 
 from collections import Counter
 
@@ -87,22 +87,26 @@ INSTANCE_COUNTS = {
 
 @pytest.mark.parametrize("seed, dims_check", sorted(INSTANCE_COUNTS))
 def test_instances_per_dimension_are_pinned(monkeypatch, seed, dims_check):
-    qprob_counts, ito_counts = Counter(), Counter()
+    qprob_counts, ito_counts, calls = Counter(), Counter(), Counter()
     defining_property = qprob.verify_defining_property
     verify_generator = ito.verify_generator
 
     def count_qprob(x, algebra, rho):
         qprob_counts[x.shape[-1]] += x.shape[0]
+        calls["qprob", x.shape[-1]] += 1
         return defining_property(x, algebra, rho)
 
     def count_ito(model, b, x):
         ito_counts[x.shape[-1]] += x.shape[0]
+        calls["ito", x.shape[-1]] += 1
         return verify_generator(model, b, x)
 
     monkeypatch.setattr(qprob, "verify_defining_property", count_qprob)
     monkeypatch.setattr(ito, "verify_generator", count_ito)
     assert all(r.passed for r in full_suite(seed=seed, dims_check=dims_check))
     assert (dict(qprob_counts), dict(ito_counts)) == INSTANCE_COUNTS[seed, dims_check]
+    # Each suite checks each identity once per dimension drawn, on its full stack.
+    assert set(calls.values()) == {1}
 
 
 def test_stacked_calls_equal_per_instance_calls():
