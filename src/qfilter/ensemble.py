@@ -5,7 +5,8 @@ All trajectories of an ensemble are propagated together as a stacked
 runs single trajectories; trajectory i draws its noise from a seed mixed
 out of (master_seed, i), so it is bit-reproducible in isolation.
 Aggregates are taken on the fly at N_CHECKPOINTS evenly spaced steps, in
-fixed trajectory order; no per-step state stack is kept.  `run_ensemble`
+fixed trajectory order; no per-step state stack is kept, and of the master
+equation's path only the checkpoint states.  `run_ensemble`
 returns them as the ensemble.csv columns, a name -> (checkpoints,) array
 dict, and `innovations_z` reads the martingale z-scores off those columns.
 """
@@ -67,15 +68,15 @@ def run_ensemble(
         raise ValueError(f"unknown measurement kind {kind!r}")
     validate_density(rho0)
     observables = observables or {}
+    checkpoints = _checkpoint_steps(grid.steps)
+    master = integrate_master(model, beta, rho0, grid)[checkpoints]  # the path is not kept
     # Filled column by column: a list of N draws and their stack would hold the
     # noise twice, and would leave the heap fragmented for the next run.
     noise = np.empty((grid.steps, n_traj))
     for i in range(n_traj):
         noise[:, i] = draw_noise(np.random.default_rng(mix_seed(master_seed, i)), kind, grid)
     rhos = np.broadcast_to(np.asarray(rho0, dtype=complex), (n_traj,) + rho0.shape)
-    master = integrate_master(model, beta, rho0, grid)
 
-    checkpoints = _checkpoint_steps(grid.steps)
     innov_cum = np.zeros(n_traj)
     rows = []
     steps = propagate(model, beta, rhos, kind, grid, noise=noise)
@@ -88,7 +89,7 @@ def run_ensemble(
         for op in observables.values():
             row += _mean_stderr(np.einsum("nij,ji->n", rho, op).real)
         row += _mean_stderr(innov_cum)
-        row.append(trace_distance(rho.sum(axis=0) / n_traj, master[k]))
+        row.append(trace_distance(rho.sum(axis=0) / n_traj, master[len(rows)]))
         row.append(float(np.mean(np.einsum("nij,nji->n", rho, rho).real)))
         rows.append(row)
 

@@ -19,9 +19,12 @@ L^beta = L + beta S and H^beta is affine in (beta, beta*), every map built
 from them is M(beta) = M0 + Re(beta) M1 + Im(beta) M2 + |beta|^2 M3 with
 real pieces, built once per run as one (4, d^2, w) array
 (`affine_superoperator`).  `at` forms M(beta) in one product of the weights
-(1, Re beta, Im beta, |beta|^2) with the pieces; RK4 under a time-varying
-beta multiplies x by the pieces side by side and weights the four products,
-so it forms no d^2 x d^2 matrix per stage.
+(1, Re beta, Im beta, |beta|^2) with the pieces.  A loop over the grid
+forms its maps through `BetaBlock`, BETA_BLOCK steps at a time: beta is
+evaluated once per time, and the maps at the times where it changes are
+formed in one product, so a constant beta forms one map per run.  RK4
+forms the d^2 x d^2 generators at a block's grid and half-step times, and
+each stage under a time-varying beta is one product with one of them.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .model import CoherentInput, HPModel, lindblad_adjoint, modulated_operators
 
 TRACE_DRIFT_LIMIT = 1e-6
 STATE_BLOCK = 256  # states made Hermitian in place at a time, bounding the copy this takes
+BETA_BLOCK = 8  # grid steps whose beta-dependent maps are formed in one product
 
 
 @dataclass(frozen=True)
@@ -108,18 +112,76 @@ def hermitian_in_place(states: np.ndarray) -> np.ndarray:
     return states
 
 
-def _beta_weights(b: complex) -> np.ndarray:
+def _beta_weights(b: complex) -> list:
     """The weights of the pieces M0, M1, M2, M3 at beta = b."""
     b = complex(b)  # Python floats: a square past float range raises OverflowError, not inf
     try:
-        return np.array([1.0, b.real, b.imag, b.real**2 + b.imag**2])
+        return [1.0, b.real, b.imag, b.real**2 + b.imag**2]
     except OverflowError:
         raise NumericalError(f"|beta|^2 overflows a float at beta = {b}") from None
 
 
 def at(pieces: np.ndarray, b: complex) -> np.ndarray:
     """M(b) = M0 + Re(b) M1 + Im(b) M2 + |b|^2 M3 from the (4, d*d, w) pieces."""
-    return (_beta_weights(b) @ pieces.reshape(4, -1)).reshape(pieces.shape[1:])
+    return (np.array(_beta_weights(b)) @ pieces.reshape(4, -1)).reshape(pieces.shape[1:])
+
+
+def _form(weights: np.ndarray, pieces: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The flat maps at each row of (n, 4) weights, from the (4, d*d*w) pieces, in one product."""
+    return np.matmul(weights, pieces, out=out)
+
+
+class BetaBlock:
+    """The maps M(b) of one (4, d*d, w) piece array at the beta values of a block of grid times.
+
+    `form(values)` gives each value a slot of `maps`, holding M(b), and of
+    `weights`, holding the weights of b; `take(i)` is the pair for value i.
+    A value equal to the one before it shares that slot, so only the
+    changes of beta are formed, in one product
+    (changes, 4) @ pieces.reshape(4, -1) into buffers allocated once.  The
+    last value of a block carries over: a next block starting with it
+    takes its map, copied to slot 0 first, and forms nothing for it.  A
+    value whose weights fail ends the block's slots, and `take` raises
+    that failure at its position, in the step that first needs it.
+    """
+
+    def __init__(self, pieces: np.ndarray, size: int):
+        self.pieces = pieces.reshape(4, -1)
+        self.maps = np.empty((size,) + pieces.shape[1:])
+        self.weights = np.empty((size, 4))
+        self.views = list(zip(self.maps, self.weights))
+        self.last, self.slot, self.taken, self.error = None, 0, [], None
+
+    def form(self, values) -> None:
+        """Form the maps of the (at most size) beta values, up to the first that fails."""
+        if values.count(self.last) == len(values):  # beta unchanged: nothing to form
+            self.taken = [self.views[self.slot]] * len(values)
+            return
+        start = int(values[0] == self.last)
+        if start and self.slot:
+            self.maps[0], self.weights[0] = self.maps[self.slot], self.weights[self.slot]
+        last, slot, rows, taken, views = self.last, start - 1, [], [], self.views
+        for b in values:
+            if b != last:
+                try:
+                    rows.append(_beta_weights(b))
+                except NumericalError as exc:
+                    self.error = exc
+                    break
+                last, slot = b, slot + 1
+            taken.append(views[slot])
+        if rows:
+            end = start + len(rows)
+            self.weights[start:end] = rows
+            out = self.maps[start:end].reshape(end - start, -1)
+            _form(self.weights[start:end], self.pieces, out)
+        self.last, self.slot, self.taken = last, max(slot, 0), taken
+
+    def take(self, i: int) -> tuple:
+        """(M(b), weights of b) for value i of the last `form`; raises the failure of that value."""
+        if i < len(self.taken):
+            return self.taken[i]
+        raise self.error
 
 
 def affine_superoperator(model: HPModel, maps) -> np.ndarray:
@@ -168,39 +230,45 @@ def integrate_master(
     """The (steps+1, d, d) states by RK4, with beta sampled at the substage times.
 
     The state steps as a row vector of real coordinates through the
-    row-form generator.  A step whose three stage values of beta agree is
-    one product with the RK4 polynomial of that generator (exactly RK4),
-    kept while beta is unchanged; otherwise each stage multiplies its
-    vector by the pieces laid side by side once per run and weights the
-    four products by its beta; the real parts of the states hold the
+    row-form generator A(b).  The generators at a block of BETA_BLOCK steps'
+    grid and half-step times are formed in one `BetaBlock` product, where
+    beta changes; a step's end time is the next step's start, and its two
+    middle stages share one generator.  A step whose three stage values of
+    beta agree is one product with the RK4 polynomial of that generator
+    (exactly RK4), kept while beta is unchanged; otherwise each stage is
+    one product v @ A(b).  The real parts of the states hold the
     coordinates until `hermitian_in_place`.  A failure names its step and time.
     """
     rho = validate_density(rho0)
     d = rho.shape[0]
-    generator = drift_superoperator(model)
-    side = generator.transpose(1, 0, 2).reshape(d * d, -1)  # [M0 M1 M2 M3]
-
-    def stage(u, b):
-        return _beta_weights(b) @ (u @ side).reshape(4, -1)
-
+    generators = BetaBlock(drift_superoperator(model), 2 * BETA_BLOCK + 1)
     states = np.empty((grid.steps + 1, d, d), dtype=complex)
     path = states.real.reshape(grid.steps + 1, d * d)
     path[0] = v = coordinates(rho).reshape(d * d)
     dt = grid.dt
     b_poly = poly = None
+    value = beta.value
+    values = [value(0.0)]
     for k in range(grid.steps):
         t = k * dt
-        b1, b2, b3 = beta.value(t), beta.value(t + 0.5 * dt), beta.value(t + dt)
+        j = 2 * (k % BETA_BLOCK)  # the step's start in `values`
         try:
+            if not j:  # b(t_k), then b(t_i + dt/2) and b(t_i+1) for each step i of the block
+                values = values[-1:]
+                for i in range(k, min(k + BETA_BLOCK, grid.steps)):
+                    values += value(i * dt + 0.5 * dt), value((i + 1) * dt)
+                generators.form(values)
+            b1, b2, b3 = values[j : j + 3]
             if b1 == b2 == b3:
                 if b1 != b_poly:
-                    b_poly, poly = b1, _rk4_polynomial(dt * at(generator, b1))
+                    b_poly, poly = b1, _rk4_polynomial(dt * generators.take(j)[0])
                 v = v @ poly
             else:
-                k1 = stage(v, b1)
-                k2 = stage(v + 0.5 * dt * k1, b2)
-                k3 = stage(v + 0.5 * dt * k2, b2)
-                k4 = stage(v + dt * k3, b3)
+                k1 = v @ generators.take(j)[0]
+                a2 = generators.take(j + 1)[0]
+                k2 = (v + 0.5 * dt * k1) @ a2
+                k3 = (v + 0.5 * dt * k2) @ a2
+                k4 = (v + dt * k3) @ generators.take(j + 2)[0]
                 v = v + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         except NumericalError as exc:
             raise type(exc)(f"step {k}, t={t:g}: {exc}") from exc

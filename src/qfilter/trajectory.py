@@ -20,9 +20,11 @@ Bernoulli(r dt) click, and a row that clicked first jumps by J / r.
 The loop yields each new row over its trace, formed from these scalars,
 a + (m - m tau)(dY - m dt) or a + r dt tau; consumers form the states,
 Hermitian by construction, where needed.  Each map is formed from its
-four affine pieces in beta, built once per run: the step matrix when
-beta(t) changes, the jump map when a row clicks.  `quad_step_arrays` and
-`count_step_arrays` are the reference Euler kernels it is tested against.
+four affine pieces in beta, built once per run: the step matrices of
+BETA_BLOCK steps at a time, in one `master.BetaBlock` product where
+beta(t) changes, and the jump map, from the step's beta weights, when a
+row clicks.  `quad_step_arrays` and `count_step_arrays` are the reference
+Euler kernels it is tested against.
 
 The unnormalized (Zakai) state is kept in factorized form: the normalized
 filter state plus an accumulated log-normalization, whose per-step
@@ -38,7 +40,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import NumericalError, dagger, validate_density
-from .master import TimeGrid, affine_superoperator, at, coordinates, hermitian_in_place
+from .master import (
+    BETA_BLOCK,
+    BetaBlock,
+    TimeGrid,
+    affine_superoperator,
+    coordinates,
+    hermitian_in_place,
+)
 from .model import CoherentInput, HPModel, lindblad_adjoint
 
 JUMP_RATE_FLOOR = 1e-12
@@ -199,10 +208,11 @@ def _quadrature_finish(v, out, m, dy, dt, *_):
 def _counting_draw(u, r, dt):
     """dY ~ Bernoulli(r dt) from pre-drawn uniforms, within MAX_JUMP_PROBABILITY."""
     prob = r * dt
-    bad = prob > MAX_JUMP_PROBABILITY
-    if np.any(bad):
-        msg = f"jump probability {prob[bad][0]:.3g} exceeds bound {MAX_JUMP_PROBABILITY}"
-        raise _row_error(JumpRateError, bad, msg)
+    if not prob.max() <= MAX_JUMP_PROBABILITY:  # also true on nan, which the mask lets pass
+        bad = prob > MAX_JUMP_PROBABILITY
+        if np.any(bad):
+            msg = f"jump probability {prob[bad][0]:.3g} exceeds bound {MAX_JUMP_PROBABILITY}"
+            raise _row_error(JumpRateError, bad, msg)
     return (u < prob).astype(float)
 
 
@@ -212,17 +222,21 @@ def _no_jump(v, out, dt):
     return out[..., :-3] + rdt * v, out[..., -3:-2] + rdt * out[..., -2:-1]
 
 
-def _counting_finish(v, out, r, dy, dt, sup, b, jump):
-    """Each row's no-jump step and trace; a row that clicked (r >= JUMP_RATE_FLOOR) first jumps."""
-    if np.min(r) < JUMP_RATE_FLOOR:
-        bad = (dy != 0.0) & (r < JUMP_RATE_FLOOR)
-        if np.any(bad):
-            msg = "detection event in a state with vanishing jump rate"
-            raise _row_error(JumpRateError, bad, msg)
+def _counting_finish(v, out, r, dy, dt, sup, w, jump):
+    """Each row's no-jump step and trace; a row that clicked (r >= JUMP_RATE_FLOOR) first jumps.
+
+    The jump map is formed from w, the step's beta weights, only when a row clicked.
+    """
     new, tr = _no_jump(v, out, dt)
-    jumped = np.flatnonzero(dy != 0.0)
+    jumped = dy.reshape(-1).nonzero()[0]  # np.flatnonzero(dy), without its Python wrapper
     if jumped.size:
-        post = v[jumped] @ at(jump, b) / out[jumped, :, -1:]
+        rate = out[jumped, :, -1:]
+        if not rate.min() >= JUMP_RATE_FLOOR:  # also true on nan, which the mask lets pass
+            bad = (dy != 0.0) & (r < JUMP_RATE_FLOOR)
+            if np.any(bad):
+                msg = "detection event in a state with vanishing jump rate"
+                raise _row_error(JumpRateError, bad, msg)
+        post = v[jumped] @ (w @ jump.reshape(4, -1)).reshape(jump.shape[1:]) / rate
         new[jumped], tr[jumped] = _no_jump(post, post @ sup, dt)
     return new, tr
 
@@ -256,9 +270,12 @@ def propagate(
     rho0, (d, d) or (N, d, d), is not validated; x, a fresh real array of its
     shape, holds the coordinates of the state `master.hermitian(x)`.  Replays
     `increments` if given, else draws dY from `noise` (pre-drawn, step index
-    first) and the pre-step intensity.  A trace, formed per row from the step
+    first) and the pre-step intensity.  The step matrices of BETA_BLOCK steps
+    are formed at a time, where beta(t) changes (`master.BetaBlock`), so a
+    constant beta forms one per run.  A trace, formed per row from the step
     product, that is not finite or below TRACE_UNDERFLOW fails the step; a
-    numerical failure names its step, time and, over a batch, trajectory.
+    numerical failure, a beta whose weights fail included, names its step,
+    time and, over a batch, trajectory.
     """
     if kind not in _STEPS:
         raise ValueError(f"unknown measurement kind {kind!r}")
@@ -269,18 +286,19 @@ def propagate(
     d = shape[-1]
     x = x.reshape(-1, 1, d * d)
     dt = grid.dt
-    step_map = _step_pieces(step_map, d, dt)
-    b_prev = None
+    step_maps = BetaBlock(_step_pieces(step_map, d, dt), BETA_BLOCK)
     for k in range(grid.steps):
         t = k * dt
+        i = k % BETA_BLOCK
         try:
-            b = beta.value(t)
-            if b != b_prev:
-                sup, b_prev = at(step_map, b), b
+            if not i:
+                block = range(k, min(k + BETA_BLOCK, grid.steps))
+                step_maps.form([beta.value(j * dt) for j in block])
+            sup, w = step_maps.take(i)
             out = x @ sup
             intensity = out[..., -1].reshape(shape[:-2])
             dy = increments[k] if increments is not None else draw(noise[k], intensity, dt)
-            new, tr = finish(x, out, intensity, dy, dt, sup, b, *extra)
+            new, tr = finish(x, out, intensity, dy, dt, sup, w, *extra)
             size = np.abs(tr)
             if not (size.min() >= TRACE_UNDERFLOW and size.max() < np.inf):  # false on nan
                 bad = ~np.isfinite(tr) | (size < TRACE_UNDERFLOW)

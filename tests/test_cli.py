@@ -220,6 +220,38 @@ def test_beta_whose_products_overflow_names_beta_and_the_time(tmp_path, capsys, 
     assert err.startswith("numerical failure: trace drift ") and "at t=0, beta = " in err
 
 
+# The README qubit with T = 0.05 and a samples beta whose square overflows
+# from t = 0.0105 on, after six changes of beta within the first steps; the
+# config of the CI entry-point check `late_overflow`.
+LATE_OVERFLOW_BETA = {
+    "kind": "samples",
+    "dt": 0.0015,
+    "values": [[0.5, 0], [0.6, 0], [0.7, 0], [0.8, 0], [0.9, 0], [1.0, 0], [1.1, 0], [1e300, 0]],
+}
+
+
+@pytest.mark.parametrize("kind", ["quadrature", "counting"])
+@pytest.mark.parametrize(
+    "command, step",
+    [
+        ("master", "step 10, t=0.01"),
+        ("simulate", "step 11, t=0.011"),
+        ("ensemble", "step 10, t=0.01"),
+    ],
+)
+def test_late_overflow_names_the_step_that_first_uses_it(tmp_path, capsys, command, step, kind):
+    # RK4 step 10 samples beta at t + dt = 0.011 and the filter step 11 at
+    # t = 0.011; `ensemble` integrates the master equation first.  Not a
+    # step before, where the block holding the bad value is formed.
+    cfg = write_config(
+        tmp_path, beta=LATE_OVERFLOW_BETA, grid={"dt": 1e-3, "T": 0.05}, measurement=kind
+    )
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == (
+        f"numerical failure: {step}: |beta|^2 overflows a float at beta = (1e+300+0j)\n"
+    )
+
+
 @pytest.mark.parametrize("beta", [{"t0": 1e308, "dt": 0.05}, {"dt": 1e-320}], ids=["far-t0", "tiny-dt"])
 def test_samples_beta_far_from_its_start_runs(tmp_path, beta):
     cfg = write_config(tmp_path, beta={"kind": "samples", "values": [[0.5, 0], [1.0, 0]], **beta})

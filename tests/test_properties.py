@@ -9,8 +9,14 @@ real coordinates of Hermitian matrices round-trip exactly, the states the
 filter loop and the master equation yield are Hermitian bit for bit, the
 step superoperators formed by `at` agree with the maps they are built
 from, and the filter's step matrix adds to them the identity, dt and the
-trace columns whose per-row trace keeps every state at unit trace.
+trace columns whose per-row trace keeps every state at unit trace.  The
+maps formed a block of grid times at a time (`master.BetaBlock`) are the
+ones `at` forms, a constant beta forms one per run, and a beta that
+changes mid-block and on block starts keeps the filter on the reference
+kernels and each batched row on its standalone trajectory.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,10 +24,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_model
+from qfilter import master
 from qfilter.ensemble import _checkpoint_steps, mix_seed, run_ensemble
 from qfilter.linalg import dagger, max_norm, random_density, random_hermitian, trace_distance
 from qfilter.master import (
+    BETA_BLOCK,
     STATE_BLOCK,
+    BetaBlock,
     TimeGrid,
     affine_superoperator,
     at,
@@ -182,6 +191,98 @@ def test_at_equals_the_coordinates_of_the_maps_evaluated_at_beta(seed, dim, maps
     expected = np.concatenate(blocks_at(MAPS[maps], model, b, rhos), axis=1)
     got = coordinates(rhos).reshape(len(rhos), dim * dim) @ at(sup, b)
     assert max_norm(got - expected) <= REFERENCE_TOL * max(1.0, max_norm(expected))
+
+
+@exact
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 4, 8]), st.sampled_from(list(MAPS)))
+def test_block_form_equals_at_at_every_beta(seed, dim, maps):
+    # A run of beta values with repeats, formed BETA_BLOCK at a time: each
+    # map is at(pieces, b), and its weights are those of b.
+    rng = np.random.default_rng(seed)
+    pieces = affine_superoperator(random_model(rng, dim), MAPS[maps])
+    pool = [complex(*rng.standard_normal(2)) for _ in range(3)]
+    values = [pool[j] for j in rng.integers(0, len(pool), size=3 * BETA_BLOCK + 5)]
+    block = BetaBlock(pieces, BETA_BLOCK)
+    for start in range(0, len(values), BETA_BLOCK):
+        block.form(values[start : start + BETA_BLOCK])
+        for i, b in enumerate(values[start : start + BETA_BLOCK]):
+            got, weights = block.take(i)
+            assert max_norm(got - at(pieces, b)) <= REFERENCE_TOL
+            assert weights.tolist() == [1.0, b.real, b.imag, b.real**2 + b.imag**2]
+
+
+BLOCK_RUN = TimeGrid(dt=DT, steps=3 * BETA_BLOCK + 5)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_block_form_forms_each_change_of_beta_once(kind):
+    # One product per block, with one row per change of beta; a constant
+    # beta forms one map per run, and a value carried into the next block
+    # is not formed again.
+    calls = {}
+    for beta_kind in ("constant", "sinusoid"):
+        model, beta, rho0 = random_case(7, 3, beta_kind)
+        rngs = [np.random.default_rng(i) for i in range(3)]
+        noise = np.stack([draw_noise(rng, kind, BLOCK_RUN) for rng in rngs], axis=1)
+        stack = np.broadcast_to(rho0, (3, 3, 3))
+        with mock.patch.object(master, "_form", wraps=master._form) as form:
+            list(propagate(model, beta, stack, kind, BLOCK_RUN, noise=noise))
+            integrate_master(model, beta, rho0, BLOCK_RUN)
+        calls[beta_kind] = [len(c.args[0]) for c in form.call_args_list]
+    assert calls["constant"] == [1, 1]
+    tail = BLOCK_RUN.steps % BETA_BLOCK
+    filter_rows = [BETA_BLOCK] * 3 + [tail]  # grid times
+    master_rows = [2 * BETA_BLOCK + 1] + [2 * BETA_BLOCK] * 2 + [2 * tail]  # half-step times
+    assert calls["sinusoid"] == filter_rows + master_rows
+
+
+def piecewise_case(seed, dim):
+    """A random model and a piecewise beta over BLOCK_RUN, with L scaled as in `random_case`.
+
+    Samples last BETA_BLOCK / 2 steps and repeat in places, so that beta
+    changes mid-block and on some block starts, and is carried, unchanged,
+    across others.
+    """
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, dim)
+    p = [complex(*rng.standard_normal(2)) / 2 for _ in range(4)]
+    samples = [p[0], p[1], p[1], p[2], p[3], p[3], p[0], p[1]]
+    beta = CoherentInput.piecewise(0.0, BETA_BLOCK // 2 * DT, samples)
+    l_max = np.sqrt(JUMP_PROBABILITY_BUDGET / DT) - max(abs(b) for b in samples)
+    l = model.L * min(1.0, l_max / np.linalg.norm(model.L, 2))
+    return HPModel(S=model.S, L=l, H=model.H), beta, random_density(rng, dim)
+
+
+@exact
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 8]), st.sampled_from(KINDS))
+def test_block_boundaries_keep_the_reference_kernels_and_batch_rows(seed, dim, kind):
+    model, beta, rho0 = piecewise_case(seed, dim)
+    b = [beta.value(k * DT) for k in range(BLOCK_RUN.steps)]
+    changes = [k for k in range(1, BLOCK_RUN.steps) if b[k] != b[k - 1]]
+    assert {k % BETA_BLOCK == 0 for k in changes} == {False, True}
+    assert BLOCK_RUN.steps >= 3 * BETA_BLOCK and BLOCK_RUN.steps % BETA_BLOCK
+
+    rng = np.random.default_rng(seed)
+    if kind == QUADRATURE:
+        increments, step = rng.standard_normal(BLOCK_RUN.steps) * np.sqrt(DT), quad_step_arrays
+    else:  # more jumps than the model would give, so the jump branch is exercised
+        increments, step = (rng.random(BLOCK_RUN.steps) < 0.2).astype(float), count_step_arrays
+    ref = rho0
+    for k, (x, _, intensity) in enumerate(
+        propagate(model, beta, rho0, kind, BLOCK_RUN, increments=increments)
+    ):
+        ref, ref_intensity = step(ref, increments[k], *modulated_operators(model, b[k]), DT)
+        assert max_norm(hermitian(x) - ref) <= REFERENCE_TOL
+        assert abs(intensity - ref_intensity) <= REFERENCE_TOL
+
+    seeds = [mix_seed(seed, i) for i in range(3)]
+    noise = np.stack([draw_noise(np.random.default_rng(s), kind, BLOCK_RUN) for s in seeds], axis=1)
+    stack = np.broadcast_to(rho0, (3, dim, dim))
+    steps = propagate(model, beta, stack, kind, BLOCK_RUN, noise=noise)
+    batched = np.stack([hermitian(x) for x, _, _ in steps])
+    for i, s in enumerate(seeds):
+        _, states, _ = simulate_record(model, beta, rho0, kind, BLOCK_RUN, s)
+        assert batched[:, i].tobytes() == states[1:].tobytes()
 
 
 @exact
