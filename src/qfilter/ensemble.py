@@ -66,7 +66,7 @@ def run_ensemble(
         raise ValueError("n_traj must be >= 1")
     if kind not in KINDS:
         raise ValueError(f"unknown measurement kind {kind!r}")
-    validate_density(rho0)
+    rho0 = validate_density(rho0)
     observables = observables or {}
     checkpoints = _checkpoint_steps(grid.steps)
     master = integrate_master(model, beta, rho0, grid)[checkpoints]  # the path is not kept
@@ -75,7 +75,7 @@ def run_ensemble(
     noise = np.empty((grid.steps, n_traj))
     for i in range(n_traj):
         noise[:, i] = draw_noise(np.random.default_rng(mix_seed(master_seed, i)), kind, grid)
-    rhos = np.broadcast_to(np.asarray(rho0, dtype=complex), (n_traj,) + rho0.shape)
+    rhos = np.broadcast_to(rho0, (n_traj,) + rho0.shape)
 
     innov_cum = np.zeros(n_traj)
     rows = []

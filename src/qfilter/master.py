@@ -20,17 +20,18 @@ from them is M(beta) = M0 + Re(beta) M1 + Im(beta) M2 + |beta|^2 M3 with
 real pieces, built once per run as one (4, d^2, w) array
 (`affine_superoperator`).  `at` forms M(beta) in one product of the weights
 (1, Re beta, Im beta, |beta|^2) with the pieces.  A loop over the grid
-forms its maps through `BetaBlock`, BETA_BLOCK steps at a time: beta is
-evaluated once per time, and the maps at the times where it changes are
-formed in one product, so a constant beta forms one map per run.  RK4
-forms the d^2 x d^2 generators at a block's grid and half-step times, and
-each stage under a time-varying beta is one product with one of them.
+streams its maps from `maps_at`, which reads the loop's beta values
+BETA_BLOCK at a time and forms the maps where beta changes in one
+product, so a constant beta forms one map per run.  RK4 streams the
+d^2 x d^2 generators at its grid and half-step times, and each stage
+under a time-varying beta is one product with one of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from .model import CoherentInput, HPModel, lindblad_adjoint, modulated_operators
 
 TRACE_DRIFT_LIMIT = 1e-6
 STATE_BLOCK = 256  # states made Hermitian in place at a time, bounding the copy this takes
-BETA_BLOCK = 8  # grid steps whose beta-dependent maps are formed in one product
+BETA_BLOCK = 8  # beta values whose maps are formed in one product
 
 
 @dataclass(frozen=True)
@@ -126,62 +127,45 @@ def at(pieces: np.ndarray, b: complex) -> np.ndarray:
     return (np.array(_beta_weights(b)) @ pieces.reshape(4, -1)).reshape(pieces.shape[1:])
 
 
-def _form(weights: np.ndarray, pieces: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _form(weights: np.ndarray, pieces: np.ndarray) -> np.ndarray:
     """The flat maps at each row of (n, 4) weights, from the (4, d*d*w) pieces, in one product."""
-    return np.matmul(weights, pieces, out=out)
+    return weights @ pieces
 
 
-class BetaBlock:
-    """The maps M(b) of one (4, d*d, w) piece array at the beta values of a block of grid times.
+def maps_at(pieces: np.ndarray, values):
+    """Yield (M(b), weights of b) from the (4, d*d, w) pieces for each beta value b of `values`.
 
-    `form(values)` gives each value a slot of `maps`, holding M(b), and of
-    `weights`, holding the weights of b; `take(i)` is the pair for value i.
-    A value equal to the one before it shares that slot, so only the
-    changes of beta are formed, in one product
-    (changes, 4) @ pieces.reshape(4, -1) into buffers allocated once.  The
-    last value of a block carries over: a next block starting with it
-    takes its map, copied to slot 0 first, and forms nothing for it.  A
-    value whose weights fail ends the block's slots, and `take` raises
-    that failure at its position, in the step that first needs it.
+    The values are read BETA_BLOCK at a time, and only the changes of beta
+    are formed, in one product (changes, 4) @ pieces.reshape(4, -1) per
+    block: a value equal to the one before it yields that value's pair
+    again, the same objects, so a constant beta forms one map per run.  A
+    value whose weights fail ends its block's product; the values before
+    it are yielded, and its failure is raised when it is reached.
     """
-
-    def __init__(self, pieces: np.ndarray, size: int):
-        self.pieces = pieces.reshape(4, -1)
-        self.maps = np.empty((size,) + pieces.shape[1:])
-        self.weights = np.empty((size, 4))
-        self.views = list(zip(self.maps, self.weights))
-        self.last, self.slot, self.taken, self.error = None, 0, [], None
-
-    def form(self, values) -> None:
-        """Form the maps of the (at most size) beta values, up to the first that fails."""
-        if values.count(self.last) == len(values):  # beta unchanged: nothing to form
-            self.taken = [self.views[self.slot]] * len(values)
-            return
-        start = int(values[0] == self.last)
-        if start and self.slot:
-            self.maps[0], self.weights[0] = self.maps[self.slot], self.weights[self.slot]
-        last, slot, rows, taken, views = self.last, start - 1, [], [], self.views
-        for b in values:
+    flat, shape = pieces.reshape(4, -1), pieces.shape[1:]
+    values, last, pair = iter(values), None, None
+    while block := list(islice(values, BETA_BLOCK)):
+        if block.count(last) == len(block):  # beta unchanged: nothing to form
+            yield from repeat(pair, len(block))
+            continue
+        rows, slots, error = [], [], None
+        for b in block:
             if b != last:
                 try:
                     rows.append(_beta_weights(b))
                 except NumericalError as exc:
-                    self.error = exc
+                    error = exc
                     break
-                last, slot = b, slot + 1
-            taken.append(views[slot])
+                last = b
+            slots.append(len(rows))
         if rows:
-            end = start + len(rows)
-            self.weights[start:end] = rows
-            out = self.maps[start:end].reshape(end - start, -1)
-            _form(self.weights[start:end], self.pieces, out)
-        self.last, self.slot, self.taken = last, max(slot, 0), taken
-
-    def take(self, i: int) -> tuple:
-        """(M(b), weights of b) for value i of the last `form`; raises the failure of that value."""
-        if i < len(self.taken):
-            return self.taken[i]
-        raise self.error
+            weights = np.array(rows)
+            pairs = [pair, *zip(_form(weights, flat).reshape((len(rows),) + shape), weights)]
+            for slot in slots:
+                yield pairs[slot]
+            pair = pairs[slots[-1]]
+        if error:
+            raise error
 
 
 def affine_superoperator(model: HPModel, maps) -> np.ndarray:
@@ -230,45 +214,40 @@ def integrate_master(
     """The (steps+1, d, d) states by RK4, with beta sampled at the substage times.
 
     The state steps as a row vector of real coordinates through the
-    row-form generator A(b).  The generators at a block of BETA_BLOCK steps'
-    grid and half-step times are formed in one `BetaBlock` product, where
-    beta changes; a step's end time is the next step's start, and its two
-    middle stages share one generator.  A step whose three stage values of
-    beta agree is one product with the RK4 polynomial of that generator
-    (exactly RK4), kept while beta is unchanged; otherwise each stage is
-    one product v @ A(b).  The real parts of the states hold the
-    coordinates until `hermitian_in_place`.  A failure names its step and time.
+    row-form generator A(b), streamed by `maps_at` at beta(0) and then at
+    each step's half-step and end times: a step's end time is the next
+    step's start, and its two middle stages share one generator.  A step
+    whose three stage generators are the same map, beta unchanged across
+    it, is one product with the RK4 polynomial of that map (exactly RK4),
+    kept while the map is; otherwise each stage is one product v @ A(b).
+    The real parts of the states hold the coordinates until
+    `hermitian_in_place`.  A failure names its step and time.
     """
     rho = validate_density(rho0)
     d = rho.shape[0]
-    generators = BetaBlock(drift_superoperator(model), 2 * BETA_BLOCK + 1)
     states = np.empty((grid.steps + 1, d, d), dtype=complex)
     path = states.real.reshape(grid.steps + 1, d * d)
     path[0] = v = coordinates(rho).reshape(d * d)
     dt = grid.dt
-    b_poly = poly = None
     value = beta.value
-    values = [value(0.0)]
+    times = (t for i in range(grid.steps) for t in (i * dt + 0.5 * dt, (i + 1) * dt))
+    stages = maps_at(drift_superoperator(model), chain([value(0.0)], map(value, times)))
+    a_poly = None
     for k in range(grid.steps):
         t = k * dt
-        j = 2 * (k % BETA_BLOCK)  # the step's start in `values`
         try:
-            if not j:  # b(t_k), then b(t_i + dt/2) and b(t_i+1) for each step i of the block
-                values = values[-1:]
-                for i in range(k, min(k + BETA_BLOCK, grid.steps)):
-                    values += value(i * dt + 0.5 * dt), value((i + 1) * dt)
-                generators.form(values)
-            b1, b2, b3 = values[j : j + 3]
-            if b1 == b2 == b3:
-                if b1 != b_poly:
-                    b_poly, poly = b1, _rk4_polynomial(dt * generators.take(j)[0])
+            if not k:  # A(b(0)), taken here so that its failure names step 0
+                a3 = next(stages)[0]
+            a1, a2, a3 = a3, next(stages)[0], next(stages)[0]
+            if a1 is a2 is a3:
+                if a1 is not a_poly:
+                    a_poly, poly = a1, _rk4_polynomial(dt * a1)
                 v = v @ poly
             else:
-                k1 = v @ generators.take(j)[0]
-                a2 = generators.take(j + 1)[0]
+                k1 = v @ a1
                 k2 = (v + 0.5 * dt * k1) @ a2
                 k3 = (v + 0.5 * dt * k2) @ a2
-                k4 = (v + dt * k3) @ generators.take(j + 2)[0]
+                k4 = (v + dt * k3) @ a3
                 v = v + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         except NumericalError as exc:
             raise type(exc)(f"step {k}, t={t:g}: {exc}") from exc
@@ -276,7 +255,7 @@ def integrate_master(
         if not drift <= TRACE_DRIFT_LIMIT:  # a non-finite trace counts as drift
             raise StepSizeError(
                 f"trace drift {drift:.3e} at step {k}: dt={dt} too large for this generator"
-                f" at t={t:g}, beta = {b1}"
+                f" at t={t:g}, beta = {value(t)}"
             )
         path[k + 1] = v
     return hermitian_in_place(states)

@@ -20,10 +20,10 @@ Bernoulli(r dt) click, and a row that clicked first jumps by J / r.
 The loop yields each new row over its trace, formed from these scalars,
 a + (m - m tau)(dY - m dt) or a + r dt tau; consumers form the states,
 Hermitian by construction, where needed.  Each map is formed from its
-four affine pieces in beta, built once per run: the step matrices of
-BETA_BLOCK steps at a time, in one `master.BetaBlock` product where
-beta(t) changes, and the jump map, from the step's beta weights, when a
-row clicks.  `quad_step_arrays` and `count_step_arrays` are the reference
+four affine pieces in beta, built once per run: the step matrices
+streamed by `master.maps_at`, which forms them a block of grid times at a
+time, in one product where beta(t) changes, and the jump map, from the
+step's beta weights, when a row clicks.  `quad_step_arrays` and `count_step_arrays` are the reference
 Euler kernels it is tested against.
 
 The unnormalized (Zakai) state is kept in factorized form: the normalized
@@ -40,14 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import NumericalError, dagger, validate_density
-from .master import (
-    BETA_BLOCK,
-    BetaBlock,
-    TimeGrid,
-    affine_superoperator,
-    coordinates,
-    hermitian_in_place,
-)
+from .master import TimeGrid, affine_superoperator, coordinates, hermitian_in_place, maps_at
 from .model import CoherentInput, HPModel, lindblad_adjoint
 
 JUMP_RATE_FLOOR = 1e-12
@@ -270,8 +263,8 @@ def propagate(
     rho0, (d, d) or (N, d, d), is not validated; x, a fresh real array of its
     shape, holds the coordinates of the state `master.hermitian(x)`.  Replays
     `increments` if given, else draws dY from `noise` (pre-drawn, step index
-    first) and the pre-step intensity.  The step matrices of BETA_BLOCK steps
-    are formed at a time, where beta(t) changes (`master.BetaBlock`), so a
+    first) and the pre-step intensity.  The step matrices are streamed from
+    `master.maps_at` at the grid times, formed where beta(t) changes, so a
     constant beta forms one per run.  A trace, formed per row from the step
     product, that is not finite or below TRACE_UNDERFLOW fails the step; a
     numerical failure, a beta whose weights fail included, names its step,
@@ -286,15 +279,12 @@ def propagate(
     d = shape[-1]
     x = x.reshape(-1, 1, d * d)
     dt = grid.dt
-    step_maps = BetaBlock(_step_pieces(step_map, d, dt), BETA_BLOCK)
+    values = (beta.value(k * dt) for k in range(grid.steps))
+    step_maps = maps_at(_step_pieces(step_map, d, dt), values)
     for k in range(grid.steps):
         t = k * dt
-        i = k % BETA_BLOCK
         try:
-            if not i:
-                block = range(k, min(k + BETA_BLOCK, grid.steps))
-                step_maps.form([beta.value(j * dt) for j in block])
-            sup, w = step_maps.take(i)
+            sup, w = next(step_maps)
             out = x @ sup
             intensity = out[..., -1].reshape(shape[:-2])
             dy = increments[k] if increments is not None else draw(noise[k], intensity, dt)

@@ -252,6 +252,36 @@ def test_late_overflow_names_the_step_that_first_uses_it(tmp_path, capsys, comma
     )
 
 
+# The same config with a last sample whose square is finite, 1e300: the
+# maps at beta = 1e150 overflow instead, and each command names the step,
+# time and beta of the first state they make non-finite.
+TRACE_DRIFT = (
+    "trace drift nan at step 10: dt=0.001 too large for this generator at t=0.01, beta = (1.1+0j)"
+)
+
+
+@pytest.mark.parametrize(
+    "command, kind, message",
+    [
+        ("master", "quadrature", TRACE_DRIFT),
+        ("master", "counting", TRACE_DRIFT),
+        ("ensemble", "quadrature", TRACE_DRIFT),
+        ("ensemble", "counting", TRACE_DRIFT),
+        (
+            "simulate",
+            "quadrature",
+            "step 12, t=0.012: state trace underflow during renormalization: trace 0 (below 1e-12)",
+        ),
+        ("simulate", "counting", "step 11, t=0.011: jump probability 1e+297 exceeds bound 0.1"),
+    ],
+)
+def test_late_overflow_of_the_maps_names_its_step_and_beta(tmp_path, capsys, command, kind, message):
+    beta = {**LATE_OVERFLOW_BETA, "values": LATE_OVERFLOW_BETA["values"][:-1] + [[1e150, 0]]}
+    cfg = write_config(tmp_path, beta=beta, grid={"dt": 1e-3, "T": 0.05}, measurement=kind)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == f"numerical failure: {message}\n"
+
+
 @pytest.mark.parametrize("beta", [{"t0": 1e308, "dt": 0.05}, {"dt": 1e-320}], ids=["far-t0", "tiny-dt"])
 def test_samples_beta_far_from_its_start_runs(tmp_path, beta):
     cfg = write_config(tmp_path, beta={"kind": "samples", "values": [[0.5, 0], [1.0, 0]], **beta})

@@ -53,6 +53,16 @@ def test_report_shapes_and_determinism():
     assert all(np.array_equal(cols1[k], cols2[k]) for k in cols1)
 
 
+def test_rho0_as_nested_lists_runs_as_its_array():
+    # simulate_record takes rho0 as nested lists; so does run_ensemble.
+    run = small_run(rho0=EXCITED.tolist(), grid=TimeGrid(dt=1e-3, steps=10), n_traj=4)
+    got = run_ensemble(**run)
+    expected = run_ensemble(**{**run, "rho0": EXCITED})
+    assert {name: column.tobytes() for name, column in got.items()} == {
+        name: column.tobytes() for name, column in expected.items()
+    }
+
+
 def test_trajectory_reproducible_in_isolation():
     # Trajectory i of the ensemble equals a standalone simulation with the
     # mixed per-trajectory seed; the Pauli means fix the whole mean state.

@@ -10,10 +10,11 @@ filter loop and the master equation yield are Hermitian bit for bit, the
 step superoperators formed by `at` agree with the maps they are built
 from, and the filter's step matrix adds to them the identity, dt and the
 trace columns whose per-row trace keeps every state at unit trace.  The
-maps formed a block of grid times at a time (`master.BetaBlock`) are the
-ones `at` forms, a constant beta forms one per run, and a beta that
-changes mid-block and on block starts keeps the filter on the reference
-kernels and each batched row on its standalone trajectory.
+maps `master.maps_at` streams, formed a block of beta values at a time,
+are the ones `at` forms, a constant beta forms one per run, a failing
+value is raised after the values before it, and a beta that changes
+mid-block and on block starts keeps the filter on the reference kernels
+and each batched row on its standalone trajectory.
 """
 
 from unittest import mock
@@ -26,17 +27,24 @@ from hypothesis import strategies as st
 from conftest import random_model
 from qfilter import master
 from qfilter.ensemble import _checkpoint_steps, mix_seed, run_ensemble
-from qfilter.linalg import dagger, max_norm, random_density, random_hermitian, trace_distance
+from qfilter.linalg import (
+    NumericalError,
+    dagger,
+    max_norm,
+    random_density,
+    random_hermitian,
+    trace_distance,
+)
 from qfilter.master import (
     BETA_BLOCK,
     STATE_BLOCK,
-    BetaBlock,
     TimeGrid,
     affine_superoperator,
     at,
     coordinates,
     hermitian,
     integrate_master,
+    maps_at,
 )
 from qfilter.model import CoherentInput, HPModel, lindblad_adjoint, modulated_operators
 from qfilter.trajectory import (
@@ -196,30 +204,56 @@ def test_at_equals_the_coordinates_of_the_maps_evaluated_at_beta(seed, dim, maps
 @exact
 @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 4, 8]), st.sampled_from(list(MAPS)))
 def test_block_form_equals_at_at_every_beta(seed, dim, maps):
-    # A run of beta values with repeats, formed BETA_BLOCK at a time: each
-    # map is at(pieces, b), and its weights are those of b.
+    # A run of beta values, read BETA_BLOCK at a time: a run one value
+    # longer than a block, changes mid-block and on a block start, then
+    # random repeats.  Each map, as it is yielded, is at(pieces, b), and its
+    # weights are those of b.
     rng = np.random.default_rng(seed)
     pieces = affine_superoperator(random_model(rng, dim), MAPS[maps])
     pool = [complex(*rng.standard_normal(2)) for _ in range(3)]
-    values = [pool[j] for j in rng.integers(0, len(pool), size=3 * BETA_BLOCK + 5)]
-    block = BetaBlock(pieces, BETA_BLOCK)
-    for start in range(0, len(values), BETA_BLOCK):
-        block.form(values[start : start + BETA_BLOCK])
-        for i, b in enumerate(values[start : start + BETA_BLOCK]):
-            got, weights = block.take(i)
-            assert max_norm(got - at(pieces, b)) <= REFERENCE_TOL
-            assert weights.tolist() == [1.0, b.real, b.imag, b.real**2 + b.imag**2]
+    runs = [(0, BETA_BLOCK + 1), (1, 3), (2, 4), (0, 2), (1, BETA_BLOCK - 2)]
+    values = [pool[j] for j, length in runs for _ in range(length)]
+    values += [pool[j] for j in rng.integers(0, len(pool), size=BETA_BLOCK + 5)]
+    changes = [k for k in range(1, len(values)) if values[k] != values[k - 1]]
+    assert {k % BETA_BLOCK == 0 for k in changes} == {False, True}
+    for b, (got, weights) in zip(values, maps_at(pieces, values), strict=True):
+        assert max_norm(got - at(pieces, b)) <= REFERENCE_TOL
+        assert weights.tolist() == [1.0, b.real, b.imag, b.real**2 + b.imag**2]
+
+
+@pytest.mark.parametrize(
+    "position", [0, BETA_BLOCK, BETA_BLOCK + 3], ids=["first", "block-start", "mid-block"]
+)
+def test_maps_at_yields_the_values_before_a_failure_then_raises_it(position):
+    rng = np.random.default_rng(position)
+    pieces = affine_superoperator(random_model(rng, 2), MAPS["drift"])
+    pool = [complex(*rng.standard_normal(2)) for _ in range(2)]
+    values = [pool[j] for j in rng.integers(0, len(pool), size=position)]
+    values += [1e300 + 0j, pool[0], pool[1]]
+    yielded = []
+    with pytest.raises(NumericalError) as failure:
+        for pair in maps_at(pieces, values):
+            yielded.append(pair)
+    assert str(failure.value) == "|beta|^2 overflows a float at beta = (1e+300+0j)"
+    assert len(yielded) == position
+    for b, (got, _) in zip(values, yielded):
+        assert max_norm(got - at(pieces, b)) <= REFERENCE_TOL
 
 
 BLOCK_RUN = TimeGrid(dt=DT, steps=3 * BETA_BLOCK + 5)
 
 
+def _changes(values) -> int:
+    """The number of values that differ from the one before them, the first included."""
+    return sum(b != a for a, b in zip([None] + values, values))
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_block_form_forms_each_change_of_beta_once(kind):
-    # One product per block, with one row per change of beta; a constant
-    # beta forms one map per run, and a value carried into the next block
-    # is not formed again.
-    calls = {}
+    # One product per block of BETA_BLOCK values, with one row per change of
+    # beta; a constant beta forms one map per run, and a value carried into
+    # the next block is not formed again.
+    calls, changes = {}, {}
     for beta_kind in ("constant", "sinusoid"):
         model, beta, rho0 = random_case(7, 3, beta_kind)
         rngs = [np.random.default_rng(i) for i in range(3)]
@@ -229,11 +263,17 @@ def test_block_form_forms_each_change_of_beta_once(kind):
             list(propagate(model, beta, stack, kind, BLOCK_RUN, noise=noise))
             integrate_master(model, beta, rho0, BLOCK_RUN)
         calls[beta_kind] = [len(c.args[0]) for c in form.call_args_list]
+        steps = range(BLOCK_RUN.steps)
+        grid_times = [k * DT for k in steps]
+        stage_times = [0.0] + [t for i in steps for t in (i * DT + 0.5 * DT, (i + 1) * DT)]
+        streams = [[beta.value(t) for t in times] for times in (grid_times, stage_times)]
+        changes[beta_kind] = sum(_changes(values) for values in streams)
     assert calls["constant"] == [1, 1]
     tail = BLOCK_RUN.steps % BETA_BLOCK
     filter_rows = [BETA_BLOCK] * 3 + [tail]  # grid times
-    master_rows = [2 * BETA_BLOCK + 1] + [2 * BETA_BLOCK] * 2 + [2 * tail]  # half-step times
+    master_rows = [BETA_BLOCK] * 7 + [3]  # 2 steps + 1 stage times
     assert calls["sinusoid"] == filter_rows + master_rows
+    assert {b: sum(rows) for b, rows in calls.items()} == changes
 
 
 def piecewise_case(seed, dim):
