@@ -133,7 +133,7 @@ def _form(weights: np.ndarray, pieces: np.ndarray) -> np.ndarray:
 
 
 def maps_at(pieces: np.ndarray, values):
-    """Yield (M(b), weights of b) from the (4, d*d, w) pieces for each beta value b of `values`.
+    """Yield (M(b), the list of weights of b) from the (4, d*d, w) pieces for each beta value b.
 
     The values are read BETA_BLOCK at a time, and only the changes of beta
     are formed, in one product (changes, 4) @ pieces.reshape(4, -1) per
@@ -158,12 +158,12 @@ def maps_at(pieces: np.ndarray, values):
                     break
                 last = b
             slots.append(len(rows))
+        pairs = [pair]  # slot 0: the values before the block's first change
         if rows:
-            weights = np.array(rows)
-            pairs = [pair, *zip(_form(weights, flat).reshape((len(rows),) + shape), weights)]
-            for slot in slots:
-                yield pairs[slot]
-            pair = pairs[slots[-1]]
+            pairs += zip(_form(np.array(rows), flat).reshape((len(rows),) + shape), rows)
+        for slot in slots:
+            yield pairs[slot]
+        pair = pairs[-1]
         if error:
             raise error
 

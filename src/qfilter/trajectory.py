@@ -23,8 +23,8 @@ Hermitian by construction, where needed.  Each map is formed from its
 four affine pieces in beta, built once per run: the step matrices
 streamed by `master.maps_at`, which forms them a block of grid times at a
 time, in one product where beta(t) changes, and the jump map, from the
-step's beta weights, when a row clicks.  `quad_step_arrays` and `count_step_arrays` are the reference
-Euler kernels it is tested against.
+step's beta weights, when a row clicks.  `quad_step_arrays` and
+`count_step_arrays` are the reference Euler kernels it is tested against.
 
 The unnormalized (Zakai) state is kept in factorized form: the normalized
 filter state plus an accumulated log-normalization, whose per-step

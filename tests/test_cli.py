@@ -228,24 +228,38 @@ LATE_OVERFLOW_BETA = {
     "dt": 0.0015,
     "values": [[0.5, 0], [0.6, 0], [0.7, 0], [0.8, 0], [0.9, 0], [1.0, 0], [1.1, 0], [1e300, 0]],
 }
+# One that overflows from t = 0.01 on, after repeats of 0.6 that open the
+# block of beta values holding the failure.
+REPEATED_OVERFLOW_BETA = {"kind": "samples", "dt": 0.005, "values": [[0.5, 0], [0.6, 0], [1e300, 0]]}
 
 
 @pytest.mark.parametrize("kind", ["quadrature", "counting"])
 @pytest.mark.parametrize(
-    "command, step",
+    "beta, command, step",
     [
-        ("master", "step 10, t=0.01"),
-        ("simulate", "step 11, t=0.011"),
-        ("ensemble", "step 10, t=0.01"),
+        pytest.param(LATE_OVERFLOW_BETA, *case, id="-".join(case))
+        for case in [
+            ("master", "step 10, t=0.01"),
+            ("simulate", "step 11, t=0.011"),
+            ("ensemble", "step 10, t=0.01"),
+        ]
+    ]
+    + [
+        pytest.param(REPEATED_OVERFLOW_BETA, *case, id="-".join(("repeats",) + case))
+        for case in [
+            ("master", "step 9, t=0.009"),
+            ("simulate", "step 10, t=0.01"),
+            ("ensemble", "step 9, t=0.009"),
+        ]
     ],
 )
-def test_late_overflow_names_the_step_that_first_uses_it(tmp_path, capsys, command, step, kind):
-    # RK4 step 10 samples beta at t + dt = 0.011 and the filter step 11 at
-    # t = 0.011; `ensemble` integrates the master equation first.  Not a
-    # step before, where the block holding the bad value is formed.
-    cfg = write_config(
-        tmp_path, beta=LATE_OVERFLOW_BETA, grid={"dt": 1e-3, "T": 0.05}, measurement=kind
-    )
+def test_late_overflow_names_the_step_that_first_uses_it(
+    tmp_path, capsys, beta, command, step, kind
+):
+    # RK4 step k samples beta at t + dt and the filter step k + 1 at that
+    # t; `ensemble` integrates the master equation first.  Not a step
+    # before, where the block holding the bad value is formed.
+    cfg = write_config(tmp_path, beta=beta, grid={"dt": 1e-3, "T": 0.05}, measurement=kind)
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
     assert capsys.readouterr().err == (
         f"numerical failure: {step}: |beta|^2 overflows a float at beta = (1e+300+0j)\n"

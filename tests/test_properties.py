@@ -218,18 +218,22 @@ def test_block_form_equals_at_at_every_beta(seed, dim, maps):
     assert {k % BETA_BLOCK == 0 for k in changes} == {False, True}
     for b, (got, weights) in zip(values, maps_at(pieces, values), strict=True):
         assert max_norm(got - at(pieces, b)) <= REFERENCE_TOL
-        assert weights.tolist() == [1.0, b.real, b.imag, b.real**2 + b.imag**2]
+        assert weights == [1.0, b.real, b.imag, b.real**2 + b.imag**2]
 
 
 @pytest.mark.parametrize(
-    "position", [0, BETA_BLOCK, BETA_BLOCK + 3], ids=["first", "block-start", "mid-block"]
+    "position, repeats",
+    [(0, 0), (BETA_BLOCK, 0), (BETA_BLOCK + 3, 0), (BETA_BLOCK + 3, 3)],
+    ids=["first", "block-start", "mid-block", "after-repeats"],
 )
-def test_maps_at_yields_the_values_before_a_failure_then_raises_it(position):
+def test_maps_at_yields_the_values_before_a_failure_then_raises_it(position, repeats):
+    # after-repeats: the failing value's block opens with three repeats of
+    # the last value of the block before, so that it forms nothing.
     rng = np.random.default_rng(position)
     pieces = affine_superoperator(random_model(rng, 2), MAPS["drift"])
     pool = [complex(*rng.standard_normal(2)) for _ in range(2)]
-    values = [pool[j] for j in rng.integers(0, len(pool), size=position)]
-    values += [1e300 + 0j, pool[0], pool[1]]
+    values = [pool[j] for j in rng.integers(0, len(pool), size=position - repeats)]
+    values += values[-1:] * repeats + [1e300 + 0j, pool[0], pool[1]]
     yielded = []
     with pytest.raises(NumericalError) as failure:
         for pair in maps_at(pieces, values):
