@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: master, simulate, filter, ensemble, classical, verify.
-Exit codes: 0 success, 1 validation, usage or out-of-memory error, 2 numerical failure.
+Exit codes: 0 success, 1 validation, usage, file-system or out-of-memory error,
+2 numerical failure.
 All randomness flows from --seed (default 0); outputs land under --out.
 """
 
@@ -177,6 +178,9 @@ def main(argv=None) -> int:
         with np.errstate(all="ignore"):  # each loop rejects non-finite values, naming the step
             return dispatch(args)
     except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except OSError as exc:  # e.g. --config names a directory, or --out lies below a file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except MemoryError as exc:

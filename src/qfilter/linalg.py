@@ -153,24 +153,39 @@ PAULI_BY_NAME = {
 
 # --- random instances for property tests and the verify suites ---------------
 
-def random_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
-    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+def ginibre(normals: np.ndarray) -> np.ndarray:
+    """Complex matrices from real normals laid out as (..., 2, d, d): real parts, then imaginary."""
+    return normals[..., 0, :, :] + 1j * normals[..., 1, :, :]
 
 
-def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
-    a = random_matrix(rng, dim)
+def hermitian_part(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + dagger(a))
 
 
+def haar_unitary(g: np.ndarray) -> np.ndarray:
+    """Haar-distributed unitaries from Ginibre matrices: QR decomposition with phase fix."""
+    q, r = np.linalg.qr(g)
+    phases = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (phases / np.abs(phases))[..., None, :]
+
+
+def normalized_density(a: np.ndarray) -> np.ndarray:
+    """A A† over its trace."""
+    rho = a @ dagger(a)
+    return rho / np.trace(rho, axis1=-2, axis2=-1)[..., None, None]
+
+
+def random_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
+    return ginibre(rng.standard_normal((2, dim, dim)))
+
+
+def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
+    return hermitian_part(random_matrix(rng, dim))
+
+
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Haar-distributed unitary from the QR decomposition with phase fix."""
-    q, r = np.linalg.qr(random_matrix(rng, dim))
-    phases = np.diag(r).copy()
-    phases /= np.abs(phases)
-    return q * phases
+    return haar_unitary(random_matrix(rng, dim))
 
 
 def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
-    a = random_matrix(rng, dim)
-    rho = a @ dagger(a)
-    return rho / np.trace(rho)
+    return normalized_density(random_matrix(rng, dim))

@@ -4,10 +4,11 @@ Each check runs over randomized instances and reports its worst residual;
 the CLI `verify` command prints one line per check and fails if any
 residual exceeds the reporting threshold, or is NaN.  A suite draws its
 instances one after another from `numpy.random.default_rng(seed)`, so the
-same seed draws the same instances.  It stacks the instances of one
-dimension as (n, d, d) arrays and checks each identity once per dimension
-through the library functions; the qprob suite stacks the algebras too,
-each padded to d joint projections.
+same seed draws the same instances.  An instance draws its Gaussian
+entries in one call (a qprob instance in three, around its integer
+spectra); a suite forms one dimension's matrices as (n, d, d) stacks and
+checks each identity once per dimension through the library functions;
+the qprob suite stacks the algebras too, each padded to d projections.
 """
 
 from __future__ import annotations
@@ -17,14 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ito, qprob
-from .linalg import (
-    dagger,
-    max_norm,
-    random_density,
-    random_hermitian,
-    random_matrix,
-    random_unitary,
-)
+from .linalg import dagger, ginibre, haar_unitary, hermitian_part, max_norm, normalized_density
 from .model import (
     HPModel,
     adjoint_generator,
@@ -57,41 +51,57 @@ def _worst(residuals) -> float:
     return float(np.max(residuals, initial=0.0))
 
 
-def random_beta(rng: np.random.Generator) -> complex:
-    return rng.standard_normal() + 1j * rng.standard_normal()
+def _instances(rng: np.random.Generator, dims, instances: int, draw, form):
+    """Draw `instances` instances in order, each as one row draw(rng, dim) after its dimension.
 
-
-def _stacks(rng: np.random.Generator, dims, instances: int, draw):
-    """Draw `instances` instances in order, each as draw(rng, dim) after its dimension.
-
-    Returns, for each dimension drawn, its draws stacked field by field.
+    Then yields, for each dimension drawn, form(dim, its rows stacked as one array).
     """
     rows = {dim: [] for dim in dims}
     for _ in range(instances):
         dim = int(rng.choice(dims))
         rows[dim].append(draw(rng, dim))
-    return [[np.array(f) for f in zip(*r)] for r in rows.values() if r]
+    for dim in dims:
+        if rows[dim]:
+            yield form(dim, np.array(rows.pop(dim)))
 
 
-def _qprob_draw(rng: np.random.Generator, dim: int):
-    """One qprob instance: (generators, X, rho, Y, U, F, projections).
+def _qprob_row(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """One qprob instance's draws: V's normals, two spectra, then X, rho, Y, U and F's normals.
+
+    Y takes one coefficient per joint projection, that is per distinct pair
+    of eigenvalues.  The row holds V, X, rho, U and F, then the spectra and
+    Y's coefficients, padded to dim with NaN like the projections with zeros.
+    """
+    m = dim * dim
+    v = rng.standard_normal(2 * m)
+    spectra = [rng.integers(-2, 3, size=dim) for _ in range(2)]
+    k = len(set(zip(*spectra)))
+    z = rng.standard_normal(8 * m + k)
+    y = z[4 * m : 4 * m + k]
+    return np.concatenate([v, z[: 4 * m], z[4 * m + k :], *spectra, y, np.full(dim - k, np.nan)])
+
+
+def _qprob_form(dim: int, z: np.ndarray):
+    """The qprob instances of one dimension: (algebra, X, rho, Y, U, F).
 
     The two commuting Hermitian generators share an eigenbasis and now and
     then repeat an eigenvalue so that degenerate blocks occur.  X and F, the
     Bayes factor (not yet normalized), are block-diagonal in their joint
-    projections, which are padded to dim with zero projections; Y, the
-    least-squares rival, is a random algebra element.
+    projections; Y, the least-squares rival, is a random algebra element.
     """
-    v = random_unitary(rng, dim)
-    spectra = (rng.integers(-2, 3, size=dim) for _ in range(2))
-    gens = [v @ np.diag(e).astype(complex) @ dagger(v) for e in spectra]
-    p = qprob.MeasurementAlgebra(tuple(gens)).projections
-    x = np.sum(p @ random_matrix(rng, dim) @ p, axis=0)
-    rho = random_density(rng, dim)
-    y = np.sum(rng.standard_normal(len(p))[:, None, None] * p, axis=0)
-    u = random_unitary(rng, dim)
-    f = np.sum(p @ random_matrix(rng, dim) @ p, axis=0)
-    return gens, x, rho, y, u, f, np.concatenate([p, np.zeros((dim - len(p), dim, dim))])
+    m = 10 * dim * dim
+    g = ginibre(z[:, :m].reshape(len(z), 5, 2, dim, dim))
+    v = haar_unitary(g[:, 0])[:, None]
+    spectra = z[:, m : m + 2 * dim].reshape(len(z), 2, dim, 1)
+    diag = np.where(np.eye(dim, dtype=bool), spectra, 0).astype(complex)
+    algebra = qprob.MeasurementAlgebra(v @ diag @ dagger(v))
+    p = algebra.projections
+    coefficients = z[:, m + 2 * dim :]
+    if not np.array_equal(np.isnan(coefficients), ~np.any(p, axis=(-2, -1))):
+        raise AssertionError("joint projections differ from the distinct eigenvalue pairs")
+    y = np.sum(np.nan_to_num(coefficients)[..., None, None] * p, axis=1)
+    x, f = (np.sum(p @ g[:, i, None] @ p, axis=1) for i in (1, 4))
+    return algebra, x, normalized_density(g[:, 2]), y, haar_unitary(g[:, 3]), f
 
 
 def _state_norm(rho: np.ndarray, op: np.ndarray) -> np.ndarray:
@@ -122,8 +132,7 @@ def qprob_suite(seed: int = 0, dims=(2, 4, 8), instances: int = 100):
     """Defining property, projection, least squares, and the two lemmas."""
     rng = np.random.default_rng(seed)
     res_def, res_proj, res_lsq, res_l1, res_l2 = [], [], [], [], []
-    for gens, x, rho, y, u, f, p in _stacks(rng, dims, instances, _qprob_draw):
-        algebra = qprob.MeasurementAlgebra(gens, p)
+    for algebra, x, rho, y, u, f in _instances(rng, dims, instances, _qprob_row, _qprob_form):
         res_def.append(qprob.verify_defining_property(x, algebra, rho))
         cond = qprob.conditional_expectation(x, algebra, rho)
         twice = qprob.conditional_expectation(cond, algebra, rho)
@@ -142,12 +151,19 @@ def qprob_suite(seed: int = 0, dims=(2, 4, 8), instances: int = 100):
     ]
 
 
-def _ito_draw(rng: np.random.Generator, dim: int):
-    """One ito instance: (beta, S, L, H, X, rho, *the coefficients of three polynomials)."""
-    s, l, h = random_unitary(rng, dim), random_matrix(rng, dim), random_hermitian(rng, dim)
-    b = random_beta(rng)
-    x, rho = random_hermitian(rng, dim), random_density(rng, dim)
-    return b, s, l, h, x, rho, *(random_matrix(rng, dim) for _ in range(12))
+def _ito_row(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """One ito instance's 34 d² + 2 normals in one draw: S, L and H, then Re
+    beta and Im beta, then X, rho and the coefficients of three polynomials."""
+    return rng.standard_normal(34 * dim * dim + 2)
+
+
+def _ito_form(dim: int, z: np.ndarray):
+    """The ito instances of one dimension: (beta, S, L, H, X, rho, *12 polynomial coefficients)."""
+    b = 6 * dim * dim  # Re beta and Im beta
+    s, l, h = ginibre(z[:, :b].reshape(len(z), 3, 2, dim, dim)).swapaxes(0, 1)
+    x, rho, *coeffs = ginibre(z[:, b + 2 :].reshape(len(z), 14, 2, dim, dim)).swapaxes(0, 1)
+    s, h, x, rho = haar_unitary(s), hermitian_part(h), hermitian_part(x), normalized_density(rho)
+    return z[:, b] + 1j * z[:, b + 1], s, l, h, x, rho, *coeffs
 
 
 def ito_suite(seed: int = 0, dims=(2, 3, 4), instances: int = 100):
@@ -187,7 +203,7 @@ def ito_suite(seed: int = 0, dims=(2, 3, 4), instances: int = 100):
     ]
     res["ito/table-identities"] = [max_norm(p) for p in spots]
 
-    for b, s, l, h, x, rho, *coeffs in _stacks(rng, dims, instances, _ito_draw):
+    for b, s, l, h, x, rho, *coeffs in _instances(rng, dims, instances, _ito_row, _ito_form):
         b = b[:, None, None]
         model = HPModel(S=s, L=l, H=h)
 

@@ -1,7 +1,7 @@
 """Shared test helpers and pytest hooks.
 
 `decay_model` and `EXCITED` are the decaying qubit most test files use;
-`random_model` draws a random (S, L, H).
+`random_model` draws a random (S, L, H) and `random_beta` a complex beta.
 `martingale_test` and `bias_ensemble_records` are the innovations check
 and its negative control; `riccati_steady_state` is the Kalman-Bucy
 oracle.
@@ -32,6 +32,10 @@ def decay_model(gamma=1.0):
 def random_model(rng: np.random.Generator, dim: int) -> HPModel:
     """S, L and H drawn in that order: random unitary, matrix and Hermitian."""
     return HPModel(random_unitary(rng, dim), random_matrix(rng, dim), random_hermitian(rng, dim))
+
+
+def random_beta(rng: np.random.Generator) -> complex:
+    return rng.standard_normal() + 1j * rng.standard_normal()
 
 
 def martingale_test(columns: dict, n_traj: int, z_max: float = 4.0):

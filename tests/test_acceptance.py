@@ -13,6 +13,7 @@ from conftest import (
     bias_ensemble_records,
     decay_model,
     martingale_test,
+    random_beta,
     random_model,
     record_acceptance,
     riccati_steady_state,
@@ -52,7 +53,7 @@ from qfilter.trajectory import (
     simulate_record,
     zakai_filter,
 )
-from qfilter.verify import qprob_suite, random_beta
+from qfilter.verify import qprob_suite
 
 HALF_MIXED = 0.5 * np.eye(2, dtype=complex)
 

@@ -423,6 +423,24 @@ def test_out_of_memory_fails_validation_without_a_traceback(tmp_path, capsys, mo
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", ["config-is-a-directory", "out-is-a-file", "out-below-a-file"])
+def test_file_system_error_fails_validation_on_one_line(tmp_path, capsys, case):
+    cfg, out = write_config(tmp_path), tmp_path / "out"
+    (tmp_path / "file").write_text("")
+    if case == "config-is-a-directory":
+        cfg = tmp_path / "directory.json"
+        cfg.mkdir()
+    elif case == "out-is-a-file":
+        out = tmp_path / "file"
+    else:
+        out = tmp_path / "file" / "out"
+    assert main(["master", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(cfg if case == "config-is-a-directory" else out) in err
+    assert "Traceback" not in err
+
+
 def test_classical_requires_section(tmp_path):
     cfg = write_config(tmp_path)
     assert main(["classical", "--config", str(cfg), "--out", str(tmp_path / "x")]) == EXIT_VALIDATION

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfilter.linalg import (
     PROJ_TOL,
@@ -12,12 +14,17 @@ from qfilter.linalg import (
     as_operator,
     commutator,
     dagger,
+    ginibre,
+    haar_unitary,
+    hermitian_part,
     is_hermitian,
     is_unitary,
     joint_spectral_projections,
     max_norm,
+    normalized_density,
     random_density,
     random_hermitian,
+    random_matrix,
     random_unitary,
     trace_distance,
     validate_density,
@@ -132,3 +139,47 @@ def test_random_unitary_is_haar_like_deterministic():
     u1 = random_unitary(np.random.default_rng(7), 3)
     u2 = random_unitary(np.random.default_rng(7), 3)
     assert max_norm(u1 - u2) == 0.0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 5))
+def test_stacked_forms_equal_the_forms_of_single_matrices(seed, dim, n):
+    g = ginibre(np.random.default_rng(seed).standard_normal((n, 2, dim, dim)))
+    for form in (haar_unitary, hermitian_part, normalized_density):
+        stacked = form(g)
+        single = np.array([form(a) for a in g])
+        # Bit for bit, the sign of each zero included.
+        assert stacked.tobytes() == single.tobytes(), form.__name__
+
+
+def test_random_instances_keep_their_values():
+    """random_* against the per-matrix formulas they had before the stacked forms."""
+
+    def matrix(rng, dim):
+        return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+    def unitary(rng, dim):
+        q, r = np.linalg.qr(matrix(rng, dim))
+        phases = np.diag(r).copy()
+        phases /= np.abs(phases)
+        return q * phases
+
+    def density(rng, dim):
+        a = matrix(rng, dim)
+        rho = a @ dagger(a)
+        return rho / np.trace(rho)
+
+    def hermitian(rng, dim):
+        a = matrix(rng, dim)
+        return 0.5 * (a + dagger(a))
+
+    pairs = [
+        (random_matrix, matrix),
+        (random_unitary, unitary),
+        (random_density, density),
+        (random_hermitian, hermitian),
+    ]
+    rng, reference_rng = np.random.default_rng(5), np.random.default_rng(5)
+    for dim in range(1, 9):
+        for draw, reference in pairs:
+            assert draw(rng, dim).tobytes() == reference(reference_rng, dim).tobytes()

@@ -1,12 +1,13 @@
 """The verify suites: injected faults fail their checks, NaN residuals fail,
-and each seed draws a fixed number of instances per dimension, checked in one stack."""
+each seed draws a fixed number of instances per dimension, checked in one stack,
+and the stacked draws equal the per-instance draws they replace."""
 
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from conftest import random_model
+from conftest import random_beta, random_model
 from qfilter import ito, qprob, verify
 from qfilter.cli import EXIT_NUMERICAL, main
 from qfilter.linalg import (
@@ -17,7 +18,7 @@ from qfilter.linalg import (
     random_matrix,
     random_unitary,
 )
-from qfilter.verify import full_suite, ito_suite, qprob_suite, random_beta
+from qfilter.verify import full_suite, ito_suite, qprob_suite
 
 
 def by_name(results):
@@ -107,6 +108,70 @@ def test_instances_per_dimension_are_pinned(monkeypatch, seed, dims_check):
     assert (dict(qprob_counts), dict(ito_counts)) == INSTANCE_COUNTS[seed, dims_check]
     # Each suite checks each identity once per dimension drawn, on its full stack.
     assert set(calls.values()) == {1}
+
+
+def reference_stacks(rng, dims, instances, draw):
+    """Draw each instance field by field as draw(rng, dim), then stack each dimension's fields."""
+    rows = {dim: [] for dim in dims}
+    for _ in range(instances):
+        dim = int(rng.choice(dims))
+        rows[dim].append(draw(rng, dim))
+    return [[np.array(f) for f in zip(*r)] for r in rows.values() if r]
+
+
+def reference_qprob_draw(rng, dim):
+    """(generators, X, rho, Y, U, F, projections padded to dim), one matrix at a time."""
+    v = random_unitary(rng, dim)
+    spectra = (rng.integers(-2, 3, size=dim) for _ in range(2))
+    gens = [v @ np.diag(e).astype(complex) @ dagger(v) for e in spectra]
+    p = qprob.MeasurementAlgebra(tuple(gens)).projections
+    x = np.sum(p @ random_matrix(rng, dim) @ p, axis=0)
+    rho = random_density(rng, dim)
+    y = np.sum(rng.standard_normal(len(p))[:, None, None] * p, axis=0)
+    u = random_unitary(rng, dim)
+    f = np.sum(p @ random_matrix(rng, dim) @ p, axis=0)
+    return gens, x, rho, y, u, f, np.concatenate([p, np.zeros((dim - len(p), dim, dim))])
+
+
+def reference_ito_draw(rng, dim):
+    """(beta, S, L, H, X, rho, *the coefficients of three polynomials), one at a time."""
+    s, l, h = random_unitary(rng, dim), random_matrix(rng, dim), random_hermitian(rng, dim)
+    b = random_beta(rng)
+    x, rho = random_hermitian(rng, dim), random_density(rng, dim)
+    return b, s, l, h, x, rho, *(random_matrix(rng, dim) for _ in range(12))
+
+
+def stacked_qprob(rng, dims):
+    qprob_stacks = verify._instances(rng, dims, 100, verify._qprob_row, verify._qprob_form)
+    for algebra, *fields in qprob_stacks:
+        yield [algebra.generators, *fields, algebra.projections]
+
+
+def stacked_ito(rng, dims):
+    return verify._instances(rng, dims, 100, verify._ito_row, verify._ito_form)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize(
+    "stacks, draw, dims",
+    [
+        (stacked_qprob, reference_qprob_draw, (2, 4)),
+        (stacked_qprob, reference_qprob_draw, (2, 4, 8)),
+        (stacked_ito, reference_ito_draw, (2, 3, 4)),
+    ],
+    ids=["qprob", "qprob-dims-check", "ito"],
+)
+def test_stacked_draws_equal_the_per_instance_draws(seed, stacks, draw, dims):
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    stacked = [list(fields) for fields in stacks(rng, dims)]
+    reference = reference_stacks(reference_rng, dims, 100, draw)
+    assert len(stacked) == len(reference) == len(dims)
+    for fields, reference_fields in zip(stacked, reference):
+        assert len(fields) == len(reference_fields)
+        for field, reference_field in zip(fields, reference_fields):
+            assert np.array_equal(field, reference_field)
+    # Both consumed the same stream.
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 def test_stacked_calls_equal_per_instance_calls():
