@@ -77,9 +77,9 @@ class CoherentInput:
     @classmethod
     def piecewise(cls, t0: float, sample_dt: float, samples) -> "CoherentInput":
         samples = tuple(complex(v) for v in samples)
-        if sample_dt <= 0 or not samples:
-            raise ValueError("piecewise input needs sample_dt > 0 and samples")
         t0, sample_dt, last = float(t0), float(sample_dt), len(samples) - 1
+        if not (0 < sample_dt < np.inf and abs(t0) < np.inf and samples):  # also False on nan
+            raise ValueError("piecewise input needs a finite t0, 0 < sample_dt < inf and samples")
 
         def value(t: float) -> complex:
             # Clamped first, so a quotient that overflows to +-inf takes an end

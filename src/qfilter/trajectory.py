@@ -23,8 +23,7 @@ Hermitian by construction, where needed.  Each map is formed from its
 four affine pieces in beta, built once per run: the step matrices
 streamed by `master.maps_at`, which forms them a block of grid times at a
 time, in one product where beta(t) changes, and the jump map, from the
-step's beta weights, when a row clicks.  `quad_step_arrays` and
-`count_step_arrays` are the reference Euler kernels it is tested against.
+step's beta weights, when a row clicks.
 
 The unnormalized (Zakai) state is kept in factorized form: the normalized
 filter state plus an accumulated log-normalization, whose per-step
@@ -101,63 +100,6 @@ def _underflow_error(bad: np.ndarray, tr: np.ndarray) -> TraceUnderflowError:
     cause = f"below {TRACE_UNDERFLOW:g}" if np.isfinite(value) else "non-finite"
     msg = f"state trace underflow during renormalization: trace {value:.3g} ({cause})"
     return _row_error(TraceUnderflowError, bad, msg)
-
-
-def _hermitize_normalize(rho: np.ndarray) -> np.ndarray:
-    rho = 0.5 * (rho + dagger(rho))
-    tr = _btrace(rho).real
-    bad = ~np.isfinite(tr) | (np.abs(tr) < TRACE_UNDERFLOW)
-    if np.any(bad):
-        raise _underflow_error(bad, tr)
-    return rho / tr[..., None, None]
-
-
-def quad_step_arrays(rho: np.ndarray, dy, lb: np.ndarray, hb: np.ndarray, dt: float):
-    """One quadrature filter step on (..., d, d) states.
-
-    rho <- rho + L'rho dt + (L^b rho + rho L^b† - m rho)(dY - m dt),
-    m = tr[(L^b + L^b†) rho], followed by Hermitian projection and trace
-    renormalization.  Returns (new rho, m).
-    """
-    dy = np.asarray(dy, dtype=float)
-    drift = lindblad_adjoint(lb, hb, rho)
-    gain = lb @ rho + rho @ dagger(lb)
-    m = _btrace(gain).real
-    innov = dy - m * dt
-    rho_new = rho + drift * dt + (gain - m[..., None, None] * rho) * innov[..., None, None]
-    return _hermitize_normalize(rho_new), m
-
-
-def count_step_arrays(rho: np.ndarray, dy, lb: np.ndarray, hb: np.ndarray, dt: float):
-    """One counting filter step on (..., d, d) states.
-
-    dY = 1: jump rho <- L^b rho L^b† / tr, then one no-jump drift step;
-    dY = 0: rho <- rho + (L'rho - L^b rho L^b† + r rho) dt,
-    r = tr(L^b† L^b rho).  Returns (new rho, r evaluated before the step).
-    """
-    dy = np.asarray(dy, dtype=float)
-    lbd = dagger(lb)
-
-    def no_jump(state):
-        drift = lindblad_adjoint(lb, hb, state)
-        jump_part = lb @ state @ lbd
-        rate = _btrace(jump_part).real
-        return state + (drift - jump_part + rate[..., None, None] * state) * dt
-
-    jump_part = lb @ rho @ lbd
-    rate = _btrace(jump_part).real
-    mask = dy != 0.0
-    if np.any(mask & (rate < JUMP_RATE_FLOOR)):
-        raise JumpRateError("detection event in a state with vanishing jump rate")
-
-    survived = no_jump(rho)
-    if np.any(mask):
-        safe_rate = np.where(rate < JUMP_RATE_FLOOR, 1.0, rate)
-        jumped = no_jump(jump_part / safe_rate[..., None, None])
-        rho_new = np.where(mask[..., None, None], jumped, survived)
-    else:
-        rho_new = survived
-    return _hermitize_normalize(rho_new), rate
 
 
 def _quadrature_maps(lb: np.ndarray, hb: np.ndarray, rho: np.ndarray):

@@ -46,16 +46,23 @@ from qfilter.trajectory import (
     COUNTING,
     MeasurementRecord,
     QUADRATURE,
-    count_step_arrays,
     filter_record,
     propagate,
-    quad_step_arrays,
     simulate_record,
     zakai_filter,
 )
 from qfilter.verify import qprob_suite
+from reference import count_step_arrays, quad_step_arrays
 
 HALF_MIXED = 0.5 * np.eye(2, dtype=complex)
+
+
+def propagate_step(model, b, rho, kind, dy, dt):
+    """The state after one `propagate` step from rho at constant beta = b on increment dy."""
+    grid = TimeGrid(dt=dt, steps=1)
+    steps = propagate(model, CoherentInput.constant(b), rho, kind, grid, increments=np.array([dy]))
+    x, _, _ = next(steps)
+    return hermitian(x)
 
 
 def check(name, passed, detail):
@@ -101,7 +108,11 @@ def test_criterion_1_algebraic_identity_suite():
         fd_gain = np.trace((plus - minus) @ x).real  # divided by dy spread = 1
         ks_gain = np.trace(rho @ (x @ lb + dagger(lb) @ x)).real - m * np.trace(rho @ x).real
         res_d = max(res_d, abs(fd_gain - ks_gain))
+        plus = propagate_step(model, b, rho, QUADRATURE, 0.5, dt)
+        minus = propagate_step(model, b, rho, QUADRATURE, -0.5, dt)
+        res_d = max(res_d, abs(np.trace((plus - minus) @ x).real - ks_gain))
 
+        # Counting at dt = 0, which TimeGrid rejects: the reference step only.
         jumped, rate = count_step_arrays(rho, 1.0, lb, hb, 0.0)
         stayed, _ = count_step_arrays(rho, 0.0, lb, hb, 0.0)
         fd_cgain = np.trace((jumped - stayed) @ x).real
@@ -247,6 +258,8 @@ def test_criterion_6_vacuum_reduction():
         by_hand = raw / np.trace(raw).real
         stepped, _ = quad_step_arrays(rho, dy, lb, hb, dt)
         worst = max(worst, max_norm(stepped - by_hand))
+        stepped = propagate_step(model, 0j, rho, QUADRATURE, dy, dt)
+        worst = max(worst, max_norm(stepped - by_hand))
 
         # Hand-coded vacuum jump step, detection and no-detection branches.
         def no_jump(state):
@@ -262,11 +275,15 @@ def test_criterion_6_vacuum_reduction():
         jumped /= np.trace(jumped).real
         got, _ = count_step_arrays(rho, 1.0, lb, hb, dt)
         worst = max(worst, max_norm(got - jumped))
+        got = propagate_step(model, 0j, rho, COUNTING, 1.0, dt)
+        worst = max(worst, max_norm(got - jumped))
 
         survived = no_jump(rho)
         survived = 0.5 * (survived + dagger(survived))
         survived /= np.trace(survived).real
         got, _ = count_step_arrays(rho, 0.0, lb, hb, dt)
+        worst = max(worst, max_norm(got - survived))
+        got = propagate_step(model, 0j, rho, COUNTING, 0.0, dt)
         worst = max(worst, max_norm(got - survived))
 
     check(

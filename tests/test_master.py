@@ -20,6 +20,7 @@ from qfilter.master import (
     integrate_master,
 )
 from qfilter.model import CoherentInput, HPModel, adjoint_generator
+from reference import rk4_reference
 
 GROUND = np.array([[0, 0], [0, 1]], dtype=complex)
 GAP_TOL = 1e-8  # steady_state: a second singular value this small is degenerate
@@ -106,20 +107,6 @@ def test_non_finite_trace_counts_as_drift():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(StepSizeError, match=r"^trace drift (nan|inf) at step 0"):
             integrate_master(decay_model(1e80), CoherentInput.constant(0.0), EXCITED, grid)
-
-
-def rk4_reference(model, beta, rho0, grid):
-    """Classical RK4 on adjoint_generator, one matrix stage at a time."""
-    rho, dt, states = rho0.astype(complex), grid.dt, [rho0]
-    for k in range(grid.steps):
-        t = k * dt
-        k1 = adjoint_generator(model, beta.value(t), rho)
-        k2 = adjoint_generator(model, beta.value(t + 0.5 * dt), rho + 0.5 * dt * k1)
-        k3 = adjoint_generator(model, beta.value(t + 0.5 * dt), rho + 0.5 * dt * k2)
-        k4 = adjoint_generator(model, beta.value(t + dt), rho + dt * k3)
-        rho = rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        states.append(rho)
-    return np.array(states)
 
 
 # A sample lasts 15.5 steps of 2e-3, so one run takes both the RK4-polynomial

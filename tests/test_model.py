@@ -56,6 +56,14 @@ def test_coherent_input_kinds():
         CoherentInput.piecewise(t0=0.0, sample_dt=0.0, samples=[1.0])
 
 
+@pytest.mark.parametrize(
+    "t0, sample_dt", [(0.0, np.nan), (0.0, np.inf), (np.nan, 0.5), (np.inf, 0.5), (-np.inf, 0.5)]
+)
+def test_piecewise_input_rejects_non_finite_times(t0, sample_dt):
+    with pytest.raises(ValueError, match="finite t0, 0 < sample_dt < inf"):
+        CoherentInput.piecewise(t0=t0, sample_dt=sample_dt, samples=[1.0, 2.0])
+
+
 @pytest.mark.parametrize("sample_dt, steps_per_sample", [(0.1, 100), (0.05, 50)])
 def test_piecewise_input_on_grid_boundaries(sample_dt, steps_per_sample):
     # Grid time t0 + k dt on the boundary j sample_dt selects sample j, even

@@ -54,14 +54,13 @@ from qfilter.trajectory import (
     COUNTING_BETA_MIN,
     KINDS,
     QUADRATURE,
-    count_step_arrays,
     draw_noise,
     filter_record,
     propagate,
-    quad_step_arrays,
     simulate_record,
     zakai_filter,
 )
+from reference import count_step_arrays, quad_step_arrays
 
 DT = 1e-3
 JUMP_PROBABILITY_BUDGET = 0.05
