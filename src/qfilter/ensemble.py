@@ -3,7 +3,9 @@
 All trajectories of an ensemble are propagated together as a stacked
 (N, d, d) array through the same filter loop (`trajectory.propagate`) that
 runs single trajectories; trajectory i draws its noise from a seed mixed
-out of (master_seed, i), so it is bit-reproducible in isolation.
+out of (master_seed, i), so it is bit-reproducible in isolation.  The N
+noise columns come from one `trajectory.draw_noise` call, which seeds all
+N streams in one vectorized pass, with one PCG64 for every draw.
 Aggregates are taken on the fly at N_CHECKPOINTS evenly spaced steps, in
 fixed trajectory order; no per-step state stack is kept, and of the master
 equation's path only the checkpoint states.  `run_ensemble`
@@ -18,7 +20,7 @@ import numpy as np
 from .linalg import trace_distance, validate_density
 from .master import TimeGrid, hermitian, integrate_master
 from .model import CoherentInput, HPModel
-from .trajectory import KINDS, draw_noise, propagate
+from .trajectory import KINDS, check_seeds, draw_noise, propagate
 
 N_CHECKPOINTS = 50
 
@@ -66,15 +68,12 @@ def run_ensemble(
         raise ValueError("n_traj must be >= 1")
     if kind not in KINDS:
         raise ValueError(f"unknown measurement kind {kind!r}")
+    check_seeds((master_seed,))  # mix_seed works modulo 2**64, where a seed outside would alias
     rho0 = validate_density(rho0)
     observables = observables or {}
     checkpoints = _checkpoint_steps(grid.steps)
     master = integrate_master(model, beta, rho0, grid)[checkpoints]  # the path is not kept
-    # Filled column by column: a list of N draws and their stack would hold the
-    # noise twice, and would leave the heap fragmented for the next run.
-    noise = np.empty((grid.steps, n_traj))
-    for i in range(n_traj):
-        noise[:, i] = draw_noise(np.random.default_rng(mix_seed(master_seed, i)), kind, grid)
+    noise = draw_noise([mix_seed(master_seed, i) for i in range(n_traj)], kind, grid)
     rhos = np.broadcast_to(rho0, (n_traj,) + rho0.shape)
 
     innov_cum = np.zeros(n_traj)

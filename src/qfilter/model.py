@@ -12,6 +12,7 @@ below then act instance by instance, with beta a scalar or a stack
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Callable
 
@@ -67,11 +68,13 @@ class CoherentInput:
     @classmethod
     def constant(cls, value: complex) -> "CoherentInput":
         value = complex(value)
+        _check_finite("constant", value=value)
         return cls(lambda t: value)
 
     @classmethod
     def sinusoid(cls, amplitude: complex, frequency: float, offset: complex = 0.0) -> "CoherentInput":
         a, w, c = complex(amplitude), float(frequency), complex(offset)
+        _check_finite("sinusoid", amplitude=a, frequency=w, offset=c)
         return cls(lambda t: a * np.exp(1j * w * t) + c)
 
     @classmethod
@@ -80,6 +83,10 @@ class CoherentInput:
         t0, sample_dt, last = float(t0), float(sample_dt), len(samples) - 1
         if not (0 < sample_dt < np.inf and abs(t0) < np.inf and samples):  # also False on nan
             raise ValueError("piecewise input needs a finite t0, 0 < sample_dt < inf and samples")
+        bad = [j for j, v in enumerate(samples) if not cmath.isfinite(v)]
+        if bad:
+            j = bad[0]
+            raise ValueError(f"piecewise input needs finite samples, got {samples[j]} at sample {j}")
 
         def value(t: float) -> complex:
             # Clamped first, so a quotient that overflows to +-inf takes an end
@@ -88,6 +95,13 @@ class CoherentInput:
             return samples[int(np.floor(x + 1e-9 * max(1.0, x)))]
 
         return cls(value)
+
+
+def _check_finite(kind: str, **values) -> None:
+    """ValueError naming the first argument of a `kind` input whose value is not finite."""
+    for name, value in values.items():
+        if not cmath.isfinite(value):
+            raise ValueError(f"{kind} input needs a finite {name}, got {value}")
 
 
 def modulated_coupling(model: HPModel, b: complex) -> np.ndarray:

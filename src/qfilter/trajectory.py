@@ -34,6 +34,7 @@ discrete level and avoids likelihood overflow on long records.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,13 @@ MAX_JUMP_PROBABILITY = 0.1
 QUADRATURE = "quadrature"
 COUNTING = "counting"
 KINDS = (QUADRATURE, COUNTING)
+
+# numpy's SeedSequence (pool of four uint32 words): hashmix, generate_state and
+# mix constants; and PCG64's 128-bit LCG multiplier.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 
 
 class TraceUnderflowError(NumericalError):
@@ -183,11 +191,77 @@ _STEPS = {
 }
 
 
-def draw_noise(rng: np.random.Generator, kind: str, grid: TimeGrid) -> np.ndarray:
-    """Pre-drawn per-step randomness: Gaussian dI for quadrature, uniforms for counting."""
+def check_seeds(seeds) -> list:
+    """The seeds as ints, each in [0, 2**64), the range of a seed's two 32-bit words."""
+    seeds = [operator.index(s) for s in seeds]
+    for s in seeds:
+        if not 0 <= s < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {s}")
+    return seeds
+
+
+def _hash(words: np.ndarray, const: int, mult: int):
+    """SeedSequence's hash of uint32 words under const, and the const for the next hash."""
+    nxt = const * mult & _MASK32
+    words = (words ^ np.uint32(const)) * np.uint32(nxt)
+    return words ^ (words >> np.uint32(16)), nxt
+
+
+def _pcg64_states(seeds: list) -> list:
+    """The PCG64 (state, inc) that np.random.default_rng(seed) starts from, for each seed.
+
+    SeedSequence hashes the seed's two 32-bit words, zero-padded to its pool
+    of four, mixes the pool and expands it to four 64-bit words, here on
+    uint32 arrays over all seeds at once; pcg_setseq_128_srandom_r then takes
+    the first two words as the initial state and the last two as the stream.
+    """
+    s = np.array(seeds, dtype=np.uint64)
+    zero = np.zeros(len(seeds), dtype=np.uint32)
+    const, pool = _INIT_A, []
+    for words in (s.astype(np.uint32), (s >> np.uint64(32)).astype(np.uint32), zero, zero):
+        words, const = _hash(words, const, _MULT_A)
+        pool.append(words)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                words, const = _hash(pool[src], const, _MULT_A)
+                mixed = np.uint32(_MIX_L) * pool[dst] - np.uint32(_MIX_R) * words
+                pool[dst] = mixed ^ (mixed >> np.uint32(16))
+    const, out = _INIT_B, np.empty((len(seeds), 8), dtype="<u4")
+    for i in range(8):
+        out[:, i], const = _hash(pool[i % 4], const, _MULT_B)
+    states = []
+    for high, low, inc_high, inc_low in out.view("<u8").tolist():
+        inc = ((inc_high << 64 | inc_low) << 1 | 1) & _MASK128
+        states.append(((((high << 64 | low) + inc) * _PCG_MULT + inc) & _MASK128, inc))
+    return states
+
+
+def draw_noise(seeds, kind: str, grid: TimeGrid) -> np.ndarray:
+    """Pre-drawn per-step randomness, (steps, N): Gaussian dI for quadrature, uniforms for counting.
+
+    Column i is bit for bit what np.random.default_rng(seeds[i]) draws,
+    standard_normal(steps) * sqrt(dt) or random(steps): one PCG64, set to
+    each seed's state in turn, draws into one reused row.
+    """
+    states = _pcg64_states(check_seeds(seeds))
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    draw = generator.standard_normal if kind == QUADRATURE else generator.random
+    noise = np.empty((grid.steps, len(states)))
+    row = np.empty(grid.steps)
+    for i, (state, inc) in enumerate(states):
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        draw(out=row)
+        noise[:, i] = row
     if kind == QUADRATURE:
-        return rng.standard_normal(grid.steps) * np.sqrt(grid.dt)
-    return rng.random(grid.steps)
+        noise *= np.sqrt(grid.dt)  # rounds as scaling each column's draw does
+    return noise
 
 
 def propagate(
@@ -271,7 +345,7 @@ def simulate_record(
     (seed, grid, model); the filter states are the conditional states of
     the very record being generated.
     """
-    noise = draw_noise(np.random.default_rng(seed), kind, grid)
+    noise = draw_noise((seed,), kind, grid)[:, 0]
     states, dys, intensities = _filter_path(model, beta, rho0, kind, grid, noise=noise)
     record = MeasurementRecord(kind=kind, grid=grid, increments=dys)
     return record, states, dys - intensities * grid.dt

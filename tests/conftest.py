@@ -57,8 +57,8 @@ def bias_ensemble_records(monkeypatch, bias: float) -> None:
     drift: the negative control of the martingale test.
     """
 
-    def biased(rng, kind, grid):
-        return trajectory.draw_noise(rng, kind, grid) + bias * grid.dt
+    def biased(seeds, kind, grid):
+        return trajectory.draw_noise(seeds, kind, grid) + bias * grid.dt
 
     monkeypatch.setattr(ensemble, "draw_noise", biased)
 

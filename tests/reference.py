@@ -4,19 +4,30 @@
 (..., d, d) states that `trajectory.propagate` is checked against;
 `rk4_reference` is the RK4 step on matrices that `master.integrate_master`
 is checked against.  They raise the package's error types with its messages.
+`reference_noise` draws one trajectory's noise from a numpy Generator, the
+stream that `trajectory.draw_noise` reproduces column by column from seeds.
 """
 
 import numpy as np
 
 from qfilter.linalg import dagger
+from qfilter.master import TimeGrid
 from qfilter.model import adjoint_generator, lindblad_adjoint
 from qfilter.trajectory import (
     JUMP_RATE_FLOOR,
+    QUADRATURE,
     TRACE_UNDERFLOW,
     JumpRateError,
     _btrace,
     _underflow_error,
 )
+
+
+def reference_noise(rng: np.random.Generator, kind: str, grid: TimeGrid) -> np.ndarray:
+    """Pre-drawn per-step randomness: Gaussian dI for quadrature, uniforms for counting."""
+    if kind == QUADRATURE:
+        return rng.standard_normal(grid.steps) * np.sqrt(grid.dt)
+    return rng.random(grid.steps)
 
 
 def _hermitize_normalize(rho: np.ndarray) -> np.ndarray:

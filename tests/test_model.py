@@ -64,6 +64,32 @@ def test_piecewise_input_rejects_non_finite_times(t0, sample_dt):
         CoherentInput.piecewise(t0=t0, sample_dt=sample_dt, samples=[1.0, 2.0])
 
 
+REAL_BAD = [np.nan, np.inf, -np.inf]
+COMPLEX_BAD = REAL_BAD + [complex(0.5, np.nan), complex(-np.inf, 0.5)]
+VALID_INPUTS = {
+    "constant": {"value": 0.5},
+    "sinusoid": {"amplitude": 1.0, "frequency": 1.0, "offset": 0.0},
+    "piecewise": {"t0": 0.0, "sample_dt": 0.1, "samples": [1.0, 2.0]},
+}
+NON_FINITE_ARGS = {
+    ("constant", "value"): COMPLEX_BAD,
+    ("sinusoid", "amplitude"): COMPLEX_BAD,
+    ("sinusoid", "frequency"): REAL_BAD,
+    ("sinusoid", "offset"): COMPLEX_BAD,
+    ("piecewise", "samples"): COMPLEX_BAD,
+}
+
+
+@pytest.mark.parametrize(
+    "kind, arg, bad", [(*key, bad) for key, bads in NON_FINITE_ARGS.items() for bad in bads]
+)
+def test_coherent_input_rejects_non_finite_values(kind, arg, bad):
+    args = dict(VALID_INPUTS[kind])
+    args[arg] = [1.0, bad] if arg == "samples" else bad
+    with pytest.raises(ValueError, match=f"^{kind} input needs (a )?finite {arg}"):
+        getattr(CoherentInput, kind)(**args)
+
+
 @pytest.mark.parametrize("sample_dt, steps_per_sample", [(0.1, 100), (0.05, 50)])
 def test_piecewise_input_on_grid_boundaries(sample_dt, steps_per_sample):
     # Grid time t0 + k dt on the boundary j sample_dt selects sample j, even

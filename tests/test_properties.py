@@ -54,13 +54,12 @@ from qfilter.trajectory import (
     COUNTING_BETA_MIN,
     KINDS,
     QUADRATURE,
-    draw_noise,
     filter_record,
     propagate,
     simulate_record,
     zakai_filter,
 )
-from reference import count_step_arrays, quad_step_arrays
+from reference import count_step_arrays, quad_step_arrays, reference_noise
 
 DT = 1e-3
 JUMP_PROBABILITY_BUDGET = 0.05
@@ -111,7 +110,7 @@ def batched_run(master_seed, model, beta, rho0, kind, n_traj):
     """States and dY of rows 0..n_traj-1 propagated as one batch, and their seeds."""
     dim = rho0.shape[0]
     seeds = [mix_seed(master_seed, i) for i in range(n_traj)]
-    noise = np.stack([draw_noise(np.random.default_rng(s), kind, GRID) for s in seeds], axis=1)
+    noise = np.stack([reference_noise(np.random.default_rng(s), kind, GRID) for s in seeds], axis=1)
     stack = np.broadcast_to(rho0, (n_traj, dim, dim)).copy()
     steps = list(propagate(model, beta, stack, kind, GRID, noise=noise))
     return np.stack([hermitian(x) for x, _, _ in steps]), np.stack([dy for _, dy, _ in steps]), seeds
@@ -260,7 +259,7 @@ def test_block_form_forms_each_change_of_beta_once(kind):
     for beta_kind in ("constant", "sinusoid"):
         model, beta, rho0 = random_case(7, 3, beta_kind)
         rngs = [np.random.default_rng(i) for i in range(3)]
-        noise = np.stack([draw_noise(rng, kind, BLOCK_RUN) for rng in rngs], axis=1)
+        noise = np.stack([reference_noise(rng, kind, BLOCK_RUN) for rng in rngs], axis=1)
         stack = np.broadcast_to(rho0, (3, 3, 3))
         with mock.patch.object(master, "_form", wraps=master._form) as form:
             list(propagate(model, beta, stack, kind, BLOCK_RUN, noise=noise))
@@ -319,7 +318,9 @@ def test_block_boundaries_keep_the_reference_kernels_and_batch_rows(seed, dim, k
         assert abs(intensity - ref_intensity) <= REFERENCE_TOL
 
     seeds = [mix_seed(seed, i) for i in range(3)]
-    noise = np.stack([draw_noise(np.random.default_rng(s), kind, BLOCK_RUN) for s in seeds], axis=1)
+    noise = np.stack(
+        [reference_noise(np.random.default_rng(s), kind, BLOCK_RUN) for s in seeds], axis=1
+    )
     stack = np.broadcast_to(rho0, (3, dim, dim))
     steps = propagate(model, beta, stack, kind, BLOCK_RUN, noise=noise)
     batched = np.stack([hermitian(x) for x, _, _ in steps])
@@ -374,7 +375,7 @@ def test_propagate_yields_exactly_hermitian_unit_trace_states(case):
     seed, dim, kind, beta_kind = case
     model, beta, rho0 = random_case(seed, dim, beta_kind)
     rngs = [np.random.default_rng([seed, i]) for i in range(3)]
-    noise = np.stack([draw_noise(rng, kind, GRID) for rng in rngs], axis=1)
+    noise = np.stack([reference_noise(rng, kind, GRID) for rng in rngs], axis=1)
     stack = np.broadcast_to(rho0, (3, dim, dim))
     steps = propagate(model, beta, stack, kind, GRID, noise=noise)
     assert_density_path(hermitian(x) for x, _, _ in steps)
@@ -388,7 +389,7 @@ def test_column_trace_does_not_drift_over_long_runs(dim, kind):
     model, beta, rho0 = random_case(5, dim, "sinusoid")
     grid = TimeGrid(dt=DT, steps=10_000)
     rngs = [np.random.default_rng([5, i]) for i in range(3)]
-    noise = np.stack([draw_noise(rng, kind, grid) for rng in rngs], axis=1)
+    noise = np.stack([reference_noise(rng, kind, grid) for rng in rngs], axis=1)
     stack = np.broadcast_to(rho0, (3, dim, dim))
     steps = propagate(model, beta, stack, kind, grid, noise=noise)
     traces = np.array([np.trace(x, axis1=1, axis2=2) for x, _, _ in steps])
@@ -419,7 +420,7 @@ def test_states_are_the_yielded_coordinates_across_state_blocks(dim, kind, seed,
     # The collectors turn coordinates into states STATE_BLOCK at a time, and
     # the ensemble only at its checkpoints: neither may change a bit.
     model, beta, rho0 = random_case(seed, dim, beta_kind)
-    noise = draw_noise(np.random.default_rng(seed), kind, BLOCK_GRID)
+    noise = reference_noise(np.random.default_rng(seed), kind, BLOCK_GRID)
     xs = [x for x, _, _ in propagate(model, beta, rho0, kind, BLOCK_GRID, noise=noise)]
     _, states, _ = simulate_record(model, beta, rho0, kind, BLOCK_GRID, seed)
     assert states[0].tobytes() == rho0.tobytes()
@@ -429,7 +430,7 @@ def test_states_are_the_yielded_coordinates_across_state_blocks(dim, kind, seed,
     obs = random_hermitian(np.random.default_rng(seed), dim)
     columns = run_ensemble(model, beta, rho0, kind, BLOCK_GRID, n_traj, seed, {"o": obs})
     rngs = [np.random.default_rng(mix_seed(seed, i)) for i in range(n_traj)]
-    noise = np.stack([draw_noise(rng, kind, BLOCK_GRID) for rng in rngs], axis=1)
+    noise = np.stack([reference_noise(rng, kind, BLOCK_GRID) for rng in rngs], axis=1)
     stack = np.broadcast_to(rho0, (n_traj, dim, dim))
     master = integrate_master(model, beta, rho0, BLOCK_GRID)
     checkpoints = _checkpoint_steps(BLOCK_GRID.steps)

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import EXCITED, decay_model
+from qfilter.ensemble import run_ensemble
 from qfilter.ito import girsanov_coefficients
 from qfilter.linalg import (
     dagger,
@@ -12,15 +15,18 @@ from qfilter.master import TimeGrid
 from qfilter.model import CoherentInput, modulated_operators
 from qfilter.trajectory import (
     COUNTING,
+    KINDS,
     JumpRateError,
     MeasurementRecord,
     QUADRATURE,
     TraceUnderflowError,
+    draw_noise,
     filter_record,
     propagate,
     simulate_record,
     zakai_filter,
 )
+from reference import reference_noise
 
 
 def test_record_validation():
@@ -217,3 +223,47 @@ def test_underflow_names_the_trajectory_and_its_trace(row, cause):
         message = "^step 0, t=0: trajectory 1: state trace underflow during renormalization: "
         with pytest.raises(TraceUnderflowError, match=message + cause):
             next(steps)
+
+
+NOISE_GRID = TimeGrid(dt=1e-3, steps=41)
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+seed_lists = st.sampled_from([1, 3, 257]).flatmap(
+    lambda n: st.lists(st.integers(0, 2**64 - 1), min_size=n, max_size=n)
+)
+seeding = settings(max_examples=20, deadline=None, derandomize=True, database=None)
+
+
+@seeding
+@given(seed_lists, st.sampled_from(KINDS))
+@example(EDGE_SEEDS, QUADRATURE)
+@example(EDGE_SEEDS, COUNTING)
+def test_draw_noise_columns_are_the_default_rng_streams_bit_for_bit(seeds, kind):
+    noise = draw_noise(seeds, kind, NOISE_GRID)
+    assert noise.shape == (NOISE_GRID.steps, len(seeds))
+    for i, seed in enumerate(seeds):
+        expected = reference_noise(np.random.default_rng(seed), kind, NOISE_GRID)
+        assert noise[:, i].tobytes() == expected.tobytes()
+
+
+@seeding
+@given(seed_lists, st.sampled_from(KINDS))
+@example(EDGE_SEEDS, QUADRATURE)
+def test_draw_noise_column_depends_only_on_its_seed(seeds, kind):
+    noise = draw_noise(seeds, kind, NOISE_GRID)
+    for i, seed in enumerate(seeds):
+        assert noise[:, i].tobytes() == draw_noise([seed], kind, NOISE_GRID)[:, 0].tobytes()
+    reversed_noise = draw_noise(seeds[::-1], kind, NOISE_GRID)
+    assert reversed_noise.tobytes() == noise[:, ::-1].tobytes()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("run", ["draw_noise", "simulate", "ensemble"])
+def test_seeds_outside_64_bits_are_rejected(run, seed):
+    grid, beta = TimeGrid(dt=1e-3, steps=5), CoherentInput.constant(0.5)
+    calls = {
+        "draw_noise": lambda: draw_noise([0, seed], QUADRATURE, grid),
+        "simulate": lambda: simulate_record(decay_model(), beta, EXCITED, QUADRATURE, grid, seed),
+        "ensemble": lambda: run_ensemble(decay_model(), beta, EXCITED, QUADRATURE, grid, 3, seed),
+    }
+    with pytest.raises(ValueError, match=rf"^seed must be in \[0, 2\*\*64\), got {seed}$"):
+        calls[run]()
