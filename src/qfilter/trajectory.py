@@ -207,8 +207,8 @@ def _hash(words: np.ndarray, const: int, mult: int):
     return words ^ (words >> np.uint32(16)), nxt
 
 
-def _pcg64_states(seeds: list) -> list:
-    """The PCG64 (state, inc) that np.random.default_rng(seed) starts from, for each seed.
+def _pcg64_states(seeds: list):
+    """Yield the PCG64 (state, inc) that np.random.default_rng(seed) starts from, for each seed.
 
     SeedSequence hashes the seed's two 32-bit words, zero-padded to its pool
     of four, mixes the pool and expands it to four 64-bit words, here on
@@ -230,11 +230,10 @@ def _pcg64_states(seeds: list) -> list:
     const, out = _INIT_B, np.empty((len(seeds), 8), dtype="<u4")
     for i in range(8):
         out[:, i], const = _hash(pool[i % 4], const, _MULT_B)
-    states = []
-    for high, low, inc_high, inc_low in out.view("<u8").tolist():
+    for words in out.view("<u8"):  # a row at a time: a list of N lists would fragment the heap
+        high, low, inc_high, inc_low = words.tolist()
         inc = ((inc_high << 64 | inc_low) << 1 | 1) & _MASK128
-        states.append(((((high << 64 | low) + inc) * _PCG_MULT + inc) & _MASK128, inc))
-    return states
+        yield ((((high << 64 | low) + inc) * _PCG_MULT + inc) & _MASK128, inc)
 
 
 def draw_noise(seeds, kind: str, grid: TimeGrid) -> np.ndarray:
@@ -244,13 +243,13 @@ def draw_noise(seeds, kind: str, grid: TimeGrid) -> np.ndarray:
     standard_normal(steps) * sqrt(dt) or random(steps): one PCG64, set to
     each seed's state in turn, draws into one reused row.
     """
-    states = _pcg64_states(check_seeds(seeds))
+    seeds = check_seeds(seeds)
     bit_generator = np.random.PCG64(0)
     generator = np.random.Generator(bit_generator)
     draw = generator.standard_normal if kind == QUADRATURE else generator.random
-    noise = np.empty((grid.steps, len(states)))
+    noise = np.empty((grid.steps, len(seeds)))
     row = np.empty(grid.steps)
-    for i, (state, inc) in enumerate(states):
+    for i, (state, inc) in enumerate(_pcg64_states(seeds)):
         bit_generator.state = {
             "bit_generator": "PCG64",
             "state": {"state": state, "inc": inc},
