@@ -12,7 +12,6 @@ below then act instance by instance, with beta a scalar or a stack
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from typing import Callable
 
@@ -83,9 +82,9 @@ class CoherentInput:
         t0, sample_dt, last = float(t0), float(sample_dt), len(samples) - 1
         if not (0 < sample_dt < np.inf and abs(t0) < np.inf and samples):  # also False on nan
             raise ValueError("piecewise input needs a finite t0, 0 < sample_dt < inf and samples")
-        bad = [j for j, v in enumerate(samples) if not cmath.isfinite(v)]
-        if bad:
-            j = bad[0]
+        finite = np.isfinite(samples)
+        if not finite.all():
+            j = int(np.argmin(finite))
             raise ValueError(f"piecewise input needs finite samples, got {samples[j]} at sample {j}")
 
         def value(t: float) -> complex:
@@ -100,7 +99,7 @@ class CoherentInput:
 def _check_finite(kind: str, **values) -> None:
     """ValueError naming the first argument of a `kind` input whose value is not finite."""
     for name, value in values.items():
-        if not cmath.isfinite(value):
+        if not np.isfinite(value):
             raise ValueError(f"{kind} input needs a finite {name}, got {value}")
 
 

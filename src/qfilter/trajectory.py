@@ -200,11 +200,22 @@ def check_seeds(seeds) -> list:
     return seeds
 
 
-def _hash(words: np.ndarray, const: int, mult: int):
-    """SeedSequence's hash of uint32 words under const, and the const for the next hash."""
-    nxt = const * mult & _MASK32
-    words = (words ^ np.uint32(const)) * np.uint32(nxt)
-    return words ^ (words >> np.uint32(16)), nxt
+def _hash(words: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashes j = 0, 1, ... of uint32 words, stacked on a first axis.
+
+    Hash j xors words[j] (or words, broadcast) with consts[j], multiplies by
+    consts[j + 1], the const it advances SeedSequence to, and xor-shifts.
+    """
+    words = (words ^ consts[:-1, None]) * consts[1:, None]
+    return words ^ (words >> np.uint32(16))
+
+
+def _consts(init: int, mult: int, n: int) -> np.ndarray:
+    """init and the n consts that SeedSequence's hashes advance it to, as uint32."""
+    consts = [init]
+    for _ in range(n):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)
 
 
 def _pcg64_states(seeds: list):
@@ -216,22 +227,19 @@ def _pcg64_states(seeds: list):
     the first two words as the initial state and the last two as the stream.
     """
     s = np.array(seeds, dtype=np.uint64)
-    zero = np.zeros(len(seeds), dtype=np.uint32)
-    const, pool = _INIT_A, []
-    for words in (s.astype(np.uint32), (s >> np.uint64(32)).astype(np.uint32), zero, zero):
-        words, const = _hash(words, const, _MULT_A)
-        pool.append(words)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                words, const = _hash(pool[src], const, _MULT_A)
-                mixed = np.uint32(_MIX_L) * pool[dst] - np.uint32(_MIX_R) * words
-                pool[dst] = mixed ^ (mixed >> np.uint32(16))
-    const, out = _INIT_B, np.empty((len(seeds), 8), dtype="<u4")
-    for i in range(8):
-        out[:, i], const = _hash(pool[i % 4], const, _MULT_B)
-    for words in out.view("<u8"):  # a row at a time: a list of N lists would fragment the heap
-        high, low, inc_high, inc_low = words.tolist()
+    words = np.zeros((4, len(seeds)), dtype=np.uint32)
+    words[0], words[1] = s, s >> np.uint64(32)  # low and high word, wrapped into uint32
+    hash_consts = _consts(_INIT_A, _MULT_A, 4 + 4 * 3)  # the pool's 4 hashes, 3 per round
+    pool = _hash(words, hash_consts[:5])
+    for src in range(4):  # each other word mixes in its own hash of pool[src], in order
+        dst = [d for d in range(4) if d != src]
+        hashed = _hash(pool[src], hash_consts[4 + 3 * src : 8 + 3 * src])
+        mixed = np.uint32(_MIX_L) * pool[dst] - np.uint32(_MIX_R) * hashed
+        pool[dst] = mixed ^ (mixed >> np.uint32(16))
+    out = _hash(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _consts(_INIT_B, _MULT_B, 8))
+    out = np.ascontiguousarray(out.T, dtype="<u4")
+    for row in out.view("<u8"):  # a row at a time: a list of N lists would fragment the heap
+        high, low, inc_high, inc_low = row.tolist()
         inc = ((inc_high << 64 | inc_low) << 1 | 1) & _MASK128
         yield ((((high << 64 | low) + inc) * _PCG_MULT + inc) & _MASK128, inc)
 
@@ -249,13 +257,10 @@ def draw_noise(seeds, kind: str, grid: TimeGrid) -> np.ndarray:
     draw = generator.standard_normal if kind == QUADRATURE else generator.random
     noise = np.empty((grid.steps, len(seeds)))
     row = np.empty(grid.steps)
+    seeded = bit_generator.state  # of a fresh PCG64: no buffered 32-bit half word
     for i, (state, inc) in enumerate(_pcg64_states(seeds)):
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        seeded["state"] = {"state": state, "inc": inc}
+        bit_generator.state = seeded
         draw(out=row)
         noise[:, i] = row
     if kind == QUADRATURE:
