@@ -17,6 +17,7 @@ and the innovations read pi(h) from the posterior means already computed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,11 +79,13 @@ def _check_aligned(positions: np.ndarray, weights: np.ndarray) -> None:
 
 def normalized_weights(log_weights: np.ndarray) -> np.ndarray:
     """exp(log_weights) scaled to unit sum; raises when all weights vanish."""
-    top = np.max(log_weights)
-    if not np.isfinite(top):
+    top = log_weights.max()
+    if not math.isfinite(top):
         raise NumericalError("all particle weights vanished")
-    w = np.exp(log_weights - top)
-    return w / w.sum()
+    w = log_weights - top
+    np.exp(w, out=w)
+    w /= w.sum()
+    return w
 
 
 def systematic_resample(
@@ -116,10 +119,21 @@ def particle_step(
         raise ValueError("dt must be positive")
     _check_aligned(positions, log_weights)
     n = len(positions)
-    noise = rng.standard_normal(n) * np.sqrt(dt)
-    moved = positions + cm.drift(positions) * dt + cm.sigma * noise
+    # In-place arithmetic only on arrays this step allocates, in the order of
+    # log_weights + h dY - 0.5 h^2 dt and positions + v dt + sigma noise.
+    noise = rng.standard_normal(n)
+    noise *= math.sqrt(dt)
+    noise *= cm.sigma
+    moved = cm.drift(positions) * dt
+    moved += positions
+    moved += noise
     h = cm.c * moved
-    log_w = log_weights + h * dy - 0.5 * h**2 * dt
+    log_w = h * dy
+    log_w += log_weights
+    np.square(h, out=h)
+    h *= 0.5
+    h *= dt
+    log_w -= h
     w = normalized_weights(log_w)
     if 1.0 / float(w @ w) < RESAMPLE_THRESHOLD * n:
         moved = systematic_resample(moved, w, rng)

@@ -4,6 +4,8 @@ Operators are plain numpy arrays of shape (d, d) with complex entries, or
 stacks of them of shape (..., d, d).
 Everything here is a pure function of its inputs; dimensions up to a few
 tens are the intended regime (tensor products of a handful of qubits).
+`joint_spectra` finds the joint spectral projections of a whole stack of
+commuting families in one pass, one stacked eigh per block size.
 """
 
 from __future__ import annotations
@@ -94,41 +96,108 @@ def trace_distance(rho1: np.ndarray, rho2: np.ndarray) -> float:
 
 
 def joint_spectral_projections(family) -> tuple[tuple, tuple]:
-    """Simultaneously diagonalize a commuting Hermitian family.
+    """Simultaneously diagonalize a commuting Hermitian family: `joint_spectra` of one family.
 
     Returns (eigenvalues, projections): eigenvalues[k] is the tuple of
     eigenvalues of the family members on the range of projections[k].
-    Eigenspaces are refined one family member at a time; eigenvalues closer
-    than EIG_CLUSTER_TOL are grouped into a single degenerate subspace.
     """
-    mats = [as_operator(a) for a in family]
-    if not mats:
+    eigenvalues, projections, count = joint_spectra(family)
+    return tuple(map(tuple, eigenvalues[:count].tolist())), tuple(projections[:count])
+
+
+def _blocks(opens: np.ndarray) -> list:
+    """[(width, (rows, first columns))] of the blocks of each width in the rows of opens.
+
+    A row's blocks open at its True columns (column 0 always) and run to the next.
+    """
+    first = np.flatnonzero(opens)
+    widths = np.diff(first, append=opens.size)
+    return [(int(w), np.divmod(first[widths == w], opens.shape[1])) for w in np.unique(widths)]
+
+
+def _columns(i: np.ndarray, c: np.ndarray, width: int, d: int) -> tuple:
+    """The index of the (len(i), d, width) blocks of columns c[k], ..., c[k] + width - 1 of rows i."""
+    return i[:, None, None], np.arange(d)[:, None], (c[:, None] + np.arange(width))[:, None, :]
+
+
+def joint_spectra(family: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Simultaneously diagonalize a commuting Hermitian family, or a whole stack of them in one pass.
+
+    `family` is a sequence of (d, d) matrices, each validated by
+    `as_operator`, or a stacked array (..., n, d, d) validated by it at once.
+
+    Returns (eigenvalues (..., d, n), projections (..., d, d, d), counts (...)):
+    instance i has counts[i] joint projections, zero-padded past the last,
+    and eigenvalues[i][k] holds the family's eigenvalues on the range of
+    projections[i][k].  Eigenspaces are refined one family member at a time,
+    all blocks of one size at once; eigenvalues closer than EIG_CLUSTER_TOL
+    are grouped into a single degenerate subspace.  Over a stack (..., n, d, d)
+    a failed check names the instance by its C-order index.
+    """
+    if isinstance(family, np.ndarray) and family.ndim > 3:
+        lead = family.shape[:-3]
+        try:
+            m = as_operator(family).reshape((-1,) + family.shape[-3:])
+        except ValueError as exc:
+            first = np.argmin(np.isfinite(family).all(axis=(-3, -2, -1)).ravel())
+            raise ValueError(f"instance {first}: {exc}") from None
+    else:
+        lead, mats = (), [as_operator(a) for a in family]
+        if not mats:
+            raise ValueError("empty operator family")
+        check_dims(*mats)
+        m = np.array(mats)[None]
+    n, d = m.shape[-3], m.shape[-1]
+    if not n:
         raise ValueError("empty operator family")
-    d = check_dims(*mats)
-    for j, a in enumerate(mats):
-        if not is_hermitian(a, COMMUTE_TOL):
-            raise ValueError(f"family member {j} is not Hermitian")
-        for b in mats[j + 1 :]:
-            if max_norm(commutator(a, b)) > COMMUTE_TOL:
-                raise ValueError("family members do not commute")
+    non_hermitian = np.abs(m - dagger(m)).max(axis=(-2, -1)) > COMMUTE_TOL
+    left, right = np.triu_indices(n, 1)
+    a, b = m[:, left], m[:, right]
+    non_commuting = np.abs(a @ b - b @ a).max(axis=(-2, -1)) > COMMUTE_TOL
+    bad = non_hermitian.any(axis=1) | non_commuting.any(axis=1)
+    if bad.any():
+        i = np.argmax(bad)
+        where = f"instance {i}: " if lead else ""
+        for j in range(n):
+            if non_hermitian[i, j]:
+                raise ValueError(where + f"family member {j} is not Hermitian")
+            if non_commuting[i, left == j].any():
+                raise ValueError(where + "family members do not commute")
 
-    # Each block is (basis Q, eigenvalue tuple so far); Q has orthonormal columns.
-    blocks = [(np.eye(d, dtype=complex), ())]
-    for a in mats:
-        refined = []
-        for q, vals in blocks:
-            sub = dagger(q) @ a @ q
+    # Column c of q[i] is a basis vector of the block that opens at the last
+    # column <= c with opens[i] set.  A block splits in place, so the blocks
+    # stay ordered by family member, then by eigenvalue.  Each product is
+    # taken on the blocks of one width, as a per-family loop would take it.
+    q = np.broadcast_to(np.eye(d, dtype=complex), (len(m), d, d)).copy()
+    opens = np.zeros((len(m), d), dtype=bool)
+    opens[:, 0] = True
+    values = np.zeros((len(m), d, n))  # each column's eigenvalues
+    for j in range(n):
+        for s, (i, c) in _blocks(opens):
+            block = q[_columns(i, c, s, d)]
+            sub = dagger(block) @ m[i, j] @ block
             w, v = np.linalg.eigh(0.5 * (sub + dagger(sub)))
-            start = 0
-            for i in range(1, len(w) + 1):
-                if i == len(w) or w[i] - w[start] > EIG_CLUSTER_TOL:
-                    vecs = v[:, start:i]
-                    lam = float(w[start:i].sum()) / (i - start)
-                    refined.append((q @ vecs, vals + (lam,)))
-                    start = i
-        blocks = refined
+            cut = np.zeros(w.shape, dtype=bool)
+            cut[:, 0] = True
+            start = w[:, 0]
+            for k in range(1, s):
+                cut[:, k] = w[:, k] - start > EIG_CLUSTER_TOL
+                start = np.where(cut[:, k], w[:, k], start)
+            for width, (g, k) in _blocks(cut):
+                q[_columns(i[g], c[g] + k, width, d)] = block[g] @ v[_columns(g, k, width, s)]
+                cluster = k[:, None] + np.arange(width)
+                mean = w[g[:, None], cluster].sum(axis=1) / width
+                values[i[g, None], c[g, None] + cluster, j] = mean[:, None]
+            opens[i[:, None], c[:, None] + np.arange(s)] = cut
 
-    return tuple(vals for _, vals in blocks), tuple(q @ dagger(q) for q, _ in blocks)
+    index = np.cumsum(opens, axis=1) - 1
+    eigenvalues = np.zeros((len(m), d, n))
+    projections = np.zeros((len(m), d, d, d), dtype=complex)
+    for width, (i, c) in _blocks(opens):
+        vecs = q[_columns(i, c, width, d)]
+        eigenvalues[i, index[i, c]] = values[i, c]
+        projections[i, index[i, c]] = vecs @ dagger(vecs)
+    return tuple(x.reshape(lead + x.shape[1:]) for x in (eigenvalues, projections, opens.sum(axis=1)))
 
 
 # --- common fixed operators -------------------------------------------------

@@ -6,8 +6,9 @@ through the joint spectral projections of the generating observables.
 
 Every function also takes a stack of instances: operands of shape
 (..., d, d) and an algebra whose arrays carry the same leading axes.  A
-stacked algebra pads each instance to k = d projections with zero
-projections; a zero projection has weight 0 in every state, so its branch
+stacked algebra finds the projections of all its instances in one pass
+(`linalg.joint_spectra`) and pads each instance to k = d projections with
+zero projections; a zero projection has weight 0 in every state, so its branch
 is not live, gets coefficient 0 and commutes with everything.
 """
 
@@ -24,7 +25,7 @@ from .linalg import (
     commutator,
     dagger,
     is_unitary,
-    joint_spectral_projections,
+    joint_spectra,
     max_norm,
 )
 
@@ -46,9 +47,10 @@ class MeasurementAlgebra:
 
     Held as its (..., n, d, d) generators and (..., k, d, d) joint spectral
     projections, which in finite dimension carry the full algebra.  Given
-    generators alone (a sequence of (d, d) matrices, or a stacked array),
-    the projections are found per instance and a stack is padded to k = d;
-    projections given with them are kept as they are.
+    generators alone, the projections are found: one family's k of them from
+    a sequence of (d, d) matrices, or those of a whole stacked array in one
+    pass, each instance padded to k = d.  Projections given with the
+    generators are kept as they are.
     """
 
     generators: np.ndarray
@@ -57,15 +59,9 @@ class MeasurementAlgebra:
     def __post_init__(self):
         gens = self.generators
         if self.projections is None:
-            # joint_spectral_projections validates each generator (`as_operator`).
-            if isinstance(gens, np.ndarray) and gens.ndim > 3:
-                found = np.zeros(gens.shape[:-3] + gens.shape[-1:] * 3, dtype=complex)
-                for i in np.ndindex(gens.shape[:-3]):
-                    p = joint_spectral_projections(gens[i])[1]
-                    found[i][: len(p)] = p
-            else:
-                found = np.array(joint_spectral_projections(gens)[1])
-            object.__setattr__(self, "projections", found)
+            # joint_spectra validates the generators (`as_operator`).
+            _, found, count = joint_spectra(gens)
+            object.__setattr__(self, "projections", found if found.ndim > 3 else found[:count])
         object.__setattr__(self, "generators", np.asarray(gens, dtype=complex))
 
     @property

@@ -6,11 +6,22 @@
 is checked against.  They raise the package's error types with its messages.
 `reference_noise` draws one trajectory's noise from a numpy Generator, the
 stream that `trajectory.draw_noise` reproduces column by column from seeds.
+`joint_spectral_projections` refines one commuting family a block at a
+time, the per-family loop that `linalg.joint_spectra` runs over whole stacks.
 """
 
 import numpy as np
 
-from qfilter.linalg import dagger
+from qfilter.linalg import (
+    COMMUTE_TOL,
+    EIG_CLUSTER_TOL,
+    as_operator,
+    check_dims,
+    commutator,
+    dagger,
+    is_hermitian,
+    max_norm,
+)
 from qfilter.master import TimeGrid
 from qfilter.model import adjoint_generator, lindblad_adjoint
 from qfilter.trajectory import (
@@ -99,3 +110,41 @@ def rk4_reference(model, beta, rho0, grid):
         rho = rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         states.append(rho)
     return np.array(states)
+
+
+def joint_spectral_projections(family) -> tuple[tuple, tuple]:
+    """Simultaneously diagonalize a commuting Hermitian family.
+
+    Returns (eigenvalues, projections): eigenvalues[k] is the tuple of
+    eigenvalues of the family members on the range of projections[k].
+    Eigenspaces are refined one family member at a time; eigenvalues closer
+    than EIG_CLUSTER_TOL are grouped into a single degenerate subspace.
+    """
+    mats = [as_operator(a) for a in family]
+    if not mats:
+        raise ValueError("empty operator family")
+    d = check_dims(*mats)
+    for j, a in enumerate(mats):
+        if not is_hermitian(a, COMMUTE_TOL):
+            raise ValueError(f"family member {j} is not Hermitian")
+        for b in mats[j + 1 :]:
+            if max_norm(commutator(a, b)) > COMMUTE_TOL:
+                raise ValueError("family members do not commute")
+
+    # Each block is (basis Q, eigenvalue tuple so far); Q has orthonormal columns.
+    blocks = [(np.eye(d, dtype=complex), ())]
+    for a in mats:
+        refined = []
+        for q, vals in blocks:
+            sub = dagger(q) @ a @ q
+            w, v = np.linalg.eigh(0.5 * (sub + dagger(sub)))
+            start = 0
+            for i in range(1, len(w) + 1):
+                if i == len(w) or w[i] - w[start] > EIG_CLUSTER_TOL:
+                    vecs = v[:, start:i]
+                    lam = float(w[start:i].sum()) / (i - start)
+                    refined.append((q @ vecs, vals + (lam,)))
+                    start = i
+        blocks = refined
+
+    return tuple(vals for _, vals in blocks), tuple(q @ dagger(q) for q, _ in blocks)

@@ -19,6 +19,7 @@ from qfilter.linalg import (
     hermitian_part,
     is_hermitian,
     is_unitary,
+    joint_spectra,
     joint_spectral_projections,
     max_norm,
     normalized_density,
@@ -29,6 +30,8 @@ from qfilter.linalg import (
     trace_distance,
     validate_density,
 )
+from qfilter.qprob import MeasurementAlgebra
+from reference import joint_spectral_projections as reference_projections
 
 
 def test_as_operator_rejects_bad_shapes():
@@ -183,3 +186,87 @@ def test_random_instances_keep_their_values():
     for dim in range(1, 9):
         for draw, reference in pairs:
             assert draw(rng, dim).tobytes() == reference(reference_rng, dim).tobytes()
+
+
+def commuting_family(rng, dim: int, spectra: np.ndarray) -> np.ndarray:
+    """The (n, d, d) family with these integer spectra in one Haar-random eigenbasis."""
+    u = haar_unitary(ginibre(rng.standard_normal((2, dim, dim))))
+    return u @ (spectra[:, :, None] * np.eye(dim)) @ dagger(u)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 6),
+    st.integers(1, 3),
+    st.lists(st.sampled_from(["one", "some", "all"]), min_size=1, max_size=5),
+)
+def test_joint_spectra_of_a_stack_equal_the_per_family_reference(seed, dim, n, kinds):
+    # Integer spectra in [-2, 2], so degenerate blocks occur; an instance has
+    # one block, some, or d blocks (distinct joint eigenvalue tuples).
+    rng = np.random.default_rng(seed)
+    spectra = []
+    for kind in kinds:
+        if kind == "one":
+            spectra.append(np.repeat(rng.integers(-2, 3, (n, 1)), dim, axis=1))
+        elif kind == "all" and 5**n >= dim:
+            tuples = rng.choice(5**n, dim, replace=False)
+            spectra.append(np.array(np.unravel_index(tuples, (5,) * n)) - 2)
+        else:
+            spectra.append(rng.integers(-2, 3, (n, dim)))
+    stack = np.array([commuting_family(rng, dim, e) for e in spectra])
+    eigenvalues, projections, counts = joint_spectra(stack)
+    assert eigenvalues.shape == (len(kinds), dim, n)
+    assert projections.shape == (len(kinds), dim, dim, dim)
+    for family, e, kind, values, p, k in zip(stack, spectra, kinds, eigenvalues, projections, counts):
+        ref_values, ref_p = reference_projections(family)
+        assert k == len(ref_p) == len(set(zip(*e)))
+        if kind == "one" or (kind == "all" and 5**n >= dim):
+            assert k == (1 if kind == "one" else dim)
+        assert max_norm(values[:k] - np.array(ref_values)) <= 1e-12
+        assert max_norm(p[:k] - np.array(ref_p)) <= 1e-12
+        assert not values[k:].any() and not p[k:].any()
+        # The one-family forms return the same values.
+        single_values, single_p = joint_spectral_projections(family)
+        assert len(single_p) == k and all(len(v) == n for v in single_values)
+        assert max_norm(np.array(single_values) - np.array(ref_values)) <= 1e-12
+        assert max_norm(np.array(single_p) - np.array(ref_p)) <= 1e-12
+
+
+def _bad_families():
+    """{case: (a (2, 2, 2) or (2, 2, 3) family that fails one check, a part of its message)}."""
+    h = np.diag([1.0, -1.0]).astype(complex)
+    non_hermitian = np.diag([1j, 0.0])  # commutes with h
+    return {
+        "non-square": (np.ones((2, 2, 3)), "square"),
+        "non-finite": (np.array([h, np.diag([np.nan, 1.0])]), "non-finite"),
+        "non-Hermitian": (np.array([h, non_hermitian]), "family member 1 is not Hermitian"),
+        "non-commuting": (np.array([SIGMA_Z, SIGMA_X]), "family members do not commute"),
+        # Member 0 fails to commute before member 1 is checked for Hermiticity.
+        "both": (np.array([SIGMA_Z, SIGMA_MINUS]), "family members do not commute"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_bad_families()))
+def test_a_bad_family_alone_raises_the_reference_message(case):
+    family, expected = _bad_families()[case]
+    with pytest.raises(ValueError) as ref:
+        reference_projections(family)
+    for call in (joint_spectral_projections, lambda f: joint_spectra(list(f))):
+        with pytest.raises(ValueError) as new:
+            call(family)
+        assert str(new.value) == str(ref.value)
+        assert expected in str(new.value)
+
+
+@pytest.mark.parametrize("case", list(_bad_families()))
+def test_a_bad_family_in_a_stack_names_its_instance(case):
+    family, expected = _bad_families()[case]
+    good = np.array([np.eye(family.shape[-2], family.shape[-1])] * len(family), dtype=complex)
+    index = 0 if case == "non-square" else 3  # every instance of a non-square stack is non-square
+    stack = np.array([good] * 5)
+    stack[index] = family
+    with pytest.raises(ValueError, match=f"^instance {index}: .*{expected}"):
+        joint_spectra(stack)
+    with pytest.raises(ValueError, match=f"^instance {index}: .*{expected}"):
+        MeasurementAlgebra(stack)
