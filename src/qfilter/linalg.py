@@ -112,7 +112,7 @@ def _blocks(opens: np.ndarray) -> list:
     """
     first = np.flatnonzero(opens)
     widths = np.diff(first, append=opens.size)
-    return [(int(w), np.divmod(first[widths == w], opens.shape[1])) for w in np.unique(widths)]
+    return [(w, np.divmod(first[widths == w], opens.shape[1])) for w in sorted(set(widths.tolist()))]
 
 
 def _columns(i: np.ndarray, c: np.ndarray, width: int, d: int) -> tuple:
