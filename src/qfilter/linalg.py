@@ -106,10 +106,8 @@ def joint_spectral_projections(family) -> tuple[tuple, tuple]:
 
 
 def _blocks(opens: np.ndarray) -> list:
-    """[(width, (rows, first columns))] of the blocks of each width in the rows of opens.
-
-    A row's blocks open at its True columns (column 0 always) and run to the next.
-    """
+    """[(width, (rows, first columns))] of the blocks of each width; a row of
+    `opens` opens a block at each True column (column 0 always)."""
     first = np.flatnonzero(opens)
     widths = np.diff(first, append=opens.size)
     return [(w, np.divmod(first[widths == w], opens.shape[1])) for w in sorted(set(widths.tolist()))]
@@ -120,19 +118,18 @@ def _columns(i: np.ndarray, c: np.ndarray, width: int, d: int) -> tuple:
     return i[:, None, None], np.arange(d)[:, None], (c[:, None] + np.arange(width))[:, None, :]
 
 
-def joint_spectra(family: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Simultaneously diagonalize a commuting Hermitian family, or a whole stack of them in one pass.
+def joint_spectra(family) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Simultaneously diagonalize a commuting Hermitian family, or a whole stack in one pass.
 
     `family` is a sequence of (d, d) matrices, each validated by
-    `as_operator`, or a stacked array (..., n, d, d) validated by it at once.
-
+    `as_operator`, or an array (..., n, d, d) of families validated at once.
     Returns (eigenvalues (..., d, n), projections (..., d, d, d), counts (...)):
     instance i has counts[i] joint projections, zero-padded past the last,
     and eigenvalues[i][k] holds the family's eigenvalues on the range of
     projections[i][k].  Eigenspaces are refined one family member at a time,
     all blocks of one size at once; eigenvalues closer than EIG_CLUSTER_TOL
-    are grouped into a single degenerate subspace.  Over a stack (..., n, d, d)
-    a failed check names the instance by its C-order index.
+    are grouped into a single degenerate subspace.  A failed check on a stack
+    names the instance by its C-order index.
     """
     if isinstance(family, np.ndarray) and family.ndim > 3:
         lead = family.shape[:-3]
@@ -150,19 +147,19 @@ def joint_spectra(family: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     n, d = m.shape[-3], m.shape[-1]
     if not n:
         raise ValueError("empty operator family")
-    non_hermitian = np.abs(m - dagger(m)).max(axis=(-2, -1)) > COMMUTE_TOL
-    left, right = np.triu_indices(n, 1)
+    # Pairs (j, j) check that member j is Hermitian, pairs (j, k > j) that j
+    # and k commute, in the order a per-member loop checks them.
+    left, right = np.triu_indices(n)
     a, b = m[:, left], m[:, right]
-    non_commuting = np.abs(a @ b - b @ a).max(axis=(-2, -1)) > COMMUTE_TOL
-    bad = non_hermitian.any(axis=1) | non_commuting.any(axis=1)
-    if bad.any():
-        i = np.argmax(bad)
-        where = f"instance {i}: " if lead else ""
-        for j in range(n):
-            if non_hermitian[i, j]:
-                raise ValueError(where + f"family member {j} is not Hermitian")
-            if non_commuting[i, left == j].any():
-                raise ValueError(where + "family members do not commute")
+    residual = np.where((left == right)[:, None, None], a - dagger(a), a @ b - b @ a)
+    failed = np.argwhere(np.abs(residual).max(axis=(-2, -1)) > COMMUTE_TOL)
+    if len(failed):
+        i, pair = failed[0]
+        j = left[pair]
+        message = "family members do not commute"
+        if j == right[pair]:
+            message = f"family member {j} is not Hermitian"
+        raise ValueError((f"instance {i}: " if lead else "") + message)
 
     # Column c of q[i] is a basis vector of the block that opens at the last
     # column <= c with opens[i] set.  A block splits in place, so the blocks
