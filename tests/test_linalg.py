@@ -221,8 +221,10 @@ def test_joint_spectra_of_a_stack_equal_the_per_family_reference(seed, dim, n, k
     for family, e, kind, values, p, k in zip(stack, spectra, kinds, eigenvalues, projections, counts):
         ref_values, ref_p = reference_projections(family)
         assert k == len(ref_p) == len(set(zip(*e)))
-        if kind == "one" or (kind == "all" and 5**n >= dim):
-            assert k == (1 if kind == "one" else dim)
+        if kind == "one":
+            assert k == 1
+        if kind == "all" and 5**n >= dim:
+            assert k == dim
         assert max_norm(values[:k] - np.array(ref_values)) <= 1e-12
         assert max_norm(p[:k] - np.array(ref_p)) <= 1e-12
         assert not values[k:].any() and not p[k:].any()
