@@ -14,11 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import classical as cl
+# ensemble, classical and verify are imported by the commands that run them.
 from . import io as qio
-from . import verify as qverify
 from .config import ConfigError, RunConfig, parse_config
-from .ensemble import run_ensemble
 from .linalg import NumericalError
 from .master import integrate_master
 from .trajectory import filter_record, simulate_record
@@ -124,6 +122,7 @@ def cmd_filter(args, cfg: RunConfig) -> int:
 def cmd_ensemble(args, cfg: RunConfig) -> int:
     if args.trajectories < 1:
         raise ValueError(f"--trajectories: must be >= 1, got {args.trajectories}")
+    from .ensemble import run_ensemble
     columns = run_ensemble(
         cfg.model, cfg.beta, cfg.rho0, cfg.measurement, cfg.grid, args.trajectories,
         master_seed=args.seed, observables=cfg.observables,
@@ -138,13 +137,15 @@ def cmd_ensemble(args, cfg: RunConfig) -> int:
 def cmd_classical(args, cfg: RunConfig) -> int:
     if cfg.classical is None:
         raise ConfigError("classical", "config has no 'classical' section")
-    columns = cl.run_benchmark(cfg.grid, args.seed, **cfg.classical)
+    from .classical import run_benchmark
+    columns = run_benchmark(cfg.grid, args.seed, **cfg.classical)
     qio.write_classical_csv(_out_path(args, cfg, "classical"), cfg.grid.times(), columns)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    results = qverify.full_suite(seed=args.seed, dims_check=args.dims_check)
+    from .verify import full_suite
+    results = full_suite(seed=args.seed, dims_check=args.dims_check)
     for r in results:
         print(r.line())
     failed = [r for r in results if not r.passed]

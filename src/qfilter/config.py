@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .classical import PRESETS as CLASSICAL_PRESETS
 from .linalg import PAULI_BY_NAME, is_hermitian, is_unitary, validate_density
 from .master import TimeGrid
 from .model import CoherentInput, HPModel
@@ -192,6 +191,7 @@ CLASSICAL_DEFAULTS = {
 
 def parse_classical(data, path: str = "classical") -> dict:
     """The keyword arguments of classical.run_benchmark, defaults filled in."""
+    from .classical import PRESETS as CLASSICAL_PRESETS  # a config without this section never loads classical
     if not isinstance(data, dict):
         raise ConfigError(path, "expected an object")
     for key in data:
@@ -237,8 +237,8 @@ def parse_config(path) -> RunConfig:
     if not path.exists():
         raise ConfigError(str(path), "config file does not exist")
     try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSON text is UTF-8 (RFC 8259), so a UnicodeDecodeError too
         raise ConfigError(str(path), f"malformed JSON: {exc}") from exc
     return parse_config_dict(data)
 

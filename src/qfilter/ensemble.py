@@ -38,8 +38,10 @@ def mix_seed(master_seed: int, index: int) -> int:
 
 def _checkpoint_steps(steps: int) -> np.ndarray:
     n = min(N_CHECKPOINTS, steps)
-    # Evenly spaced, always including the final step.
-    return np.unique(np.round(np.linspace(0, steps, n + 1)[1:]).astype(int))
+    # Evenly spaced, always including the final step. They are sorted, so a step that
+    # repeats the one before is dropped without np.unique, whose first call imports numpy.ma.
+    at = np.round(np.linspace(0, steps, n + 1)[1:]).astype(int)
+    return at[np.diff(at, prepend=-1) != 0]
 
 
 def _mean_stderr(x: np.ndarray) -> list:

@@ -11,7 +11,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .ensemble import innovations_z
 from .master import TimeGrid
 from .trajectory import COUNTING, MeasurementRecord
 
@@ -25,7 +24,7 @@ def _write_rows(path, header: list, columns: list) -> None:
     whole table, as numbers or as text, is held.
     """
     fmt = ",".join(["%.17g"] * len(columns)) + "\n"
-    with Path(path).open("w", newline="\n") as f:
+    with Path(path).open("w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(header) + "\n")
         for start in range(0, len(columns[0]), ROW_BLOCK):
             block = [np.asarray(c[start : start + ROW_BLOCK], dtype=float).tolist() for c in columns]
@@ -58,14 +57,14 @@ def write_record_csv(path, record: MeasurementRecord) -> None:
         lines += [str(int(v)) for v in record.increments]
     else:
         lines += ["%.17g" % v for v in record.increments.tolist()]
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def read_record_csv(path) -> MeasurementRecord:
-    lines = Path(path).read_text().strip().splitlines()
-    if len(lines) < 2 or lines[0] != "kind,dt,steps":
-        raise ValueError(f"{path}: not a measurement-record CSV")
-    try:
+    try:  # a file that is not UTF-8 fails here too, with a UnicodeDecodeError
+        lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
+        if len(lines) < 2 or lines[0] != "kind,dt,steps":
+            raise ValueError("not a measurement-record CSV")
         kind, dt_s, steps_s = lines[1].split(",")
         steps = int(steps_s)
         values = [float(v) for v in lines[2:]]
@@ -81,6 +80,7 @@ def write_ensemble_outputs(
     summary_path, series_path, columns: dict, n_traj: int, master_seed: int, kind: str
 ) -> None:
     """ensemble.json (the run and its headline numbers) and ensemble.csv (`columns`, in order)."""
+    from .ensemble import innovations_z  # only an ensemble run loads ensemble
     summary = {
         "n_trajectories": n_traj,
         "master_seed": master_seed,
@@ -89,7 +89,7 @@ def write_ensemble_outputs(
         "max_abs_innovations_z": float(np.max(np.abs(innovations_z(columns)))),
         "checkpoint_times": columns["t"].tolist(),
     }
-    Path(summary_path).write_text(json.dumps(summary, indent=2) + "\n")
+    Path(summary_path).write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
     _write_rows(series_path, list(columns), list(columns.values()))
 
 

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qfilter
 from qfilter.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from qfilter.config import matrix_to_json
 
@@ -470,3 +475,92 @@ def test_usage_error_exits_with_the_validation_code(capsys, argv):
         main(argv)
     assert exc.value.code == EXIT_VALIDATION
     assert "error:" in capsys.readouterr().err
+
+
+RUN_COMMANDS = """
+import json, sys
+from qfilter.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
+"""
+# LC_ALL=C without coercion or UTF-8 mode: the locale's encoding is ASCII.
+C_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
+def run_fresh(commands: list, **env):
+    """Exit codes of `commands`, each an argv run by main in one fresh interpreter, and its modules."""
+    src = str(Path(qfilter.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN_COMMANDS, json.dumps(commands)],
+        env={**os.environ, "PYTHONPATH": src, **env},
+        capture_output=True, encoding="utf-8", timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    return result["codes"], set(result["modules"]), proc.stderr
+
+
+DEFERRED = ("verify", "ito", "qprob", "classical", "ensemble")
+
+
+@pytest.mark.parametrize(
+    "commands, loaded",
+    [
+        ([], set()),
+        (["master", "simulate", "filter"], set()),
+        (["ensemble"], {"ensemble"}),
+        (["classical"], {"classical"}),
+        (["verify"], {"verify", "ito", "qprob"}),
+    ],
+    ids=["import", "master-simulate-filter", "ensemble", "classical", "verify"],
+)
+def test_a_command_imports_only_the_modules_it_runs(tmp_path, commands, loaded):
+    """Only ensemble, classical and verify load their own modules; a config without a
+    classical section never loads classical."""
+    classical = {"classical": {"particles": 50}} if "classical" in commands else {}
+    cfg, out = write_config(tmp_path, **classical), tmp_path / "out"
+    argvs = [
+        ["verify", "--seed", "0"] if c == "verify" else [c, "--config", str(cfg), "--out", str(out)]
+        for c in commands
+    ]
+    codes, modules, _ = run_fresh(argvs)
+    assert codes == [EXIT_OK] * len(commands)
+    assert {m for m in DEFERRED if f"qfilter.{m}" in modules} == loaded
+
+
+def test_text_io_is_utf8_under_an_ascii_locale(tmp_path):
+    data = json.loads(write_config(tmp_path).read_text())
+    data["observables"].insert(1, {"name": "\u03c3z", "matrix": matrix_to_json(np.diag([1.0, -1.0]))})
+    cfg = tmp_path / "utf8.json"
+    cfg.write_bytes(json.dumps(data, ensure_ascii=False).encode("utf-8"))
+    out = tmp_path / "out"
+    argvs = [[c, "--config", str(cfg), "--out", str(out)] for c in ("master", "simulate")]
+    codes, _, err = run_fresh(argvs, **C_LOCALE)
+    assert codes == [EXIT_OK, EXIT_OK], err
+    simulated = (out / "states.csv").read_bytes()
+    codes, _, err = run_fresh([["filter", "--config", str(cfg), "--out", str(out)]], **C_LOCALE)
+    assert codes == [EXIT_OK], err
+    assert (out / "states.csv").read_bytes() == simulated
+    header = "t,sigma_z,\u03c3z,p_excited,trace,purity".encode("utf-8")
+    assert (out / "master.csv").read_bytes().startswith(header + b"\n")
+    assert simulated.startswith(header + b",innovations\n")
+
+    # A config or record that is not UTF-8 fails validation, naming the file.
+    bad_cfg, bad_out = tmp_path / "not_utf8.json", tmp_path / "bad"
+    bad_cfg.write_bytes(cfg.read_bytes().replace("\u03c3".encode("utf-8"), b"\xcf"))
+    bad_out.mkdir()
+    (bad_out / "record.csv").write_bytes((out / "record.csv").read_bytes().replace(b"\n", b"\xff\n", 1))
+    argvs = [
+        ["master", "--config", str(bad_cfg), "--out", str(bad_out)],
+        ["filter", "--config", str(cfg), "--out", str(bad_out)],
+    ]
+    codes, _, err = run_fresh(argvs, **C_LOCALE)
+    assert codes == [EXIT_VALIDATION, EXIT_VALIDATION]
+    at = bad_cfg.read_bytes().index(b"\xcf")
+    assert err.splitlines() == [
+        f"error: {bad_cfg}: malformed JSON: 'utf-8' codec can't decode byte 0xcf in position {at}: "
+        "invalid continuation byte",
+        f"error: {bad_out / 'record.csv'}: 'utf-8' codec can't decode byte 0xff in position 13: "
+        "invalid start byte",
+    ]
+    assert not (bad_out / "master.csv").exists()

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import qfilter
 from conftest import EXCITED, bias_ensemble_records, decay_model, martingale_test
-from qfilter.ensemble import N_CHECKPOINTS, mix_seed, run_ensemble
+from qfilter.ensemble import N_CHECKPOINTS, _checkpoint_steps, mix_seed, run_ensemble
 from qfilter.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
 from qfilter.master import TimeGrid
 from qfilter.model import CoherentInput
@@ -30,6 +36,33 @@ def test_mix_seed_spreads_and_is_deterministic():
     assert mix_seed(42, 7) == mix_seed(42, 7)
     assert mix_seed(42, 7) != mix_seed(43, 7)
     assert all(0 <= s < 2**64 for s in seeds)
+
+
+def test_checkpoint_steps_equal_the_unique_of_the_rounded_spacing():
+    for steps in [*range(1, 400), 999, 1000, 1001, 4097, 20000]:
+        n = min(N_CHECKPOINTS, steps)
+        expected = np.unique(np.round(np.linspace(0, steps, n + 1)[1:]).astype(int))
+        np.testing.assert_array_equal(_checkpoint_steps(steps), expected)
+
+
+def test_an_ensemble_run_leaves_numpy_ma_unimported():
+    """np.unique imports numpy.ma on its first call, 1.6 MB and 10-20 ms per process."""
+    code = """
+import sys
+import numpy as np
+from qfilter.ensemble import run_ensemble
+from qfilter.master import TimeGrid
+from qfilter.linalg import SIGMA_MINUS
+from qfilter.model import CoherentInput, HPModel
+model = HPModel(np.eye(2), SIGMA_MINUS, np.zeros((2, 2)))
+run_ensemble(model, CoherentInput.constant(0.5), np.diag([1.0, 0]), "counting", TimeGrid(1e-3, 200), 20)
+print("numpy.ma" in sys.modules)
+"""
+    src = str(Path(qfilter.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 def test_config_validation():
