@@ -178,10 +178,8 @@ def main(argv=None) -> int:
     try:
         with np.errstate(all="ignore"):  # each loop rejects non-finite values, naming the step
             return dispatch(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:  # e.g. --config names a directory, or --out lies below a file
+    except (ValueError, OSError) as exc:
+        # An OSError when e.g. --config names a directory, or --out lies below a file.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except MemoryError as exc:

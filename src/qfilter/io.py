@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .master import TimeGrid
-from .trajectory import COUNTING, MeasurementRecord
+from .trajectory import MeasurementRecord
 
 ROW_BLOCK = 256
 
@@ -53,10 +53,7 @@ def write_states_csv(path, times, rhos, observables: dict, innovations=None) -> 
 
 def write_record_csv(path, record: MeasurementRecord) -> None:
     lines = ["kind,dt,steps", "%s,%.17g,%d" % (record.kind, record.grid.dt, record.grid.steps)]
-    if record.kind == COUNTING:
-        lines += [str(int(v)) for v in record.increments]
-    else:
-        lines += ["%.17g" % v for v in record.increments.tolist()]
+    lines += ["%.17g" % v for v in record.increments.tolist()]  # counts read 0 and 1
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 

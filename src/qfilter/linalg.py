@@ -95,16 +95,6 @@ def trace_distance(rho1: np.ndarray, rho2: np.ndarray) -> float:
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
 
 
-def joint_spectral_projections(family) -> tuple[tuple, tuple]:
-    """Simultaneously diagonalize a commuting Hermitian family: `joint_spectra` of one family.
-
-    Returns (eigenvalues, projections): eigenvalues[k] is the tuple of
-    eigenvalues of the family members on the range of projections[k].
-    """
-    eigenvalues, projections, count = joint_spectra(family)
-    return tuple(map(tuple, eigenvalues[:count].tolist())), tuple(projections[:count])
-
-
 def _blocks(opens: np.ndarray) -> list:
     """[(width, (rows, first columns))] of the blocks of each width; a row of
     `opens` opens a block at each True column (column 0 always)."""

@@ -287,8 +287,11 @@ def test_record_csv_round_trip(tmp_path):
     assert back.grid.dt == grid.dt
     assert np.array_equal(back.increments, quad.increments)  # byte-exact floats
 
-    cnt = MeasurementRecord(kind=COUNTING, grid=grid, increments=(rng.random(50) < 0.1).astype(float))
+    jumps = rng.random(50) < 0.1
+    cnt = MeasurementRecord(kind=COUNTING, grid=grid, increments=jumps.astype(float))
     write_record_csv(path, cnt)
+    counts = "".join("%d\n" % jump for jump in jumps)
+    assert path.read_bytes() == ("kind,dt,steps\ncounting,0.001,50\n" + counts).encode()
     back = read_record_csv(path)
     assert np.array_equal(back.increments, cnt.increments)
 

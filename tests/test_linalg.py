@@ -20,7 +20,6 @@ from qfilter.linalg import (
     is_hermitian,
     is_unitary,
     joint_spectra,
-    joint_spectral_projections,
     max_norm,
     normalized_density,
     random_density,
@@ -104,7 +103,7 @@ def validate_projections(projections, tol=PROJ_TOL):
         raise ValueError("projections do not resolve the identity")
 
 
-def test_joint_spectral_projections_resolve_and_commute():
+def test_joint_spectra_of_one_family_resolve_and_commute():
     rng = np.random.default_rng(4)
     for _ in range(20):
         dim = int(rng.choice([2, 4, 6]))
@@ -113,7 +112,8 @@ def test_joint_spectral_projections_resolve_and_commute():
             u @ np.diag(rng.integers(-2, 3, size=dim).astype(float)).astype(complex) @ dagger(u)
             for _ in range(2)
         ]
-        eigenvalues, projections = joint_spectral_projections(fam)
+        eigenvalues, projections, count = joint_spectra(fam)
+        eigenvalues, projections = eigenvalues[:count], projections[:count]
         validate_projections(projections)
         # Each family member is reconstructed from its joint eigenvalues.
         for j, a in enumerate(fam):
@@ -121,21 +121,21 @@ def test_joint_spectral_projections_resolve_and_commute():
             assert max_norm(rebuilt - a) < 1e-9
 
 
-def test_joint_spectral_projections_rejects_noncommuting():
+def test_joint_spectra_rejects_noncommuting():
     with pytest.raises(ValueError):
-        joint_spectral_projections([SIGMA_X, SIGMA_Z])
+        joint_spectra([SIGMA_X, SIGMA_Z])
     with pytest.raises(ValueError):
-        joint_spectral_projections([SIGMA_MINUS])
+        joint_spectra([SIGMA_MINUS])
     with pytest.raises(ValueError):
-        joint_spectral_projections([])
+        joint_spectra([])
 
 
 def test_degenerate_family_keeps_degenerate_block():
     # sigma_z (x) I on two qubits: two 2-dimensional eigenprojections.
     a = np.kron(SIGMA_Z, np.eye(2)).astype(complex)
-    _, projections = joint_spectral_projections([a])
-    assert len(projections) == 2
-    assert all(np.trace(p).real == pytest.approx(2.0) for p in projections)
+    _, projections, count = joint_spectra([a])
+    assert count == 2
+    assert all(np.trace(p).real == pytest.approx(2.0) for p in projections[:count])
 
 
 def test_random_unitary_is_haar_like_deterministic():
@@ -228,11 +228,11 @@ def test_joint_spectra_of_a_stack_equal_the_per_family_reference(seed, dim, n, k
         assert max_norm(values[:k] - np.array(ref_values)) <= 1e-12
         assert max_norm(p[:k] - np.array(ref_p)) <= 1e-12
         assert not values[k:].any() and not p[k:].any()
-        # The one-family forms return the same values.
-        single_values, single_p = joint_spectral_projections(family)
-        assert len(single_p) == k and all(len(v) == n for v in single_values)
-        assert max_norm(np.array(single_values) - np.array(ref_values)) <= 1e-12
-        assert max_norm(np.array(single_p) - np.array(ref_p)) <= 1e-12
+        # The family alone returns the same values.
+        single_values, single_p, single_k = joint_spectra(family)
+        assert single_k == k and single_values.shape == (dim, n)
+        assert max_norm(single_values[:k] - np.array(ref_values)) <= 1e-12
+        assert max_norm(single_p[:k] - np.array(ref_p)) <= 1e-12
 
 
 def _bad_families():
@@ -254,7 +254,7 @@ def test_a_bad_family_alone_raises_the_reference_message(case):
     family, expected = _bad_families()[case]
     with pytest.raises(ValueError) as ref:
         reference_projections(family)
-    for call in (joint_spectral_projections, lambda f: joint_spectra(list(f))):
+    for call in (joint_spectra, lambda f: joint_spectra(list(f))):
         with pytest.raises(ValueError) as new:
             call(family)
         assert str(new.value) == str(ref.value)

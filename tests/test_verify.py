@@ -1,6 +1,7 @@
 """The verify suites: injected faults fail their checks, NaN residuals fail,
 each seed draws a fixed number of instances per dimension, checked in one stack,
-and the stacked draws equal the per-instance draws they replace."""
+every check passes on more seeds, and each stack equals its instances formed
+one at a time from the same normals."""
 
 from collections import Counter
 
@@ -12,7 +13,11 @@ from qfilter import ito, qprob, verify
 from qfilter.cli import EXIT_NUMERICAL, main
 from qfilter.linalg import (
     dagger,
+    ginibre,
+    haar_unitary,
+    hermitian_part,
     max_norm,
+    normalized_density,
     random_density,
     random_hermitian,
     random_matrix,
@@ -79,10 +84,10 @@ def test_non_unitary_rotation_raises_in_the_suite(monkeypatch):
 
 # Instances per dimension drawn by full_suite: (qprob, ito).
 INSTANCE_COUNTS = {
-    (0, False): ({2: 51, 4: 49}, {2: 32, 3: 30, 4: 38}),
-    (0, True): ({2: 31, 4: 36, 8: 33}, {2: 32, 3: 30, 4: 38}),
-    (1, False): ({2: 38, 4: 62}, {2: 35, 3: 35, 4: 30}),
-    (1, True): ({2: 35, 4: 27, 8: 38}, {2: 35, 3: 35, 4: 30}),
+    (0, False): ({2: 51, 4: 49}, {2: 34, 3: 39, 4: 27}),
+    (0, True): ({2: 34, 4: 39, 8: 27}, {2: 34, 3: 39, 4: 27}),
+    (1, False): ({2: 45, 4: 55}, {2: 29, 3: 37, 4: 34}),
+    (1, True): ({2: 29, 4: 37, 8: 34}, {2: 29, 3: 37, 4: 34}),
 }
 
 
@@ -110,66 +115,65 @@ def test_instances_per_dimension_are_pinned(monkeypatch, seed, dims_check):
     assert set(calls.values()) == {1}
 
 
-def reference_stacks(rng, dims, instances, draw):
-    """Draw each instance field by field as draw(rng, dim), then stack each dimension's fields."""
-    rows = {dim: [] for dim in dims}
-    for _ in range(instances):
-        dim = int(rng.choice(dims))
-        rows[dim].append(draw(rng, dim))
-    return [[np.array(f) for f in zip(*r)] for r in rows.values() if r]
+@pytest.mark.parametrize("seed", range(2, 10))
+@pytest.mark.parametrize("dims_check", [False, True])
+def test_every_check_passes_on_more_seeds(seed, dims_check):
+    results = full_suite(seed=seed, dims_check=dims_check)
+    assert len(results) == 16
+    assert all(r.passed for r in results), [r.line() for r in results if not r.passed]
 
 
-def reference_qprob_draw(rng, dim):
-    """(generators, X, rho, Y, U, F, projections padded to dim), one matrix at a time."""
-    v = random_unitary(rng, dim)
-    spectra = (rng.integers(-2, 3, size=dim) for _ in range(2))
-    gens = [v @ np.diag(e).astype(complex) @ dagger(v) for e in spectra]
-    p = qprob.MeasurementAlgebra(tuple(gens)).projections
-    x = np.sum(p @ random_matrix(rng, dim) @ p, axis=0)
-    rho = random_density(rng, dim)
-    y = np.sum(rng.standard_normal(len(p))[:, None, None] * p, axis=0)
-    u = random_unitary(rng, dim)
-    f = np.sum(p @ random_matrix(rng, dim) @ p, axis=0)
-    return gens, x, rho, y, u, f, np.concatenate([p, np.zeros((dim - len(p), dim, dim))])
+def reference_qprob_instances(rng, dim, n):
+    """_qprob_stack's draws, each instance formed alone: (generators, X, rho, Y, U, F,
+    projections padded to dim), Y from the coefficients of the nonzero projections only."""
+    spectra = rng.integers(-2, 3, size=(n, 2, dim))
+    v, x, rho, u, f = (rng.standard_normal((n, 2, dim, dim)) for _ in range(5))
+    coefficients = rng.standard_normal((n, dim))
+    for i in range(n):
+        vi = haar_unitary(ginibre(v[i]))
+        gens = [vi @ np.diag(e).astype(complex) @ dagger(vi) for e in spectra[i]]
+        p = qprob.MeasurementAlgebra(tuple(gens)).projections
+        xi, fi = (np.sum(p @ ginibre(a[i]) @ p, axis=0) for a in (x, f))
+        yi = np.sum(coefficients[i, : len(p), None, None] * p, axis=0)
+        padded = np.concatenate([p, np.zeros((dim - len(p), dim, dim))])
+        rhoi, ui = normalized_density(ginibre(rho[i])), haar_unitary(ginibre(u[i]))
+        yield gens, xi, rhoi, yi, ui, fi, padded
 
 
-def reference_ito_draw(rng, dim):
-    """(beta, S, L, H, X, rho, *the coefficients of three polynomials), one at a time."""
-    s, l, h = random_unitary(rng, dim), random_matrix(rng, dim), random_hermitian(rng, dim)
-    b = random_beta(rng)
-    x, rho = random_hermitian(rng, dim), random_density(rng, dim)
-    return b, s, l, h, x, rho, *(random_matrix(rng, dim) for _ in range(12))
+def reference_ito_instances(rng, dim, n):
+    """_ito_stack's draws, each instance formed alone: (beta, S, L, H, X, rho, *coefficients)."""
+    b = rng.standard_normal((n, 2))
+    s, l, h, x, rho, *coeffs = (rng.standard_normal((n, 2, dim, dim)) for _ in range(17))
+    for i in range(n):
+        beta = np.full((1, 1), b[i, 0] + 1j * b[i, 1])
+        si, li, hi, xi, rhoi, *ci = (ginibre(a[i]) for a in (s, l, h, x, rho, *coeffs))
+        si, hi, xi = haar_unitary(si), hermitian_part(hi), hermitian_part(xi)
+        yield beta, si, li, hi, xi, normalized_density(rhoi), *ci
 
 
-def stacked_qprob(rng, dims):
-    qprob_stacks = verify._instances(rng, dims, 100, verify._qprob_row, verify._qprob_form)
-    for algebra, *fields in qprob_stacks:
-        yield [algebra.generators, *fields, algebra.projections]
-
-
-def stacked_ito(rng, dims):
-    return verify._instances(rng, dims, 100, verify._ito_row, verify._ito_form)
+def qprob_stack(rng, dim, n):
+    algebra, *fields = verify._qprob_stack(rng, dim, n)
+    return [algebra.generators, *fields, algebra.projections]
 
 
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize(
-    "stacks, draw, dims",
+    "stack, reference, dim",
     [
-        (stacked_qprob, reference_qprob_draw, (2, 4)),
-        (stacked_qprob, reference_qprob_draw, (2, 4, 8)),
-        (stacked_ito, reference_ito_draw, (2, 3, 4)),
+        *((qprob_stack, reference_qprob_instances, dim) for dim in (2, 4, 8)),
+        *((verify._ito_stack, reference_ito_instances, dim) for dim in (2, 3, 4)),
     ],
-    ids=["qprob", "qprob-dims-check", "ito"],
+    ids=["qprob-2", "qprob-4", "qprob-8", "ito-2", "ito-3", "ito-4"],
 )
-def test_stacked_draws_equal_the_per_instance_draws(seed, stacks, draw, dims):
+def test_stacks_equal_their_instances_formed_one_at_a_time(seed, stack, reference, dim):
     rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    stacked = [list(fields) for fields in stacks(rng, dims)]
-    reference = reference_stacks(reference_rng, dims, 100, draw)
-    assert len(stacked) == len(reference) == len(dims)
-    for fields, reference_fields in zip(stacked, reference):
-        assert len(fields) == len(reference_fields)
-        for field, reference_field in zip(fields, reference_fields):
-            assert np.array_equal(field, reference_field)
+    stacked = list(stack(rng, dim, 30))
+    instances = list(reference(reference_rng, dim, 30))
+    assert len(instances) == 30
+    for i, fields in enumerate(instances):
+        assert len(fields) == len(stacked)
+        for field, value in zip(stacked, fields):
+            assert np.array_equal(field[i], value)
     # Both consumed the same stream.
     assert rng.bit_generator.state == reference_rng.bit_generator.state
 
