@@ -20,7 +20,7 @@ import numpy as np
 from .linalg import trace_distance, validate_density
 from .master import TimeGrid, hermitian, integrate_master
 from .model import CoherentInput, HPModel
-from .trajectory import KINDS, check_seeds, draw_noise, propagate
+from .trajectory import KINDS, check_seeds, check_trace, draw_noise, propagate
 
 N_CHECKPOINTS = 50
 
@@ -65,6 +65,7 @@ def run_ensemble(
     mean_<name> and stderr_<name> of tr(rho O) per observable, the mean
     and standard error of the cumulative innovations, the trace distance
     of the mean state to the master-equation state, and the mean purity.
+    A checkpoint state off trace 1 raises `trajectory.TraceLossError`.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
@@ -85,6 +86,7 @@ def run_ensemble(
         innov_cum += dy - intensity * grid.dt
         if k != checkpoints[len(rows)]:
             continue
+        check_trace(x[None], [k - 1], grid.dt)
         rho = hermitian(x)
         row = []
         for op in observables.values():

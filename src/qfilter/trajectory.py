@@ -8,8 +8,12 @@ harness aggregates it on the fly.
 
 The loop steps in Liouville space on real coordinates (conventions in
 `master`): a state is a row vector x(rho) of d^2 reals, and the linear
-work of a step is one real per-row product, (N, 1, d^2) @ (d^2, w), so
-that trajectory i of a batch is bit for bit the trajectory run alone.
+work of a step is one real product per chunk of ROW_CHUNK rows,
+(ROW_CHUNK, d^2) @ (d^2, w), on a buffer zero-padded to whole chunks;
+a trajectory alone is row 0 of one such chunk.  BLAS computes each row of
+a product of this fixed shape the same way whatever its place, and the
+jump products, over the rows that clicked, stay one product per row, so
+trajectory i of a batch is bit for bit the trajectory run alone.
 The loop tests no measurement kind; each kind's `_STEPS` entry gives its
 maps, its dY draw and the rest of its step.  The step matrix is the Euler
 step, a = tr(A x), tau = tr x and the pre-step intensity: for quadrature
@@ -19,7 +23,8 @@ A = I + (L' - J) dt, J rho = L^b rho L^b†, r = tr(J rho), dY a
 Bernoulli(r dt) click, and a row that clicked first jumps by J / r.
 The loop yields each new row over its trace, formed from these scalars,
 a + (m - m tau)(dY - m dt) or a + r dt tau; consumers form the states,
-Hermitian by construction, where needed.  Each map is formed from its
+Hermitian by construction, where needed, and check that rounding has left
+them at trace 1 (`check_trace`).  Each map is formed from its
 four affine pieces in beta, built once per run: the step matrices
 streamed by `master.maps_at`, which forms them a block of grid times at a
 time, in one product where beta(t) changes, and the jump map, from the
@@ -47,6 +52,8 @@ JUMP_RATE_FLOOR = 1e-12
 TRACE_UNDERFLOW = 1e-12
 COUNTING_BETA_MIN = 1e-3
 MAX_JUMP_PROBABILITY = 0.1
+TRACE_LOSS_LIMIT = 1e-9  # largest |tr - 1| of a returned state; the loop normalizes each to trace 1
+ROW_CHUNK = 8  # rows per step product: one fixed GEMM shape, whatever the batch size
 
 QUADRATURE = "quadrature"
 COUNTING = "counting"
@@ -67,6 +74,11 @@ class TraceUnderflowError(NumericalError):
 class JumpRateError(NumericalError):
     """A detection event occurred in a state with vanishing jump rate,
     or the per-step jump probability exceeds the validity bound."""
+
+
+class TraceLossError(NumericalError):
+    """A state normalized to trace 1 is off it by more than TRACE_LOSS_LIMIT: its entries
+    grew so large that rounding, not the filter, sets its trace."""
 
 
 @dataclass(frozen=True)
@@ -108,6 +120,23 @@ def _underflow_error(bad: np.ndarray, tr: np.ndarray) -> TraceUnderflowError:
     cause = f"below {TRACE_UNDERFLOW:g}" if np.isfinite(value) else "non-finite"
     msg = f"state trace underflow during renormalization: trace {value:.3g} ({cause})"
     return _row_error(TraceUnderflowError, bad, msg)
+
+
+def check_trace(x: np.ndarray, steps, dt: float) -> None:
+    """Raise TraceLossError at the first state of x off trace 1 by more than TRACE_LOSS_LIMIT.
+
+    x holds the coordinates of the states after each of `steps`: one (d, d)
+    state, or an (N, d, d) batch, per step.  The error names the step and
+    its time, as `propagate`'s failures do, and over a batch the trajectory.
+    """
+    loss = np.abs(_btrace(x) - 1.0)
+    bad = ~(loss <= TRACE_LOSS_LIMIT)  # nan counts as lost
+    if np.any(bad):
+        first = np.argmax(bad.reshape(len(bad), -1).any(axis=1))
+        value = np.ravel(loss[first])[np.argmax(bad[first])]
+        msg = f"state trace lost: |tr - 1| = {value:.3g} > {TRACE_LOSS_LIMIT:g} after renormalization"
+        exc = _row_error(TraceLossError, bad[first], msg)
+        raise TraceLossError(f"step {steps[first]}, t={steps[first] * dt:g}: {exc}")
 
 
 def _quadrature_maps(lb: np.ndarray, hb: np.ndarray, rho: np.ndarray):
@@ -298,6 +327,9 @@ def propagate(
     shape = x.shape
     d = shape[-1]
     x = x.reshape(-1, 1, d * d)
+    n = len(x)
+    chunks = np.zeros((-(-n // ROW_CHUNK), ROW_CHUNK, d * d))  # rows past n stay zero
+    rows = chunks.reshape(-1, 1, d * d)[:n]
     dt = grid.dt
     values = (beta.value(k * dt) for k in range(grid.steps))
     step_maps = maps_at(_step_pieces(step_map, d, dt), values)
@@ -305,7 +337,8 @@ def propagate(
         t = k * dt
         try:
             sup, w = next(step_maps)
-            out = x @ sup
+            rows[...] = x
+            out = (chunks @ sup).reshape(-1, 1, sup.shape[-1])[:n]
             intensity = out[..., -1].reshape(shape[:-2])
             dy = increments[k] if increments is not None else draw(noise[k], intensity, dt)
             new, tr = finish(x, out, intensity, dy, dt, sup, w, *extra)
@@ -330,6 +363,7 @@ def _filter_path(model, beta, rho0, kind, grid, **source):
         states.real[k + 1] = x
         dys[k] = dy
         intensities[k] = intensity
+    check_trace(states.real[1:], range(grid.steps), grid.dt)
     hermitian_in_place(states[1:])
     return states, dys, intensities
 

@@ -1,7 +1,9 @@
 """Shared test helpers and pytest hooks.
 
 `decay_model` and `EXCITED` are the decaying qubit most test files use;
-`random_model` draws a random (S, L, H) and `random_beta` a complex beta.
+`qnd_model` is a d = 3 model whose Euler quadrature filter, driven hard,
+loses its trace; `random_model` draws a random (S, L, H) and
+`random_beta` a complex beta.
 `martingale_test` and `bias_ensemble_records` are the innovations check
 and its negative control; `riccati_steady_state` is the Kalman-Bucy
 oracle.
@@ -26,6 +28,15 @@ def decay_model(gamma=1.0):
         S=np.eye(2, dtype=complex),
         L=np.sqrt(gamma) * SIGMA_MINUS,
         H=np.zeros((2, 2), dtype=complex),
+    )
+
+
+def qnd_model() -> HPModel:
+    """Diagonal S, L and H: the populations change by Bayes' rule alone."""
+    return HPModel(
+        S=np.diag(np.exp(1j * np.array([0.0, 1.0, 2.5]))),
+        L=5.6 * np.diag([1.0, -0.4, 0.3 + 0.5j]),
+        H=np.diag([0.2, -0.1, 0.0]).astype(complex),
     )
 
 

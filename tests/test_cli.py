@@ -9,8 +9,12 @@ import numpy as np
 import pytest
 
 import qfilter
+from conftest import qnd_model
 from qfilter.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from qfilter.config import matrix_to_json
+from qfilter.io import write_record_csv
+from qfilter.master import TimeGrid
+from qfilter.trajectory import QUADRATURE, MeasurementRecord
 
 
 def write_config(tmp_path, **overrides):
@@ -127,6 +131,29 @@ def test_numerical_failure_names_the_step(tmp_path, capsys):
     )
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
     assert "step 0, t=0: jump probability" in capsys.readouterr().err
+
+
+def test_filter_on_a_record_that_loses_the_trace_exits_2_on_one_line(tmp_path, capsys):
+    # The QND record of test_trajectory's trace-loss test: dY = 0.5 at every step
+    # of dt = 1/64 drives the state off trace 1 by over 1e-3 at step 4.
+    model = qnd_model()
+    cfg = write_config(
+        tmp_path,
+        model={"dim": 3, **{name: matrix_to_json(getattr(model, name)) for name in "SLH"}},
+        beta={"kind": "constant", "value": [0.6, 0.3]},
+        rho0={"matrix": matrix_to_json(np.eye(3) / 3)},
+        grid={"dt": 1 / 64, "T": 0.125},
+        observables=[],
+    )
+    out = tmp_path / "out"
+    out.mkdir()
+    grid = TimeGrid(dt=1 / 64, steps=8)
+    write_record_csv(out / "record.csv", MeasurementRecord(QUADRATURE, grid, np.full(8, 0.5)))
+    assert main(["filter", "--config", str(cfg), "--out", str(out)]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: step 4, t=0.0625: state trace lost: |tr - 1| = ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not (out / "states.csv").exists()
 
 
 @pytest.mark.parametrize(

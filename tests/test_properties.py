@@ -54,6 +54,7 @@ from qfilter.trajectory import (
     COUNTING_BETA_MIN,
     KINDS,
     QUADRATURE,
+    ROW_CHUNK,
     filter_record,
     propagate,
     simulate_record,
@@ -64,7 +65,7 @@ from reference import count_step_arrays, quad_step_arrays, reference_noise
 DT = 1e-3
 JUMP_PROBABILITY_BUDGET = 0.05
 GRID = TimeGrid(dt=DT, steps=40)
-BATCH_SIZES = (1, 3, 257)
+BATCH_SIZES = (1, 3, ROW_CHUNK, 257)
 REFERENCE_TOL = 1e-12
 
 
@@ -138,6 +139,27 @@ def test_rows_that_jump_alone_in_a_batch_equal_standalone_bit_for_bit(dim):
     for i, s in enumerate(seeds):
         _, states, _ = simulate_record(model, beta, rho0, COUNTING, GRID, s)
         assert batched[:, i].tobytes() == states[1:].tobytes()
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_chunked_product_rows_equal_each_row_alone_in_its_chunk_bit_for_bit(dim):
+    # propagate takes each step's product as (ROW_CHUNK, d^2) @ (d^2, w) GEMMs on
+    # zero-padded chunks of its rows, and a trajectory alone as row 0 of one such
+    # chunk.  Batched rows equal standalone runs only if BLAS computes a row of a
+    # GEMM of this fixed shape the same way whatever its slot, chunk and neighbours.
+    rng = np.random.default_rng(dim)
+    d2 = dim * dim
+    alone = np.zeros((1, ROW_CHUNK, d2))
+    for width in (d2 + 3, 2 * d2 + 3):  # the counting and quadrature step matrices
+        sup = rng.standard_normal((d2, width)) * (rng.random((d2, width)) < 0.8)
+        for n in (1, ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1, 257):
+            x = rng.standard_normal((n, d2)) * (rng.random((n, d2)) < 0.7)  # with exact zeros
+            chunks = np.zeros((-(-n // ROW_CHUNK), ROW_CHUNK, d2))
+            chunks.reshape(-1, d2)[:n] = x
+            rows = (chunks @ sup).reshape(-1, width)[:n]
+            for i in range(n):
+                alone[0, 0] = x[i]
+                assert rows[i].tobytes() == (alone @ sup)[0, 0].tobytes()
 
 
 @exact

@@ -1,10 +1,12 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import EXCITED, decay_model
-from qfilter.ensemble import run_ensemble
+from conftest import EXCITED, decay_model, qnd_model
+from qfilter.ensemble import mix_seed, run_ensemble
 from qfilter.ito import girsanov_coefficients
 from qfilter.linalg import (
     dagger,
@@ -19,6 +21,8 @@ from qfilter.trajectory import (
     JumpRateError,
     MeasurementRecord,
     QUADRATURE,
+    ROW_CHUNK,
+    TraceLossError,
     TraceUnderflowError,
     draw_noise,
     filter_record,
@@ -223,6 +227,61 @@ def test_underflow_names_the_trajectory_and_its_trace(row, cause):
         message = "^step 0, t=0: trajectory 1: state trace underflow during renormalization: "
         with pytest.raises(TraceUnderflowError, match=message + cause):
             next(steps)
+
+
+QND_BETA = CoherentInput.constant(0.6 + 0.3j)
+QND_GRID = TimeGrid(dt=1 / 64, steps=8)
+MIXED3 = np.eye(3, dtype=complex) / 3
+
+
+def test_a_state_that_loses_its_trace_fails_naming_its_step():
+    # dY = 0.5, four standard deviations at dt = 1/64, at every step: the populations
+    # grow until rounding, not the filter, sets the trace.  Steps 0-3 stay within
+    # 1e-11 of trace 1 and step 4 is off it by over 1e-3, so the first failing step
+    # does not turn on the last bits of any product.
+    increments = np.full(QND_GRID.steps, 0.5)
+    steps = propagate(qnd_model(), QND_BETA, MIXED3, QUADRATURE, QND_GRID, increments=increments)
+    loss = np.abs(np.trace([x for x, _, _ in steps], axis1=1, axis2=2) - 1.0)
+    assert loss[:4].max() < 1e-11 and loss[4] > 1e-3 and loss.max() > 1.0
+    record = MeasurementRecord(kind=QUADRATURE, grid=QND_GRID, increments=increments)
+    message = r"^step 4, t=0\.0625: state trace lost: \|tr - 1\| = \S+ > 1e-09 after renormalization$"
+    for replay in (filter_record, zakai_filter):
+        with pytest.raises(TraceLossError, match=message):
+            replay(qnd_model(), QND_BETA, MIXED3, record)
+
+
+def test_an_ensemble_trajectory_that_loses_its_trace_fails_naming_it():
+    # At master seed 28, trajectory 3 is off trace 1 by about 2e-3 at step 7 (a
+    # checkpoint, as every step of 8 is); every earlier state, and rows 0-2 at
+    # step 7, stay within 1e-15 of it.  Run alone, it fails at the same step.
+    message = r"^step 7, t=0\.109375: {}state trace lost: "
+    with pytest.raises(TraceLossError, match=message.format("trajectory 3: ")):
+        run_ensemble(qnd_model(), QND_BETA, MIXED3, QUADRATURE, QND_GRID, 4, master_seed=28)
+    with pytest.raises(TraceLossError, match=message.format("")):
+        simulate_record(qnd_model(), QND_BETA, MIXED3, QUADRATURE, QND_GRID, mix_seed(28, 3))
+
+
+@pytest.mark.parametrize("batch", [(), (ROW_CHUNK + 1,)], ids=["alone", "batch"])
+def test_propagate_yields_fresh_arrays(batch):
+    # Each step's rows are copied into one zero-padded buffer for the step product;
+    # a yielded state that was a view of it, or of another step's state, would
+    # change under a caller that keeps it, as list(propagate(...)) does.
+    grid = TimeGrid(dt=1e-3, steps=6)
+    rho = np.broadcast_to(EXCITED, batch + (2, 2))
+    noise = np.random.default_rng(0).standard_normal((grid.steps,) + batch) * np.sqrt(grid.dt)
+
+    def run():
+        return propagate(decay_model(), CoherentInput.constant(0.5), rho, QUADRATURE, grid, noise=noise)
+
+    kept = [x for x, _, _ in list(run())]
+    copied = [x.copy() for x, _, _ in run()]
+    assert [x.tobytes() for x in kept] == [x.tobytes() for x in copied]
+    assert not any(np.shares_memory(a, b) for a, b in combinations(kept, 2))
+    for x in kept:  # each owns an array of its own size, not the larger padded buffer
+        root = x
+        while root.base is not None:
+            root = root.base
+        assert root.size == x.size
 
 
 NOISE_GRID = TimeGrid(dt=1e-3, steps=41)
