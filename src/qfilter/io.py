@@ -2,6 +2,8 @@
 
 Fixed column orders, UTF-8, LF line endings; floats are written with
 enough digits ('%.17g') that simulate/filter round-trips byte-identically.
+The CSV writers format ROW_BLOCK rows at a time, each block in one `%`
+call, and write it before the next.
 """
 
 from __future__ import annotations
@@ -17,18 +19,19 @@ from .trajectory import MeasurementRecord
 ROW_BLOCK = 256
 
 
-def _write_rows(path, header: list, columns: list) -> None:
-    """One CSV row per index of the equal-length `columns`, each row formatted at once.
+def _write_rows(path, head: str, columns: list) -> None:
+    """The `head` line, then one CSV row per index of the equal-length `columns`.
 
-    Rows are formatted and written ROW_BLOCK at a time, so no copy of the
-    whole table, as numbers or as text, is held.
+    Rows are formatted and written ROW_BLOCK at a time, a block's rows in
+    one `%` call, so no copy of the whole table, as numbers or as text, is
+    held.
     """
     fmt = ",".join(["%.17g"] * len(columns)) + "\n"
     with Path(path).open("w", encoding="utf-8", newline="\n") as f:
-        f.write(",".join(header) + "\n")
+        f.write(head + "\n")
         for start in range(0, len(columns[0]), ROW_BLOCK):
-            block = [np.asarray(c[start : start + ROW_BLOCK], dtype=float).tolist() for c in columns]
-            f.write("".join([fmt % row for row in zip(*block)]))
+            block = np.array([c[start : start + ROW_BLOCK] for c in columns], dtype=float)
+            f.write((fmt * block.shape[1]) % tuple(block.T.ravel().tolist()))
 
 
 def _trace(x: np.ndarray) -> np.ndarray:
@@ -48,13 +51,13 @@ def write_states_csv(path, times, rhos, observables: dict, innovations=None) -> 
     if innovations is not None:
         header.append("innovations")
         columns.append(innovations)
-    _write_rows(path, header, columns)
+    _write_rows(path, ",".join(header), columns)
 
 
 def write_record_csv(path, record: MeasurementRecord) -> None:
-    lines = ["kind,dt,steps", "%s,%.17g,%d" % (record.kind, record.grid.dt, record.grid.steps)]
-    lines += ["%.17g" % v for v in record.increments.tolist()]  # counts read 0 and 1
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    """The header kind,dt,steps and its row, then one increment a line (counts read 0 and 1)."""
+    head = "kind,dt,steps\n%s,%.17g,%d" % (record.kind, record.grid.dt, record.grid.steps)
+    _write_rows(path, head, [record.increments])
 
 
 def read_record_csv(path) -> MeasurementRecord:
@@ -87,9 +90,9 @@ def write_ensemble_outputs(
         "checkpoint_times": columns["t"].tolist(),
     }
     Path(summary_path).write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
-    _write_rows(series_path, list(columns), list(columns.values()))
+    _write_rows(series_path, ",".join(columns), list(columns.values()))
 
 
 def write_classical_csv(path, times, columns: dict) -> None:
     """Columns: t plus the given name -> array mapping, in insertion order."""
-    _write_rows(path, ["t", *columns], [times, *columns.values()])
+    _write_rows(path, ",".join(["t", *columns]), [times, *columns.values()])

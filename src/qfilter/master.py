@@ -24,7 +24,9 @@ streams its maps from `maps_at`, which reads the loop's beta values
 BETA_BLOCK at a time and forms the maps where beta changes in one
 product, so a constant beta forms one map per run.  RK4 streams the
 d^2 x d^2 generators at its grid and half-step times, and each stage
-under a time-varying beta is one product with one of them.
+under a time-varying beta is one product with one of them; a run of steps
+under one generator is filled from powers of its RK4 polynomial, by
+repeated squaring, in O(log n) products for n steps.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain, islice, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -199,6 +202,11 @@ def drift_superoperator(model: HPModel) -> np.ndarray:
     return affine_superoperator(model, lambda lb, hb, units: (lindblad_adjoint(lb, hb, units),))
 
 
+def _at_step(exc: NumericalError, k: int, dt: float) -> NumericalError:
+    """exc again, naming step k and its time."""
+    return type(exc)(f"step {k}, t={k * dt:g}: {exc}")
+
+
 def _rk4_polynomial(a: np.ndarray) -> np.ndarray:
     """sum_{k=0}^4 a^k / k!, one RK4 step of a constant linear generator."""
     eye = np.eye(a.shape[0], dtype=a.dtype)
@@ -218,10 +226,16 @@ def integrate_master(
     each step's half-step and end times: a step's end time is the next
     step's start, and its two middle stages share one generator.  A step
     whose three stage generators are the same map, beta unchanged across
-    it, is one product with the RK4 polynomial of that map (exactly RK4),
-    kept while the map is; otherwise each stage is one product v @ A(b).
-    The real parts of the states hold the coordinates until
-    `hermitian_in_place`.  A failure names its step and time.
+    it, is one product with the RK4 polynomial P of that map (exactly
+    RK4).  Such steps come in runs, found by pulling stage generators
+    while they are the run's map, and a run of n steps is filled in
+    O(log n) products by repeated squaring: with the first f states of
+    the run known, the next m <= f are those m states @ P^f, and f
+    doubles.  Otherwise each stage is one product v @ A(b).  The real
+    parts of the states hold the coordinates until `hermitian_in_place`.
+    A failure names its step and time, and failures come in step order:
+    a beta that fails ends a run, which is filled and checked before the
+    failure is raised.
     """
     rho = validate_density(rho0)
     d = rho.shape[0]
@@ -230,32 +244,59 @@ def integrate_master(
     path[0] = v = coordinates(rho).reshape(d * d)
     dt = grid.dt
     value = beta.value
+
+    def drift_error(drift: float, k: int) -> StepSizeError:
+        return StepSizeError(
+            f"trace drift {drift:.3e} at step {k}: dt={dt} too large for this generator"
+            f" at t={k * dt:g}, beta = {value(k * dt)}"
+        )
+
     times = (t for i in range(grid.steps) for t in (i * dt + 0.5 * dt, (i + 1) * dt))
-    stages = maps_at(drift_superoperator(model), chain([value(0.0)], map(value, times)))
-    a_poly = None
-    for k in range(grid.steps):
-        t = k * dt
+    values = chain([value(0.0)], map(value, times))
+    generators = map(itemgetter(0), maps_at(drift_superoperator(model), values))
+    pairs = zip(generators, generators)  # each step's half-step and end generators
+    k = 0
+    while k < grid.steps:
         try:
             if not k:  # A(b(0)), taken here so that its failure names step 0
-                a3 = next(stages)[0]
-            a1, a2, a3 = a3, next(stages)[0], next(stages)[0]
-            if a1 is a2 is a3:
-                if a1 is not a_poly:
-                    a_poly, poly = a1, _rk4_polynomial(dt * a1)
-                v = v @ poly
-            else:
-                k1 = v @ a1
-                k2 = (v + 0.5 * dt * k1) @ a2
-                k3 = (v + 0.5 * dt * k2) @ a2
-                k4 = (v + dt * k3) @ a3
-                v = v + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+                a3 = next(generators)
+            a1, (a2, a3) = a3, next(pairs)
         except NumericalError as exc:
-            raise type(exc)(f"step {k}, t={t:g}: {exc}") from exc
+            raise _at_step(exc, k, dt) from exc
+        if a1 is a2 is a3:
+            run, error = 1, None
+            try:
+                for a2, a3 in pairs:
+                    if a2 is not a1 or a3 is not a1:
+                        break  # (a2, a3) are the generators of the step after the run
+                    run += 1
+            except NumericalError as exc:
+                error = exc
+            power, known = _rk4_polynomial(dt * a1), 1  # path[k : k + known] is filled
+            while known <= run:
+                m = min(known, run + 1 - known)
+                rows = np.matmul(path[k : k + m], power, out=path[k + known : k + known + m])
+                drift = np.abs(rows[:, :: d + 1].sum(axis=1) - 1.0)
+                if not drift.max() <= TRACE_DRIFT_LIMIT:  # a non-finite trace counts as drift
+                    first = np.argmax(~(drift <= TRACE_DRIFT_LIMIT))
+                    raise drift_error(drift[first], k + known - 1 + first)
+                known += m
+                if known <= run:
+                    power = power @ power
+            k += run
+            if error:
+                raise _at_step(error, k, dt) from error
+            if k == grid.steps:
+                break
+            v = path[k].copy()
+        k1 = v @ a1
+        k2 = (v + 0.5 * dt * k1) @ a2
+        k3 = (v + 0.5 * dt * k2) @ a2
+        k4 = (v + dt * k3) @ a3
+        v = v + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         drift = abs(v[:: d + 1].sum() - 1.0)
-        if not drift <= TRACE_DRIFT_LIMIT:  # a non-finite trace counts as drift
-            raise StepSizeError(
-                f"trace drift {drift:.3e} at step {k}: dt={dt} too large for this generator"
-                f" at t={t:g}, beta = {value(t)}"
-            )
+        if not drift <= TRACE_DRIFT_LIMIT:
+            raise drift_error(drift, k)
         path[k + 1] = v
+        k += 1
     return hermitian_in_place(states)

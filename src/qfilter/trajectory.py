@@ -9,8 +9,10 @@ harness aggregates it on the fly.
 The loop steps in Liouville space on real coordinates (conventions in
 `master`): a state is a row vector x(rho) of d^2 reals, and the linear
 work of a step is one real product per chunk of ROW_CHUNK rows,
-(ROW_CHUNK, d^2) @ (d^2, w), on a buffer zero-padded to whole chunks;
-a trajectory alone is row 0 of one such chunk.  BLAS computes each row of
+(ROW_CHUNK, d^2) @ (d^2, w), on a buffer zero-padded to whole chunks,
+written into one output buffer; both buffers are allocated once per run,
+and nothing yielded is a view of either.  A trajectory alone is row 0 of
+one such chunk.  BLAS computes each row of
 a product of this fixed shape the same way whatever its place, and the
 jump products, over the rows that clicked, stay one product per row, so
 trajectory i of a batch is bit for bit the trajectory run alone.
@@ -310,9 +312,12 @@ def propagate(
     """The filter loop: yield (x after step k, dY_k, intensity before step k).
 
     rho0, (d, d) or (N, d, d), is not validated; x, a fresh real array of its
-    shape, holds the coordinates of the state `master.hermitian(x)`.  Replays
-    `increments` if given, else draws dY from `noise` (pre-drawn, step index
-    first) and the pre-step intensity.  The step matrices are streamed from
+    shape, holds the coordinates of the state `master.hermitian(x)`, and the
+    intensity, of its batch shape, is fresh too.  Replays `increments` if
+    given, else draws dY from `noise` (pre-drawn, step index first) and the
+    pre-step intensity.  Each step's product `chunks @ sup` is written into
+    one buffer allocated per call, which nothing yielded shares.  The step
+    matrices are streamed from
     `master.maps_at` at the grid times, formed where beta(t) changes, so a
     constant beta forms one per run.  A trace, formed per row from the step
     product, that is not finite or below TRACE_UNDERFLOW fails the step; a
@@ -328,28 +333,34 @@ def propagate(
     d = shape[-1]
     x = x.reshape(-1, 1, d * d)
     n = len(x)
-    chunks = np.zeros((-(-n // ROW_CHUNK), ROW_CHUNK, d * d))  # rows past n stay zero
-    rows = chunks.reshape(-1, 1, d * d)[:n]
     dt = grid.dt
+    pieces = _step_pieces(step_map, d, dt)
+    chunks = np.zeros((-(-n // ROW_CHUNK), ROW_CHUNK, d * d))  # rows past n stay zero
+    product = np.empty(chunks.shape[:-1] + pieces.shape[-1:])  # each step's chunks @ sup
+    rows = chunks.reshape(-1, 1, d * d)[:n]
+    out = product.reshape(-1, 1, pieces.shape[-1])[:n]
+    intensity = out[..., -1].reshape(shape[:-2])  # a view: copied when yielded
     values = (beta.value(k * dt) for k in range(grid.steps))
-    step_maps = maps_at(_step_pieces(step_map, d, dt), values)
+    step_maps = maps_at(pieces, values)
     for k in range(grid.steps):
         t = k * dt
         try:
             sup, w = next(step_maps)
             rows[...] = x
-            out = (chunks @ sup).reshape(-1, 1, sup.shape[-1])[:n]
-            intensity = out[..., -1].reshape(shape[:-2])
+            np.matmul(chunks, sup, out=product)
             dy = increments[k] if increments is not None else draw(noise[k], intensity, dt)
             new, tr = finish(x, out, intensity, dy, dt, sup, w, *extra)
             size = np.abs(tr)
-            if not (size.min() >= TRACE_UNDERFLOW and size.max() < np.inf):  # false on nan
+            if not (
+                np.minimum.reduce(size, axis=None) >= TRACE_UNDERFLOW
+                and np.maximum.reduce(size, axis=None) < np.inf
+            ):  # false on nan
                 bad = ~np.isfinite(tr) | (size < TRACE_UNDERFLOW)
                 raise _underflow_error(bad.reshape(shape[:-2]), tr)
             x = new / tr
         except NumericalError as exc:
             raise type(exc)(f"step {k}, t={t:g}: {exc}") from exc
-        yield x.reshape(shape), dy, intensity
+        yield x.reshape(shape), dy, intensity.copy()
 
 
 def _filter_path(model, beta, rho0, kind, grid, **source):
@@ -359,11 +370,12 @@ def _filter_path(model, beta, rho0, kind, grid, **source):
     states[0] = rho0
     dys = np.empty(grid.steps)
     intensities = np.empty(grid.steps)
+    real = states.real
     for k, (x, dy, intensity) in enumerate(propagate(model, beta, rho0, kind, grid, **source)):
-        states.real[k + 1] = x
+        real[k + 1] = x
         dys[k] = dy
         intensities[k] = intensity
-    check_trace(states.real[1:], range(grid.steps), grid.dt)
+    check_trace(real[1:], range(grid.steps), grid.dt)
     hermitian_in_place(states[1:])
     return states, dys, intensities
 

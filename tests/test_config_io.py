@@ -14,7 +14,7 @@ from qfilter.config import (
     parse_config_dict,
     parse_matrix,
 )
-from qfilter.io import read_record_csv, write_record_csv, write_states_csv
+from qfilter.io import ROW_BLOCK, read_record_csv, write_classical_csv, write_record_csv, write_states_csv
 from qfilter.linalg import SIGMA_Z, max_norm, random_density, random_hermitian
 from qfilter.master import TimeGrid
 from qfilter.trajectory import COUNTING, MeasurementRecord, QUADRATURE
@@ -334,3 +334,34 @@ def test_states_csv_matches_per_row_reference(tmp_path, dim):
         row = [t, *(np.trace(rho @ o).real for o in obs.values()), np.trace(rho).real, np.trace(rho @ rho).real]
         want.append(",".join(format(float(x), ".17g") for x in row))
     assert path.read_text() == "\n".join(want) + "\n"
+
+
+@pytest.mark.parametrize("kind", [QUADRATURE, COUNTING])
+def test_csv_writers_across_row_blocks_match_per_row_reference(tmp_path, kind):
+    # 2 ROW_BLOCK + 1 rows: two whole blocks, each formatted in one call, and a one-row block.
+    rng = np.random.default_rng(7)
+    n = 2 * ROW_BLOCK + 1
+    times = TimeGrid(dt=0.1, steps=n - 1).times()
+    rhos = np.stack([random_density(rng, 2) for _ in range(n)])
+    innovations = rng.standard_normal(n).cumsum()
+
+    def per_row(header, columns):
+        rows = [",".join(format(float(x), ".17g") for x in row) for row in zip(*columns)]
+        return "\n".join([header, *rows]) + "\n"
+
+    write_states_csv(tmp_path / "states.csv", times, rhos, {"sigma_z": SIGMA_Z}, innovations)
+    columns = [times, *(np.trace(rhos @ o, axis1=1, axis2=2).real for o in (SIGMA_Z, rhos))]
+    columns.insert(2, np.trace(rhos, axis1=1, axis2=2).real)
+    want = per_row("t,sigma_z,trace,purity,innovations", columns + [innovations])
+    assert (tmp_path / "states.csv").read_text() == want
+
+    classical = {"x_true": rng.standard_normal(n) * 1e-300, "x_hat": rng.standard_normal(n) * 1e300}
+    write_classical_csv(tmp_path / "classical.csv", times, classical)
+    want = per_row("t,x_true,x_hat", [times, *classical.values()])
+    assert (tmp_path / "classical.csv").read_text() == want
+
+    increments = rng.standard_normal(n) if kind == QUADRATURE else (rng.random(n) < 0.3) * 1.0
+    record = MeasurementRecord(kind=kind, grid=TimeGrid(dt=0.1, steps=n), increments=increments)
+    write_record_csv(tmp_path / "record.csv", record)
+    want = per_row(f"kind,dt,steps\n{kind},0.10000000000000001,{n}", [increments])
+    assert (tmp_path / "record.csv").read_text() == want

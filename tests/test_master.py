@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,9 +15,12 @@ from qfilter.linalg import (
     trace_distance,
 )
 from qfilter.master import (
+    TRACE_DRIFT_LIMIT,
     StepSizeError,
     TimeGrid,
+    _rk4_polynomial,
     at,
+    coordinates,
     drift_superoperator,
     hermitian,
     integrate_master,
@@ -139,6 +145,83 @@ def test_integrate_master_matches_matrix_form_rk4(dim, beta):
     states = integrate_master(model, beta, rho0, grid)
     assert states.shape == (grid.steps + 1, dim, dim)
     assert max_norm(states - rk4_reference(model, beta, rho0, grid)) <= 1e-12
+
+
+def random_model(seed: int, dim: int):
+    rng = np.random.default_rng(seed)
+    model = HPModel(
+        S=random_unitary(rng, dim), L=random_matrix(rng, dim), H=random_hermitian(rng, dim)
+    )
+    return model, random_density(rng, dim)
+
+
+def test_long_constant_run_at_d8_matches_matrix_form_rk4():
+    # One run of 4097 steps: squared powers up to P^4096, the last product one row.
+    model, rho0 = random_model(8, 8)
+    beta = CoherentInput.constant(0.6 - 0.3j)
+    grid = TimeGrid(dt=2e-3, steps=4097)
+    states = integrate_master(model, beta, rho0, grid)
+    assert max_norm(states - rk4_reference(model, beta, rho0, grid)) <= 1e-12
+
+
+def test_runs_of_about_a_power_of_two_match_matrix_form_rk4():
+    # A sample of beta lasts one step, so L + 1 equal samples make a run of L
+    # steps, and the step across each change of sample takes the stage form.
+    lengths = [3, 4, 5, 31, 32, 33]  # 2^j - 1, 2^j, 2^j + 1 for j = 2, 5
+    values = [0.6 - 0.3j, -0.2 + 0.5j, 0.1j, 0.8, -0.4 - 0.4j, 0.3 + 0.3j]
+    dt = 2.0**-9
+    beta = CoherentInput.piecewise(0.0, dt, [b for b, n in zip(values, lengths) for _ in range(n + 1)])
+    grid = TimeGrid(dt=dt, steps=sum(lengths) + len(lengths) - 1)
+    runs, run = [], 0
+    for t in grid.times()[:-1]:
+        if len({beta.value(t + s * dt) for s in (0, 0.5, 1)}) == 1:
+            run += 1
+        else:
+            runs.append(run)
+            run = 0
+    assert runs + [run] == lengths
+    model, rho0 = random_model(5, 3)
+    states = integrate_master(model, beta, rho0, grid)
+    assert max_norm(states - rk4_reference(model, beta, rho0, grid)) <= 1e-12
+
+
+@pytest.mark.parametrize("overflow_at", [None, 5], ids=["constant", "then-overflow"])
+def test_drift_failure_inside_a_run_names_the_stepwise_step(overflow_at):
+    # At dt = 6 the drift grows about 4e4 times a step.  Step by step, with the
+    # same RK4 polynomial, it first passes the limit at step 2, from far below
+    # it to far above; the run, filled as (rows 0, 1) @ P^2 there, names step 2 too.
+    # A beta whose square overflows, first sampled by step 4, ends the run in
+    # the pull; the drift failure of an earlier step is still the one raised.
+    model, rho0 = random_model(0, 2)
+    b, dt = 0.4 - 0.2j, 6.0
+    beta = CoherentInput.constant(b)
+    if overflow_at:
+        beta = CoherentInput.piecewise(0.0, dt, [b] * overflow_at + [1e300])
+    poly = _rk4_polynomial(dt * at(drift_superoperator(model), b))
+    v, drifts = coordinates(rho0).reshape(-1), []
+    for _ in range(4):
+        v = v @ poly
+        drifts.append(abs(v[::3].sum() - 1.0))
+    step = next(k for k, drift in enumerate(drifts) if drift > TRACE_DRIFT_LIMIT)
+    assert step == 2
+    assert 10 * drifts[step - 1] <= TRACE_DRIFT_LIMIT <= drifts[step] / 10
+    where = re.escape(f"dt={dt} too large for this generator at t={step * dt:g}, beta = {b}")
+    message = rf"^trace drift \S+ at step {step}: {where}$"
+    with pytest.raises(StepSizeError, match=message):
+        integrate_master(model, beta, rho0, TimeGrid(dt=dt, steps=20))
+
+
+def test_constant_run_holds_no_more_than_its_states():
+    # The beta values and generators are streamed: the peak stays near the
+    # returned path, whatever the number of steps.
+    grid = TimeGrid(dt=1e-4, steps=200_000)
+    tracemalloc.start()
+    try:
+        states = integrate_master(decay_model(1.0), CoherentInput.constant(0.5), EXCITED, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * states.nbytes
 
 
 def test_steady_state_vacuum_decay_is_ground():

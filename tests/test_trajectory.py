@@ -284,6 +284,37 @@ def test_propagate_yields_fresh_arrays(batch):
         assert root.size == x.size
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("batch", [(), (ROW_CHUNK + 1,)], ids=["alone", "batch"])
+def test_propagate_yields_nothing_of_the_step_product_buffer(monkeypatch, kind, batch):
+    # The step product is written into one buffer per call, out= of np.matmul;
+    # no yielded x, dY or intensity may be a view of it or of another step's.
+    buffers = []
+    matmul = np.matmul
+
+    def recording_matmul(*args, **kwargs):
+        buffers.append(kwargs.get("out"))
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recording_matmul)
+    grid = TimeGrid(dt=1e-3, steps=6)
+    rho = np.broadcast_to(EXCITED, batch + (2, 2))
+    noise = np.random.default_rng(1).random((grid.steps,) + batch)
+    if kind == QUADRATURE:
+        noise = (noise - 0.5) * np.sqrt(grid.dt)
+    else:
+        noise[[1, 4]] = 0.0  # uniforms below any positive click probability
+    steps = list(propagate(decay_model(), CoherentInput.constant(0.5), rho, kind, grid, noise=noise))
+    buffer = {id(b): b for b in buffers if b is not None}
+    assert len(buffer) == 1
+    if kind == COUNTING:
+        assert [np.all(dy == 1.0) for _, dy, _ in steps] == [k in (1, 4) for k in range(grid.steps)]
+    for k, step in enumerate(steps):
+        for a in step:
+            assert not np.shares_memory(a, *buffer.values())
+            assert not any(np.shares_memory(a, b) for later in steps[k + 1 :] for b in later)
+
+
 NOISE_GRID = TimeGrid(dt=1e-3, steps=41)
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
 seed_lists = st.sampled_from([1, 3, 257]).flatmap(
