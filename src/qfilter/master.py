@@ -202,11 +202,6 @@ def drift_superoperator(model: HPModel) -> np.ndarray:
     return affine_superoperator(model, lambda lb, hb, units: (lindblad_adjoint(lb, hb, units),))
 
 
-def _at_step(exc: NumericalError, k: int, dt: float) -> NumericalError:
-    """exc again, naming step k and its time."""
-    return type(exc)(f"step {k}, t={k * dt:g}: {exc}")
-
-
 def _rk4_polynomial(a: np.ndarray) -> np.ndarray:
     """sum_{k=0}^4 a^k / k!, one RK4 step of a constant linear generator."""
     eye = np.eye(a.shape[0], dtype=a.dtype)
@@ -231,7 +226,8 @@ def integrate_master(
     while they are the run's map, and a run of n steps is filled in
     O(log n) products by repeated squaring: with the first f states of
     the run known, the next m <= f are those m states @ P^f, and f
-    doubles.  Otherwise each stage is one product v @ A(b).  The real
+    doubles while P^2f is finite.  Otherwise each stage is one product
+    v @ A(b).  The real
     parts of the states hold the coordinates until `hermitian_in_place`.
     A failure names its step and time, and failures come in step order:
     a beta that fails ends a run, which is filled and checked before the
@@ -262,7 +258,7 @@ def integrate_master(
                 a3 = next(generators)
             a1, (a2, a3) = a3, next(pairs)
         except NumericalError as exc:
-            raise _at_step(exc, k, dt) from exc
+            raise type(exc)(f"step {k}, t={k * dt:g}: {exc}") from exc
         if a1 is a2 is a3:
             run, error = 1, None
             try:
@@ -272,20 +268,27 @@ def integrate_master(
                     run += 1
             except NumericalError as exc:
                 error = exc
-            power, known = _rk4_polynomial(dt * a1), 1  # path[k : k + known] is filled
+            # path[k : k + known] is filled and power is P^f: the next m <= f states are
+            # the m states f steps before them @ P^f.  f doubles while P^2f is finite; an
+            # RK4-unstable mode that the states do not hold would overflow it, not them.
+            power, f, known = _rk4_polynomial(dt * a1), 1, 1
             while known <= run:
-                m = min(known, run + 1 - known)
-                rows = np.matmul(path[k : k + m], power, out=path[k + known : k + known + m])
+                m = min(f, run + 1 - known)
+                rows = path[k + known : k + known + m]
+                np.matmul(path[k + known - f : k + known - f + m], power, out=rows)
                 drift = np.abs(rows[:, :: d + 1].sum(axis=1) - 1.0)
                 if not drift.max() <= TRACE_DRIFT_LIMIT:  # a non-finite trace counts as drift
                     first = np.argmax(~(drift <= TRACE_DRIFT_LIMIT))
                     raise drift_error(drift[first], k + known - 1 + first)
                 known += m
-                if known <= run:
-                    power = power @ power
+                if known == 2 * f <= run:
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        square = power @ power
+                    if np.isfinite(square).all():
+                        power, f = square, 2 * f
             k += run
             if error:
-                raise _at_step(error, k, dt) from error
+                raise type(error)(f"step {k}, t={k * dt:g}: {error}") from error
             if k == grid.steps:
                 break
             v = path[k].copy()

@@ -12,10 +12,10 @@ work of a step is one real product per chunk of ROW_CHUNK rows,
 (ROW_CHUNK, d^2) @ (d^2, w), on a buffer zero-padded to whole chunks,
 written into one output buffer; both buffers are allocated once per run,
 and nothing yielded is a view of either.  A trajectory alone is row 0 of
-one such chunk.  BLAS computes each row of
-a product of this fixed shape the same way whatever its place, and the
-jump products, over the rows that clicked, stay one product per row, so
-trajectory i of a batch is bit for bit the trajectory run alone.
+one such chunk.  BLAS computes each row of a product of this fixed shape
+the same way whatever its place, and the jump products, over the rows
+that clicked, stay one product per row, so trajectory i of a batch is
+bit for bit the trajectory run alone.
 The loop tests no measurement kind; each kind's `_STEPS` entry gives its
 maps, its dY draw and the rest of its step.  The step matrix is the Euler
 step, a = tr(A x), tau = tr x and the pre-step intensity: for quadrature
@@ -313,16 +313,15 @@ def propagate(
 
     rho0, (d, d) or (N, d, d), is not validated; x, a fresh real array of its
     shape, holds the coordinates of the state `master.hermitian(x)`, and the
-    intensity, of its batch shape, is fresh too.  Replays `increments` if
-    given, else draws dY from `noise` (pre-drawn, step index first) and the
-    pre-step intensity.  Each step's product `chunks @ sup` is written into
-    one buffer allocated per call, which nothing yielded shares.  The step
-    matrices are streamed from
-    `master.maps_at` at the grid times, formed where beta(t) changes, so a
-    constant beta forms one per run.  A trace, formed per row from the step
-    product, that is not finite or below TRACE_UNDERFLOW fails the step; a
-    numerical failure, a beta whose weights fail included, names its step,
-    time and, over a batch, trajectory.
+    intensity, of its batch shape, is fresh too: neither is a view of the
+    step product's buffer.  Replays `increments` if given, else draws dY
+    from `noise` (pre-drawn, step index first) and the pre-step intensity.
+    The step matrices are streamed from `master.maps_at` at the grid times,
+    formed where beta(t) changes, so a constant beta forms one per run.  A
+    trace, formed per row from the step product, that is not finite or
+    below TRACE_UNDERFLOW fails the step; a numerical failure, a beta whose
+    weights fail included, names its step, time and, over a batch,
+    trajectory.
     """
     if kind not in _STEPS:
         raise ValueError(f"unknown measurement kind {kind!r}")
@@ -351,10 +350,8 @@ def propagate(
             dy = increments[k] if increments is not None else draw(noise[k], intensity, dt)
             new, tr = finish(x, out, intensity, dy, dt, sup, w, *extra)
             size = np.abs(tr)
-            if not (
-                np.minimum.reduce(size, axis=None) >= TRACE_UNDERFLOW
-                and np.maximum.reduce(size, axis=None) < np.inf
-            ):  # false on nan
+            low, high = np.minimum.reduce(size, None), np.maximum.reduce(size, None)
+            if not (low >= TRACE_UNDERFLOW and high < np.inf):  # false on nan
                 bad = ~np.isfinite(tr) | (size < TRACE_UNDERFLOW)
                 raise _underflow_error(bad.reshape(shape[:-2]), tr)
             x = new / tr

@@ -211,6 +211,23 @@ def test_drift_failure_inside_a_run_names_the_stepwise_step(overflow_at):
         integrate_master(model, beta, rho0, TimeGrid(dt=dt, steps=20))
 
 
+def test_a_run_goes_on_past_a_power_that_overflows_in_a_mode_its_states_lack():
+    # Level 1 decays to 0 and level 2 dephases at gamma dt = 10, where RK4
+    # multiplies its coherences by about 13.7 a step: P^512 overflows.  The
+    # diagonal states hold no such coherence, so step by step nothing does; the
+    # run keeps P^256 from there.
+    coupling = np.zeros((3, 3))
+    coupling[0, 1], coupling[2, 2] = np.sqrt(0.005), np.sqrt(10.0)
+    model = HPModel(S=np.eye(3), L=coupling, H=np.zeros((3, 3)))
+    beta, grid = CoherentInput.constant(0.0), TimeGrid(dt=1.0, steps=2000)
+    poly = _rk4_polynomial(grid.dt * at(drift_superoperator(model), 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(np.linalg.matrix_power(poly, 512)).all()
+    rho0 = np.diag([0.2, 0.7, 0.1]).astype(complex)
+    states = integrate_master(model, beta, rho0, grid)
+    assert max_norm(states - rk4_reference(model, beta, rho0, grid)) <= 1e-12
+
+
 def test_constant_run_holds_no_more_than_its_states():
     # The beta values and generators are streamed: the peak stays near the
     # returned path, whatever the number of steps.
