@@ -226,8 +226,10 @@ def integrate_master(
     while they are the run's map, and a run of n steps is filled in
     O(log n) products by repeated squaring: with the first f states of
     the run known, the next m <= f are those m states @ P^f, and f
-    doubles while P^2f is finite.  Otherwise each stage is one product
-    v @ A(b).  The real
+    doubles while P^2f is finite; a run whose squared states drift off
+    trace 1 is filled again one v @ P at a time, so that its drift failure
+    names the step that the stepwise loop names.  Otherwise each stage is
+    one product v @ A(b).  The real
     parts of the states hold the coordinates until `hermitian_in_place`.
     A failure names its step and time, and failures come in step order:
     a beta that fails ends a run, which is filled and checked before the
@@ -271,15 +273,25 @@ def integrate_master(
             # path[k : k + known] is filled and power is P^f: the next m <= f states are
             # the m states f steps before them @ P^f.  f doubles while P^2f is finite; an
             # RK4-unstable mode that the states do not hold would overflow it, not them.
-            power, f, known = _rk4_polynomial(dt * a1), 1, 1
+            power = poly = _rk4_polynomial(dt * a1)
+            f, known = 1, 1
             while known <= run:
                 m = min(f, run + 1 - known)
                 rows = path[k + known : k + known + m]
                 np.matmul(path[k + known - f : k + known - f + m], power, out=rows)
                 drift = np.abs(rows[:, :: d + 1].sum(axis=1) - 1.0)
                 if not drift.max() <= TRACE_DRIFT_LIMIT:  # a non-finite trace counts as drift
-                    first = np.argmax(~(drift <= TRACE_DRIFT_LIMIT))
-                    raise drift_error(drift[first], k + known - 1 + first)
+                    # The drift is rounding, which the squared products round otherwise than
+                    # the stepwise loop: the run is filled again step by step, v @ P, and
+                    # fails, if it does, at the step that loop fails at.
+                    v = path[k].copy()
+                    for j in range(k, k + run):
+                        v = v @ poly
+                        drift = abs(v[:: d + 1].sum() - 1.0)
+                        if not drift <= TRACE_DRIFT_LIMIT:
+                            raise drift_error(drift, j)
+                        path[j + 1] = v
+                    break
                 known += m
                 if known == 2 * f <= run:
                     with np.errstate(over="ignore", invalid="ignore"):

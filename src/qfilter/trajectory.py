@@ -7,30 +7,35 @@ the (steps,) innovations, the Zakai log-normalization), and the ensemble
 harness aggregates it on the fly.
 
 The loop steps in Liouville space on real coordinates (conventions in
-`master`): a state is a row vector x(rho) of d^2 reals, and the linear
-work of a step is one real product per chunk of ROW_CHUNK rows,
-(ROW_CHUNK, d^2) @ (d^2, w), on a buffer zero-padded to whole chunks,
-written into one output buffer; both buffers are allocated once per run,
-and nothing yielded is a view of either.  A trajectory alone is row 0 of
-one such chunk.  BLAS computes each row of a product of this fixed shape
-the same way whatever its place, and the jump products, over the rows
-that clicked, stay one product per row, so trajectory i of a batch is
-bit for bit the trajectory run alone.
+`master`): a state is a vector x(rho) of d^2 reals, and the N states of a
+batch are the columns of one (d^2, Npad) buffer, N rounded up to whole
+chunks of COLUMN_CHUNK columns, with the columns past N zero.  The linear
+work of a step is one real product per chunk, (w, d^2) @ (d^2,
+COLUMN_CHUNK), of the transposed step matrix with the chunk, which BLAS
+writes into the chunk's columns of one (w, Npad) output buffer (leading
+dimension Npad), so that each quantity of the step is one contiguous row
+over the batch; both buffers are allocated once per run, and nothing
+yielded is a view of either.  A trajectory alone is column 0 of one such
+chunk.  BLAS computes each column of a product of this fixed shape the
+same way whatever its place, and the jump products, over the states that
+clicked, stay one product per state, so trajectory i of a batch is bit
+for bit the trajectory run alone.
 The loop tests no measurement kind; each kind's `_STEPS` entry gives its
 maps, its dY draw and the rest of its step.  The step matrix is the Euler
-step, a = tr(A x), tau = tr x and the pre-step intensity: for quadrature
+step, a = tr(A x), tau = tr x and the pre-step intensity, in row form
+(x @ M) and held transposed: for quadrature
 [A | gain | a | tau | m], w = 2 d^2 + 3, A = I + L' dt, m = tr(gain),
 dY = dI + m dt; for counting [A | a | tau | r], w = d^2 + 3,
 A = I + (L' - J) dt, J rho = L^b rho L^b†, r = tr(J rho), dY a
-Bernoulli(r dt) click, and a row that clicked first jumps by J / r.
-The loop yields each new row over its trace, formed from these scalars,
+Bernoulli(r dt) click, and a state that clicked first jumps by J / r.
+The loop yields each new state over its trace, formed from these scalars,
 a + (m - m tau)(dY - m dt) or a + r dt tau; consumers form the states,
 Hermitian by construction, where needed, and check that rounding has left
 them at trace 1 (`check_trace`).  Each map is formed from its
 four affine pieces in beta, built once per run: the step matrices
 streamed by `master.maps_at`, which forms them a block of grid times at a
 time, in one product where beta(t) changes, and the jump map, from the
-step's beta weights, when a row clicks.
+step's beta weights, when a state clicks.
 
 The unnormalized (Zakai) state is kept in factorized form: the normalized
 filter state plus an accumulated log-normalization, whose per-step
@@ -55,7 +60,7 @@ TRACE_UNDERFLOW = 1e-12
 COUNTING_BETA_MIN = 1e-3
 MAX_JUMP_PROBABILITY = 0.1
 TRACE_LOSS_LIMIT = 1e-9  # largest |tr - 1| of a returned state; the loop normalizes each to trace 1
-ROW_CHUNK = 8  # rows per step product: one fixed GEMM shape, whatever the batch size
+COLUMN_CHUNK = 16  # columns per step product: one fixed GEMM shape, whatever the batch size
 
 QUADRATURE = "quadrature"
 COUNTING = "counting"
@@ -159,11 +164,16 @@ def _jump_map(lb: np.ndarray, hb: np.ndarray, rho: np.ndarray):
 
 
 def _step_pieces(pieces: np.ndarray, d: int, dt: float) -> np.ndarray:
-    """A map's pieces [drift | ... | intensity] as [I + dt drift | ... | a | tau | intensity]."""
+    """A map's pieces [drift | ... | intensity] as rows [I + dt drift | ... | a | tau | intensity].
+
+    The step matrix acts on the left of a state's coordinates as a column:
+    its row j is column j of the row-form map.
+    """
     tau = np.multiply.outer([1.0, 0.0, 0.0, 0.0], np.eye(d).reshape(-1, 1))  # x @ tau[0] = tr x
     a = dt * pieces[..., : d * d]
     a[0] += np.eye(d * d)  # in piece 0, of beta-weight 1
-    return np.concatenate([a, pieces[..., d * d : -1], a @ tau[0], tau, pieces[..., -1:]], axis=-1)
+    rows = np.concatenate([a, pieces[..., d * d : -1], a @ tau[0], tau, pieces[..., -1:]], axis=-1)
+    return np.ascontiguousarray(rows.transpose(0, 2, 1))
 
 
 def _quadrature_draw(di, m, dt):
@@ -172,11 +182,11 @@ def _quadrature_draw(di, m, dt):
 
 
 def _quadrature_finish(v, out, m, dy, dt, *_):
-    """rho + L'rho dt + (L^b rho + rho L^b† - m rho)(dY - m dt) and its trace, in rows."""
-    d2 = v.shape[-1]
-    m, a, tau = out[..., -1:], out[..., -3:-2], out[..., -2:-1]
-    innov = dy.reshape(-1, 1, 1) - m * dt
-    return out[..., :d2] + (out[..., d2:-3] - m * v) * innov, a + (m - m * tau) * innov
+    """rho + L'rho dt + (L^b rho + rho L^b† - m rho)(dY - m dt) and its trace, in columns."""
+    d2 = len(v)
+    m, a, tau = out[-1], out[-3], out[-2]
+    innov = dy - m * dt
+    return out[:d2] + (out[d2:-3] - m * v) * innov, a + (m - m * tau) * innov
 
 
 def _counting_draw(u, r, dt):
@@ -191,27 +201,29 @@ def _counting_draw(u, r, dt):
 
 
 def _no_jump(v, out, dt):
-    """rho + (L'rho - L^b rho L^b† + r rho) dt and its trace, from out = v @ [A | a | tau | r]."""
-    rdt = out[..., -1:] * dt
-    return out[..., :-3] + rdt * v, out[..., -3:-2] + rdt * out[..., -2:-1]
+    """rho + (L'rho - L^b rho L^b† + r rho) dt and its trace, from out = [A | a | tau | r]^T @ v."""
+    rdt = out[-1] * dt
+    return out[:-3] + rdt * v, out[-3] + rdt * out[-2]
 
 
 def _counting_finish(v, out, r, dy, dt, sup, w, jump):
-    """Each row's no-jump step and trace; a row that clicked (r >= JUMP_RATE_FLOOR) first jumps.
+    """Each column's no-jump step and trace; a column that clicked (r >= JUMP_RATE_FLOOR) jumps first.
 
-    The jump map is formed from w, the step's beta weights, only when a row clicked.
+    The jump map is formed from w, the step's beta weights, only when a
+    column clicked; each clicked state takes its own products, as a row.
     """
     new, tr = _no_jump(v, out, dt)
     jumped = dy.reshape(-1).nonzero()[0]  # np.flatnonzero(dy), without its Python wrapper
     if jumped.size:
-        rate = out[jumped, :, -1:]
+        rate = out[-1, jumped]
         if not rate.min() >= JUMP_RATE_FLOOR:  # also true on nan, which the mask lets pass
             bad = (dy != 0.0) & (r < JUMP_RATE_FLOOR)
             if np.any(bad):
                 msg = "detection event in a state with vanishing jump rate"
                 raise _row_error(JumpRateError, bad, msg)
-        post = v[jumped] @ (w @ jump.reshape(4, -1)).reshape(jump.shape[1:]) / rate
-        new[jumped], tr[jumped] = _no_jump(post, post @ sup, dt)
+        jump_map = (w @ jump.reshape(4, -1)).reshape(jump.shape[1:])
+        post = v.T[jumped, None] @ jump_map / rate[:, None, None]  # (clicked, 1, d^2)
+        new[:, jumped], tr[jumped] = _no_jump(post[:, 0].T, (post @ sup.T)[:, 0].T, dt)
     return new, tr
 
 
@@ -311,11 +323,13 @@ def propagate(
 ):
     """The filter loop: yield (x after step k, dY_k, intensity before step k).
 
-    rho0, (d, d) or (N, d, d), is not validated; x, a fresh real array of its
-    shape, holds the coordinates of the state `master.hermitian(x)`, and the
-    intensity, of its batch shape, is fresh too: neither is a view of the
-    step product's buffer.  Replays `increments` if given, else draws dY
-    from `noise` (pre-drawn, step index first) and the pre-step intensity.
+    rho0, (d, d) or (N, d, d), is not validated; x, a real array of its
+    shape, holds the coordinates of the state `master.hermitian(x)`: it is
+    the transpose of the step's fresh (d^2, N) columns, which are copied
+    into the buffer of the next step's product.  The intensity, of the
+    batch shape, is fresh too: neither is a view of either buffer.  Replays
+    `increments` (step index first) if given, else draws dY from `noise`
+    (pre-drawn, step index first) and the pre-step intensity.
     The step matrices are streamed from `master.maps_at` at the grid times,
     formed where beta(t) changes, so a constant beta forms one per run.  A
     trace, formed per row from the step product, that is not finite or
@@ -330,34 +344,34 @@ def propagate(
     x = coordinates(np.asarray(rho0, dtype=complex))
     shape = x.shape
     d = shape[-1]
-    x = x.reshape(-1, 1, d * d)
-    n = len(x)
+    n = x.size // (d * d)
     dt = grid.dt
     pieces = _step_pieces(step_map, d, dt)
-    chunks = np.zeros((-(-n // ROW_CHUNK), ROW_CHUNK, d * d))  # rows past n stay zero
-    product = np.empty(chunks.shape[:-1] + pieces.shape[-1:])  # each step's chunks @ sup
-    rows = chunks.reshape(-1, 1, d * d)[:n]
-    out = product.reshape(-1, 1, pieces.shape[-1])[:n]
-    intensity = out[..., -1].reshape(shape[:-2])  # a view: copied when yielded
+    chunks = -(-n // COLUMN_CHUNK)
+    xbuf = np.zeros((d * d, chunks * COLUMN_CHUNK))  # columns past n stay zero
+    obuf = np.empty((len(pieces[0]), chunks * COLUMN_CHUNK))  # each step's sup @ xbuf
+    xin, prod = (b.reshape(len(b), chunks, COLUMN_CHUNK).transpose(1, 0, 2) for b in (xbuf, obuf))
+    v, out = xbuf[:, :n], obuf[:, :n]
+    v[...] = x.reshape(n, d * d).T
+    intensity = out[-1].reshape(shape[:-2])  # a view: copied when yielded
     values = (beta.value(k * dt) for k in range(grid.steps))
     step_maps = maps_at(pieces, values)
     for k in range(grid.steps):
         t = k * dt
         try:
             sup, w = next(step_maps)
-            rows[...] = x
-            np.matmul(chunks, sup, out=product)
+            np.matmul(sup, xin, out=prod)
             dy = increments[k] if increments is not None else draw(noise[k], intensity, dt)
-            new, tr = finish(x, out, intensity, dy, dt, sup, w, *extra)
+            new, tr = finish(v, out, intensity, dy, dt, sup, w, *extra)
             size = np.abs(tr)
             low, high = np.minimum.reduce(size, None), np.maximum.reduce(size, None)
             if not (low >= TRACE_UNDERFLOW and high < np.inf):  # false on nan
                 bad = ~np.isfinite(tr) | (size < TRACE_UNDERFLOW)
                 raise _underflow_error(bad.reshape(shape[:-2]), tr)
-            x = new / tr
+            v[...] = x = new / tr
         except NumericalError as exc:
             raise type(exc)(f"step {k}, t={t:g}: {exc}") from exc
-        yield x.reshape(shape), dy, intensity.copy()
+        yield x.T.reshape(shape), dy, intensity.copy()
 
 
 def _filter_path(model, beta, rho0, kind, grid, **source):

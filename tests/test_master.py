@@ -211,6 +211,31 @@ def test_drift_failure_inside_a_run_names_the_stepwise_step(overflow_at):
         integrate_master(model, beta, rho0, TimeGrid(dt=dt, steps=20))
 
 
+@pytest.mark.parametrize(
+    "dim, seed, dt, step", [(2, 4, 8.0, 1), (2, 8, 1.0, 10)], ids=["squared-later", "squared-earlier"]
+)
+def test_drift_failure_that_the_squared_run_rounds_elsewhere_names_the_stepwise_step(
+    dim, seed, dt, step
+):
+    # The drift of an RK4 run is rounding alone, on states that grow to 1e13 and
+    # 5e14 here, and the squared products round it past the limit at another
+    # step than v @ P does step by step: at step 2 where step by step it goes
+    # 2.3e-10 -> 1.5e-3 at step 1, and at step 7 where it stays below 1e-8
+    # through step 9 and is 4.7e-2 at step 10.  The run is redone step by step.
+    model, rho0 = random_model(seed, dim)
+    b = 0.4 - 0.2j
+    poly = _rk4_polynomial(dt * at(drift_superoperator(model), b))
+    v, drifts = coordinates(rho0).reshape(-1), []
+    for _ in range(step + 1):
+        v = v @ poly
+        drifts.append(abs(v[:: dim + 1].sum() - 1.0))
+    assert max(drifts[:step]) * 10 <= TRACE_DRIFT_LIMIT <= drifts[step] / 10
+    where = re.escape(f"dt={dt} too large for this generator at t={step * dt:g}, beta = {b}")
+    message = rf"^trace drift {re.escape(f'{drifts[step]:.3e}')} at step {step}: {where}$"
+    with pytest.raises(StepSizeError, match=message):
+        integrate_master(model, CoherentInput.constant(b), rho0, TimeGrid(dt=dt, steps=40))
+
+
 def test_a_run_goes_on_past_a_power_that_overflows_in_a_mode_its_states_lack():
     # Level 1 decays to 0 and level 2 dephases at gamma dt = 10, where RK4
     # multiplies its coherences by about 13.7 a step: P^512 overflows.  The

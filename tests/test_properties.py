@@ -50,11 +50,11 @@ from qfilter.model import CoherentInput, HPModel, lindblad_adjoint, modulated_op
 from qfilter.trajectory import (
     _STEPS,
     _step_pieces,
+    COLUMN_CHUNK,
     COUNTING,
     COUNTING_BETA_MIN,
     KINDS,
     QUADRATURE,
-    ROW_CHUNK,
     filter_record,
     propagate,
     simulate_record,
@@ -65,7 +65,7 @@ from reference import count_step_arrays, quad_step_arrays, reference_noise
 DT = 1e-3
 JUMP_PROBABILITY_BUDGET = 0.05
 GRID = TimeGrid(dt=DT, steps=40)
-BATCH_SIZES = (1, 3, ROW_CHUNK, 257)
+BATCH_SIZES = (1, 3, COLUMN_CHUNK, 257)
 REFERENCE_TOL = 1e-12
 
 
@@ -142,24 +142,29 @@ def test_rows_that_jump_alone_in_a_batch_equal_standalone_bit_for_bit(dim):
 
 
 @pytest.mark.parametrize("dim", range(2, 9))
-def test_chunked_product_rows_equal_each_row_alone_in_its_chunk_bit_for_bit(dim):
-    # propagate takes each step's product as (ROW_CHUNK, d^2) @ (d^2, w) GEMMs on
-    # zero-padded chunks of its rows, and a trajectory alone as row 0 of one such
-    # chunk.  Batched rows equal standalone runs only if BLAS computes a row of a
-    # GEMM of this fixed shape the same way whatever its slot, chunk and neighbours.
+def test_chunked_product_columns_equal_each_column_alone_in_its_chunk_bit_for_bit(dim):
+    # propagate takes each step's product as (w, d^2) @ (d^2, COLUMN_CHUNK) GEMMs on
+    # zero-padded chunks of the columns of one (d^2, Npad) buffer, written at leading
+    # dimension Npad into a (w, Npad) one, and a trajectory alone as column 0 of one
+    # such chunk.  Batched columns equal standalone runs only if BLAS computes a
+    # column of a GEMM of this fixed shape the same way whatever its slot, chunk and
+    # neighbours.
     rng = np.random.default_rng(dim)
     d2 = dim * dim
-    alone = np.zeros((1, ROW_CHUNK, d2))
+    alone = np.zeros((d2, COLUMN_CHUNK))
     for width in (d2 + 3, 2 * d2 + 3):  # the counting and quadrature step matrices
-        sup = rng.standard_normal((d2, width)) * (rng.random((d2, width)) < 0.8)
-        for n in (1, ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1, 257):
-            x = rng.standard_normal((n, d2)) * (rng.random((n, d2)) < 0.7)  # with exact zeros
-            chunks = np.zeros((-(-n // ROW_CHUNK), ROW_CHUNK, d2))
-            chunks.reshape(-1, d2)[:n] = x
-            rows = (chunks @ sup).reshape(-1, width)[:n]
-            for i in range(n):
-                alone[0, 0] = x[i]
-                assert rows[i].tobytes() == (alone @ sup)[0, 0].tobytes()
+        sup = rng.standard_normal((width, d2)) * (rng.random((width, d2)) < 0.8)
+        for n in (1, COLUMN_CHUNK - 1, COLUMN_CHUNK, COLUMN_CHUNK + 1, 257):
+            x = rng.standard_normal((d2, n)) * (rng.random((d2, n)) < 0.7)  # with exact zeros
+            chunks = -(-n // COLUMN_CHUNK)
+            xbuf = np.zeros((d2, chunks * COLUMN_CHUNK))
+            obuf = np.empty((width, chunks * COLUMN_CHUNK))
+            xbuf[:, :n] = x
+            xin, prod = (b.reshape(len(b), chunks, -1).transpose(1, 0, 2) for b in (xbuf, obuf))
+            np.matmul(sup, xin, out=prod)
+            for c in range(n):
+                alone[:, 0] = x[:, c]
+                assert obuf[:, c].tobytes() == (sup @ alone)[:, 0].tobytes()
 
 
 @exact
@@ -354,8 +359,8 @@ def test_block_boundaries_keep_the_reference_kernels_and_batch_rows(seed, dim, k
 @exact
 @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 4, 8]), st.sampled_from(KINDS))
 def test_step_matrix_is_the_maps_with_identity_dt_and_trace_columns(seed, dim, kind):
-    # x @ at(step pieces, b) = [A | gain | tr A | tr x | m], A = x + dt drift
-    # (counting: [A | tr A | tr x | r], A = x + dt no-jump drift), at L^b, H^b.
+    # at(step pieces, b) @ x^T = [A | gain | tr A | tr x | m]^T, A = x + dt drift
+    # (counting: [A | tr A | tr x | r]^T, A = x + dt no-jump drift), at L^b, H^b.
     rng = np.random.default_rng(seed)
     model = random_model(rng, dim)
     b = complex(rng.standard_normal(), rng.standard_normal())
@@ -365,7 +370,7 @@ def test_step_matrix_is_the_maps_with_identity_dt_and_trace_columns(seed, dim, k
     a = x + DT * drift
     traces = [y[:, :: dim + 1].sum(axis=1, keepdims=True) for y in (a, x)]
     expected = np.concatenate([a, *rest, *traces, intensity], axis=1)
-    got = x @ at(_step_pieces(affine_superoperator(model, MAPS[kind]), dim, DT), b)
+    got = (at(_step_pieces(affine_superoperator(model, MAPS[kind]), dim, DT), b) @ x.T).T
     assert got.shape == expected.shape
     assert max_norm(got - expected) <= REFERENCE_TOL * max(1.0, max_norm(expected))
 

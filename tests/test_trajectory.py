@@ -16,12 +16,12 @@ from qfilter.linalg import (
 from qfilter.master import TimeGrid
 from qfilter.model import CoherentInput, modulated_operators
 from qfilter.trajectory import (
+    COLUMN_CHUNK,
     COUNTING,
     KINDS,
     JumpRateError,
     MeasurementRecord,
     QUADRATURE,
-    ROW_CHUNK,
     TraceLossError,
     TraceUnderflowError,
     draw_noise,
@@ -261,9 +261,9 @@ def test_an_ensemble_trajectory_that_loses_its_trace_fails_naming_it():
         simulate_record(qnd_model(), QND_BETA, MIXED3, QUADRATURE, QND_GRID, mix_seed(28, 3))
 
 
-@pytest.mark.parametrize("batch", [(), (ROW_CHUNK + 1,)], ids=["alone", "batch"])
+@pytest.mark.parametrize("batch", [(), (COLUMN_CHUNK + 1,)], ids=["alone", "batch"])
 def test_propagate_yields_fresh_arrays(batch):
-    # Each step's rows are copied into one zero-padded buffer for the step product;
+    # Each step's states are copied into one zero-padded buffer for the step product;
     # a yielded state that was a view of it, or of another step's state, would
     # change under a caller that keeps it, as list(propagate(...)) does.
     grid = TimeGrid(dt=1e-3, steps=6)
@@ -285,7 +285,7 @@ def test_propagate_yields_fresh_arrays(batch):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("batch", [(), (ROW_CHUNK + 1,)], ids=["alone", "batch"])
+@pytest.mark.parametrize("batch", [(), (COLUMN_CHUNK + 1,)], ids=["alone", "batch"])
 def test_propagate_yields_nothing_of_the_step_product_buffer(monkeypatch, kind, batch):
     # The step product is written into one buffer per call, out= of np.matmul;
     # no yielded x, dY or intensity may be a view of it or of another step's.
