@@ -24,9 +24,10 @@ streams its maps from `maps_at`, which reads the loop's beta values
 BETA_BLOCK at a time and forms the maps where beta changes in one
 product, so a constant beta forms one map per run.  RK4 streams the
 d^2 x d^2 generators at its grid and half-step times, and each stage
-under a time-varying beta is one product with one of them; a run of steps
-under one generator is filled from powers of its RK4 polynomial, by
-repeated squaring, in O(log n) products for n steps.
+under a time-varying beta is one product with one of them; a step under
+one generator is one product with its RK4 polynomial, and under a constant
+beta the whole path is filled from powers of that polynomial, by repeated
+squaring, in O(log n) products for n steps.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain, islice, repeat
+from math import isqrt
 from operator import itemgetter
 
 import numpy as np
@@ -141,7 +143,8 @@ def maps_at(pieces: np.ndarray, values):
     The values are read BETA_BLOCK at a time, and only the changes of beta
     are formed, in one product (changes, 4) @ pieces.reshape(4, -1) per
     block: a value equal to the one before it yields that value's pair
-    again, the same objects, so a constant beta forms one map per run.  A
+    again, the same objects, so a constant beta forms one map per run, and
+    `integrate_master` tells a step under one map by this identity.  A
     value whose weights fail ends its block's product; the values before
     it are yielded, and its failure is raised when it is reached.
     """
@@ -211,6 +214,32 @@ def _rk4_polynomial(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _squared(path: np.ndarray, poly: np.ndarray) -> bool:
+    """Fill path[1:] from path[0] by repeated squaring of one step's RK4 polynomial P.
+
+    With the first f rows known, the next m <= f are those m rows f steps
+    before them @ P^f, and f doubles while rows remain: O(log n) products
+    for n steps.  Returns False at the first product whose power is not
+    finite (it may overflow in a mode the states lack) or whose states drift
+    off trace 1; the caller then steps from path[0] again.
+    """
+    n, d = len(path), isqrt(path.shape[1])
+    power, f, known = poly, 1, 1
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails below
+        while known < n:
+            m = min(f, n - known)
+            rows = path[known : known + m]
+            np.matmul(path[known - f : known - f + m], power, out=rows)
+            drift = np.abs(rows[:, :: d + 1].sum(axis=1) - 1.0)
+            # A non-finite trace is drift; an inf in P^f may meet only 0s, off the trace.
+            if not (drift.max() <= TRACE_DRIFT_LIMIT and np.isfinite(power).all()):
+                return False
+            known += m
+            if known == 2 * f < n:
+                power, f = power @ power, 2 * f
+    return True
+
+
 def integrate_master(
     model: HPModel, beta: CoherentInput, rho0: np.ndarray, grid: TimeGrid
 ) -> np.ndarray:
@@ -220,20 +249,15 @@ def integrate_master(
     row-form generator A(b), streamed by `maps_at` at beta(0) and then at
     each step's half-step and end times: a step's end time is the next
     step's start, and its two middle stages share one generator.  A step
-    whose three stage generators are the same map, beta unchanged across
-    it, is one product with the RK4 polynomial P of that map (exactly
-    RK4).  Such steps come in runs, found by pulling stage generators
-    while they are the run's map, and a run of n steps is filled in
-    O(log n) products by repeated squaring: with the first f states of
-    the run known, the next m <= f are those m states @ P^f, and f
-    doubles while P^2f is finite; a run whose squared states drift off
-    trace 1 is filled again one v @ P at a time, so that its drift failure
-    names the step that the stepwise loop names.  Otherwise each stage is
-    one product v @ A(b).  The real
-    parts of the states hold the coordinates until `hermitian_in_place`.
-    A failure names its step and time, and failures come in step order:
-    a beta that fails ends a run, which is filled and checked before the
-    failure is raised.
+    whose three stage generators are one map, beta unchanged across it, is
+    one product v @ P with the RK4 polynomial P of that map (exactly RK4),
+    P formed once per map; any other step takes one product v @ A(b) per
+    stage.  Under a constant beta the stream is beta(0) alone, and the
+    whole path is first filled by repeated squaring (`_squared`); if its
+    states drift or a power overflows, the steps are taken one v @ P at a
+    time, so that a drift failure names the step that stepping names.  The real parts of
+    the states hold the coordinates until `hermitian_in_place`.  A failure
+    names its step and time.
     """
     rho = validate_density(rho0)
     d = rho.shape[0]
@@ -242,76 +266,38 @@ def integrate_master(
     path[0] = v = coordinates(rho).reshape(d * d)
     dt = grid.dt
     value = beta.value
-
-    def drift_error(drift: float, k: int) -> StepSizeError:
-        return StepSizeError(
-            f"trace drift {drift:.3e} at step {k}: dt={dt} too large for this generator"
-            f" at t={k * dt:g}, beta = {value(k * dt)}"
-        )
-
-    times = (t for i in range(grid.steps) for t in (i * dt + 0.5 * dt, (i + 1) * dt))
-    values = chain([value(0.0)], map(value, times))
+    if beta.is_constant:
+        values = [value(0.0)]
+    else:
+        times = (t for i in range(grid.steps) for t in (i * dt + 0.5 * dt, (i + 1) * dt))
+        values = chain([value(0.0)], map(value, times))
     generators = map(itemgetter(0), maps_at(drift_superoperator(model), values))
-    pairs = zip(generators, generators)  # each step's half-step and end generators
-    k = 0
-    while k < grid.steps:
+    mapped = None
+    for k in range(grid.steps):
         try:
             if not k:  # A(b(0)), taken here so that its failure names step 0
                 a3 = next(generators)
-            a1, (a2, a3) = a3, next(pairs)
+            # A constant beta's stream ends after beta(0), and its one map holds.
+            a1, a2, a3 = a3, next(generators, a3), next(generators, a3)
         except NumericalError as exc:
             raise type(exc)(f"step {k}, t={k * dt:g}: {exc}") from exc
         if a1 is a2 is a3:
-            run, error = 1, None
-            try:
-                for a2, a3 in pairs:
-                    if a2 is not a1 or a3 is not a1:
-                        break  # (a2, a3) are the generators of the step after the run
-                    run += 1
-            except NumericalError as exc:
-                error = exc
-            # path[k : k + known] is filled and power is P^f: the next m <= f states are
-            # the m states f steps before them @ P^f.  f doubles while P^2f is finite; an
-            # RK4-unstable mode that the states do not hold would overflow it, not them.
-            power = poly = _rk4_polynomial(dt * a1)
-            f, known = 1, 1
-            while known <= run:
-                m = min(f, run + 1 - known)
-                rows = path[k + known : k + known + m]
-                np.matmul(path[k + known - f : k + known - f + m], power, out=rows)
-                drift = np.abs(rows[:, :: d + 1].sum(axis=1) - 1.0)
-                if not drift.max() <= TRACE_DRIFT_LIMIT:  # a non-finite trace counts as drift
-                    # The drift is rounding, which the squared products round otherwise than
-                    # the stepwise loop: the run is filled again step by step, v @ P, and
-                    # fails, if it does, at the step that loop fails at.
-                    v = path[k].copy()
-                    for j in range(k, k + run):
-                        v = v @ poly
-                        drift = abs(v[:: d + 1].sum() - 1.0)
-                        if not drift <= TRACE_DRIFT_LIMIT:
-                            raise drift_error(drift, j)
-                        path[j + 1] = v
+            if a1 is not mapped:
+                mapped, poly = a1, _rk4_polynomial(dt * a1)
+                if beta.is_constant and _squared(path, poly):
                     break
-                known += m
-                if known == 2 * f <= run:
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        square = power @ power
-                    if np.isfinite(square).all():
-                        power, f = square, 2 * f
-            k += run
-            if error:
-                raise type(error)(f"step {k}, t={k * dt:g}: {error}") from error
-            if k == grid.steps:
-                break
-            v = path[k].copy()
-        k1 = v @ a1
-        k2 = (v + 0.5 * dt * k1) @ a2
-        k3 = (v + 0.5 * dt * k2) @ a2
-        k4 = (v + dt * k3) @ a3
-        v = v + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            v = v @ poly
+        else:
+            k1 = v @ a1
+            k2 = (v + 0.5 * dt * k1) @ a2
+            k3 = (v + 0.5 * dt * k2) @ a2
+            k4 = (v + dt * k3) @ a3
+            v = v + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         drift = abs(v[:: d + 1].sum() - 1.0)
         if not drift <= TRACE_DRIFT_LIMIT:
-            raise drift_error(drift, k)
+            raise StepSizeError(
+                f"trace drift {drift:.3e} at step {k}: dt={dt} too large for this generator"
+                f" at t={k * dt:g}, beta = {value(k * dt)}"
+            )
         path[k + 1] = v
-        k += 1
     return hermitian_in_place(states)

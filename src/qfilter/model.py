@@ -12,7 +12,7 @@ below then act instance by instance, with beta a scalar or a stack
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -60,15 +60,18 @@ class CoherentInput:
     Build it with `constant`, `sinusoid` (a * exp(i omega t) + c) or
     `piecewise` (piecewise constant on a uniform grid, left endpoints).  A
     time within rounding of a sample boundary j * sample_dt takes sample j.
+    `is_constant`, derived and not an argument, is True for `constant` alone.
     """
 
     value: Callable[[float], complex]
+    is_constant: bool = field(default=False, init=False)
 
     @classmethod
     def constant(cls, value: complex) -> "CoherentInput":
         value = complex(value)
         _check_finite("constant", value=value)
-        return cls(lambda t: value)
+        object.__setattr__(out := cls(lambda t: value), "is_constant", True)  # frozen
+        return out
 
     @classmethod
     def sinusoid(cls, amplitude: complex, frequency: float, offset: complex = 0.0) -> "CoherentInput":

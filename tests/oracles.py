@@ -15,6 +15,15 @@ the distance of each final state's populations to the exact posterior;
 `fitted_order` is the least-squares slope of log error against log dt.
 `qnd_table` runs one case over its levels; `PYTHONPATH=src python
 tests/oracles.py` prints the table of the cases `test_oracle.py` gates.
+
+The averaged dynamics of such a model has a closed form too: each entry of
+rho evolves on its own, rho_ij(t) = rho_ij(0) exp(int_0^t kappa_ij(beta(s)) ds),
+
+    kappa_ij = -i(eta_i - eta_j) + lambda_i lambda_j* - (|lambda_i|^2 + |lambda_j|^2) / 2,
+
+with lambda_i = l_i + s_i beta and eta_i = h_i + Im(beta l_i* s_i), the
+diagonals of L^beta and H^beta.  `diagonal_rates` gives kappa at one beta
+and `diagonal_master` the states under it, the oracle of `integrate_master`.
 """
 
 import numpy as np
@@ -50,6 +59,20 @@ def qnd_parameters(model: HPModel, kind: str, b: complex) -> np.ndarray:
     """c_i = 2 Re(l_i + s_i b) for quadrature, r_i = |l_i + s_i b|^2 for counting."""
     lb = np.diag(model.L) + np.diag(model.S) * b
     return 2.0 * lb.real if kind == QUADRATURE else np.abs(lb) ** 2
+
+
+def diagonal_rates(model: HPModel, b: complex) -> np.ndarray:
+    """The (d, d) kappa_ij of a model with diagonal S, L and H at beta = b."""
+    s, l, h = (np.diag(m) for m in (model.S, model.L, model.H))
+    lam = l + s * b
+    eta = h.real + np.imag(b * l.conj() * s)
+    power = np.abs(lam) ** 2
+    return -1j * (eta[:, None] - eta) + np.outer(lam, lam.conj()) - 0.5 * (power[:, None] + power)
+
+
+def diagonal_master(model: HPModel, b: complex, rho: np.ndarray, durations) -> np.ndarray:
+    """The exact states rho_ij exp(kappa_ij(b) t) after each duration t under a constant beta = b."""
+    return rho * np.exp(np.multiply.outer(durations, diagonal_rates(model, b)))
 
 
 def qnd_levels(model, kind, b, p0, T, level_steps, paths, rng):

@@ -17,6 +17,7 @@ from qfilter.config import (
 from qfilter.io import ROW_BLOCK, read_record_csv, write_classical_csv, write_record_csv, write_states_csv
 from qfilter.linalg import SIGMA_Z, max_norm, random_density, random_hermitian
 from qfilter.master import TimeGrid
+from qfilter.model import CoherentInput
 from qfilter.trajectory import COUNTING, MeasurementRecord, QUADRATURE
 
 EYE2 = matrix_to_json(np.eye(2))
@@ -59,6 +60,22 @@ def test_parse_beta_kinds():
     assert pw.value(0.6) == 2.0
     with pytest.raises(ConfigError):
         parse_beta({"kind": "square-wave"})
+
+
+def test_only_a_constant_beta_says_it_is_constant():
+    # integrate_master squares its RK4 step under a constant beta only; a samples
+    # beta whose values are all equal is stepped like any other.
+    assert CoherentInput.constant(0.5).is_constant
+    assert parse_beta({"kind": "constant", "value": 1.0}).is_constant
+    others = [
+        CoherentInput.sinusoid(0.5, 1.0),
+        CoherentInput.piecewise(0.0, 0.5, [1.0, 1.0]),
+        parse_beta({"kind": "sinusoid", "amplitude": [1, 0], "frequency": 0.0}),
+        parse_beta({"kind": "samples", "dt": 0.5, "values": [[1, 0], [1, 0]]}),
+    ]
+    assert not any(b.is_constant for b in others)
+    with pytest.raises(TypeError):  # derived from the input, not an argument
+        CoherentInput(lambda t: 0.5, is_constant=True)
 
 
 def test_full_config_parses():

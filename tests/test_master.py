@@ -19,6 +19,7 @@ from qfilter.master import (
     StepSizeError,
     TimeGrid,
     _rk4_polynomial,
+    _squared,
     at,
     coordinates,
     drift_superoperator,
@@ -166,7 +167,8 @@ def test_long_constant_run_at_d8_matches_matrix_form_rk4():
 
 def test_runs_of_about_a_power_of_two_match_matrix_form_rk4():
     # A sample of beta lasts one step, so L + 1 equal samples make a run of L
-    # steps, and the step across each change of sample takes the stage form.
+    # steps under one generator, each one v @ P, and the step across each change
+    # of sample takes the stage form.
     lengths = [3, 4, 5, 31, 32, 33]  # 2^j - 1, 2^j, 2^j + 1 for j = 2, 5
     values = [0.6 - 0.3j, -0.2 + 0.5j, 0.1j, 0.8, -0.4 - 0.4j, 0.3 + 0.3j]
     dt = 2.0**-9
@@ -185,13 +187,29 @@ def test_runs_of_about_a_power_of_two_match_matrix_form_rk4():
     assert max_norm(states - rk4_reference(model, beta, rho0, grid)) <= 1e-12
 
 
+@pytest.mark.parametrize("steps", [1, 2, 3, 4, 5, 31, 32, 33])
+def test_a_constant_beta_squared_over_about_a_power_of_two_steps_matches_matrix_form_rk4(steps):
+    # 2^j - 1, 2^j and 2^j + 1 steps: the last product of the squared path is
+    # full, or cut to one row.  The path is the squared one, bit for bit.
+    model, rho0 = random_model(5, 3)
+    b, dt = 0.6 - 0.3j, 2.0**-9
+    beta, grid = CoherentInput.constant(b), TimeGrid(dt=dt, steps=steps)
+    path = np.empty((steps + 1, 9))
+    path[0] = coordinates(rho0).reshape(9)
+    assert _squared(path, _rk4_polynomial(dt * at(drift_superoperator(model), b)))
+    states = integrate_master(model, beta, rho0, grid)
+    assert states.tobytes() == hermitian(path.reshape(steps + 1, 3, 3)).tobytes()
+    assert max_norm(states - rk4_reference(model, beta, rho0, grid)) <= 1e-12
+
+
 @pytest.mark.parametrize("overflow_at", [None, 5], ids=["constant", "then-overflow"])
 def test_drift_failure_inside_a_run_names_the_stepwise_step(overflow_at):
     # At dt = 6 the drift grows about 4e4 times a step.  Step by step, with the
     # same RK4 polynomial, it first passes the limit at step 2, from far below
     # it to far above; the run, filled as (rows 0, 1) @ P^2 there, names step 2 too.
-    # A beta whose square overflows, first sampled by step 4, ends the run in
-    # the pull; the drift failure of an earlier step is still the one raised.
+    # Under a samples beta whose square overflows, first sampled by step 4, the
+    # steps are taken one v @ P at a time, and the drift failure of the earlier
+    # step is the one raised.
     model, rho0 = random_model(0, 2)
     b, dt = 0.4 - 0.2j, 6.0
     beta = CoherentInput.constant(b)
@@ -236,15 +254,19 @@ def test_drift_failure_that_the_squared_run_rounds_elsewhere_names_the_stepwise_
         integrate_master(model, CoherentInput.constant(b), rho0, TimeGrid(dt=dt, steps=40))
 
 
-def test_a_run_goes_on_past_a_power_that_overflows_in_a_mode_its_states_lack():
+@pytest.mark.parametrize("steps", [1000, 2000])
+def test_a_run_goes_on_past_a_power_that_overflows_in_a_mode_its_states_lack(steps):
     # Level 1 decays to 0 and level 2 dephases at gamma dt = 10, where RK4
-    # multiplies its coherences by about 13.7 a step: P^512 overflows.  The
-    # diagonal states hold no such coherence, so step by step nothing does; the
-    # run keeps P^256 from there.
+    # multiplies its coherences by about 13.7 a step: P^512 overflows in the
+    # coherence-to-coherence block alone.  The diagonal states hold no such
+    # coherence, so step by step nothing does.  At 1000 steps P^512 is the last
+    # power used and its 0 * inf leaves the traces finite; at 2000, P^1024 also
+    # turns the traces non-finite.  Either way the path is stepped one v @ P
+    # at a time.
     coupling = np.zeros((3, 3))
     coupling[0, 1], coupling[2, 2] = np.sqrt(0.005), np.sqrt(10.0)
     model = HPModel(S=np.eye(3), L=coupling, H=np.zeros((3, 3)))
-    beta, grid = CoherentInput.constant(0.0), TimeGrid(dt=1.0, steps=2000)
+    beta, grid = CoherentInput.constant(0.0), TimeGrid(dt=1.0, steps=steps)
     poly = _rk4_polynomial(grid.dt * at(drift_superoperator(model), 0.0))
     with np.errstate(over="ignore", invalid="ignore"):
         assert not np.isfinite(np.linalg.matrix_power(poly, 512)).all()

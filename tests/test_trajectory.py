@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import EXCITED, decay_model, qnd_model
-from qfilter.ensemble import mix_seed, run_ensemble
+from qfilter.ensemble import _checkpoint_steps, mix_seed, run_ensemble
 from qfilter.ito import girsanov_coefficients
 from qfilter.linalg import (
     dagger,
@@ -259,6 +259,23 @@ def test_an_ensemble_trajectory_that_loses_its_trace_fails_naming_it():
         run_ensemble(qnd_model(), QND_BETA, MIXED3, QUADRATURE, QND_GRID, 4, master_seed=28)
     with pytest.raises(TraceLossError, match=message.format("")):
         simulate_record(qnd_model(), QND_BETA, MIXED3, QUADRATURE, QND_GRID, mix_seed(28, 3))
+
+
+def test_an_ensemble_trajectory_that_loses_its_trace_between_checkpoints_fails_naming_its_step():
+    # Over 100 steps the checkpoints are every other state.  At master seed 8,
+    # trajectory 0 is off trace 1 by about 5e5 at step 10, every earlier state
+    # within 6e-14 of it, and is back within 2e-11 at the checkpoint after it;
+    # trajectory 2 fails the next checkpoint, at step 13.  The batch, replayed to
+    # that checkpoint, fails at step 10, as trajectory 0 alone does on the grid
+    # that ends at step 10's checkpoint.
+    grid = TimeGrid(dt=QND_GRID.dt, steps=100)
+    assert 11 not in _checkpoint_steps(grid.steps)
+    message = r"^step 10, t=0\.15625: {}state trace lost: "
+    with pytest.raises(TraceLossError, match=message.format("trajectory 0: ")):
+        run_ensemble(qnd_model(), QND_BETA, MIXED3, QUADRATURE, grid, 4, master_seed=8)
+    alone = TimeGrid(dt=grid.dt, steps=12)
+    with pytest.raises(TraceLossError, match=message.format("")):
+        simulate_record(qnd_model(), QND_BETA, MIXED3, QUADRATURE, alone, mix_seed(8, 0))
 
 
 @pytest.mark.parametrize("batch", [(), (COLUMN_CHUNK + 1,)], ids=["alone", "batch"])
